@@ -1,18 +1,6 @@
-import os
-
 from setuptools import Extension, setup
 
-ext_modules = []
-if os.environ.get("VCEW_SKIP_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("vcew._search", ["src/vcew/_search.pyx"])],
-            language_level=3,
-        )
-    except ImportError:
-        # No Cython at build time: install the pure-Python fallback only.
-        ext_modules = []
-
-setup(ext_modules=ext_modules)
+# _search.c is plain C loaded through ctypes (vcew._search_c), not a Python
+# extension module; optional=True lets an install without a compiler go on
+# with the pure-Python kernel.
+setup(ext_modules=[Extension("vcew._search", ["src/vcew/_search.c"], optional=True)])

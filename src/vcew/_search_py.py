@@ -1,8 +1,11 @@
 """Pure-Python search kernel for exhaustive {0,1} weighting enumeration.
 
-A compiled twin of this module (vcew._search, built from _search.pyx) is
-preferred at import time by vcew.oracle; this fallback implements the exact
-same enumeration so both backends return identical witnesses.
+This is the reference kernel and the fallback of vcew.oracle.  Its compiled
+twin, _search.c (loaded through vcew._search_c), follows the same steps, so
+both return the same witnesses, counts and node counts; vcew.oracle uses the
+compiled one whenever its shared library sits next to the package.  Every
+traversal takes an ``oracle.SearchInstance`` and returns
+``(value, nodes visited)``.
 
 Shared machinery
 ----------------
@@ -15,9 +18,9 @@ It maintains, incrementally along the search path:
 * a "settled" edge counter: a graph edge is settled once every free edge
   incident to one of its endpoints has been decided; its endpoint colors can
   no longer change in the current subtree, so an equal-color settled edge
-  prunes the subtree.  ``settle_key[j]`` is the largest free-edge position
+  prunes the subtree.  ``skey[j]`` is the largest free-edge position
   incident to edge j's endpoints (-1 when there is none); edges settle in
-  ``settle_order`` (sorted by key) as the decided prefix grows.
+  ``sorder`` (sorted by key) as the decided prefix grows.
 * ``over``: the number of vertices whose color exceeds its upper bound.
   Colors only grow along a path, so over > 0 prunes.
 
@@ -33,22 +36,17 @@ Two traversal modes:
 
 from __future__ import annotations
 
-NO_BOUND = 1 << 60
 
-
-def solve_ones(n, m, eu, ev, fu, fv, sorder, skey, colors0, bounds, maxc):
+def solve_ones(inst, maxc):
     """First proper assignment with at most maxc weight-1 free edges.
 
     Returns (chosen_positions | None, nodes_visited).  Positions index the
     free-edge list; enumeration is by ascending popcount, ties lexicographic.
     """
+    m, eu, ev, fu, fv, sorder = inst.m, inst.eu, inst.ev, inst.fu, inst.fv, inst.sorder
     f = len(fu)
-    colors = list(colors0)
-    state = _State(m, sorder, skey, colors, bounds, eu, ev)
-    for v in range(n):
-        if colors[v] > bounds[v]:
-            state.over += 1
-    state.settle(-1)
+    state = _State(inst)
+    colors = state.colors
     chosen: list[int] = []
 
     def dfs(start: int, remaining: int) -> bool:
@@ -84,32 +82,33 @@ def solve_ones(n, m, eu, ev, fu, fv, sorder, skey, colors0, bounds, maxc):
     return None, state.nodes
 
 
-def count_all(n, m, eu, ev, fu, fv, sorder, skey, colors0, bounds):
+def count_all(inst):
     """Number of proper assignments over all 2^F completions."""
-    return _binary_walk(n, m, eu, ev, fu, fv, sorder, skey, colors0, bounds, early=False)
+    return _binary_walk(inst, early=False)
 
 
-def exists_proper(n, m, eu, ev, fu, fv, sorder, skey, colors0, bounds):
+def exists_proper(inst):
     """Whether some proper completion respects the per-vertex color bounds."""
-    count, nodes = _binary_walk(n, m, eu, ev, fu, fv, sorder, skey, colors0, bounds, early=True)
+    count, nodes = _binary_walk(inst, early=True)
     return count > 0, nodes
 
 
 class _State:
     __slots__ = ("m", "sorder", "skey", "colors", "bounds", "eu", "ev", "ptr", "sconf", "over", "nodes")
 
-    def __init__(self, m, sorder, skey, colors, bounds, eu, ev):
-        self.m = m
-        self.sorder = sorder
-        self.skey = skey
-        self.colors = colors
-        self.bounds = bounds
-        self.eu = eu
-        self.ev = ev
+    def __init__(self, inst):
+        self.m = inst.m
+        self.sorder = inst.sorder
+        self.skey = inst.skey
+        self.colors = colors = list(inst.colors)
+        self.bounds = bounds = inst.bounds
+        self.eu = inst.eu
+        self.ev = inst.ev
         self.ptr = 0
         self.sconf = 0
-        self.over = 0
+        self.over = sum(1 for v in range(inst.n) if colors[v] > bounds[v])
         self.nodes = 0
+        self.settle(-1)
 
     def settle(self, p: int) -> None:
         sorder, skey, colors = self.sorder, self.skey, self.colors
@@ -149,14 +148,10 @@ class _State:
             self.over -= 1
 
 
-def _binary_walk(n, m, eu, ev, fu, fv, sorder, skey, colors0, bounds, early):
+def _binary_walk(inst, early):
+    fu, fv = inst.fu, inst.fv
     f = len(fu)
-    colors = list(colors0)
-    state = _State(m, sorder, skey, colors, bounds, eu, ev)
-    for v in range(n):
-        if colors[v] > bounds[v]:
-            state.over += 1
-    state.settle(-1)
+    state = _State(inst)
 
     def walk(d: int) -> int:
         state.nodes += 1

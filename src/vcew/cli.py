@@ -75,8 +75,6 @@ def cmd_solve(args) -> int:
     except (OSError, ParseError, ValidationError) as exc:
         _err(str(exc))
         return EXIT_INPUT
-    if args.threads > 1:
-        _err("parallel search is not implemented; running single-threaded")
     started = time.perf_counter()
     stats: dict[str, int] = {"free_edges": len(g.edges) - len(pre)}
     if args.seed is not None:
@@ -261,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", type=int, default=None, help="max weight-1 free edges")
     solve.add_argument("--k", type=int, default=None, help="vertex cover size for vc/prewt")
     solve.add_argument("--seed", type=int, default=None, help="recorded in stats for reproducibility")
-    solve.add_argument("--threads", type=int, default=1)
     solve.add_argument("--cutoff", type=int, default=oracle.DEFAULT_CUTOFF)
     solve.add_argument("--oracle-max-free", type=int, default=ORACLE_MAX_FREE)
     solve.add_argument("--tw-max-width", type=int, default=TW_MAX_WIDTH)

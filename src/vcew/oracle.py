@@ -2,15 +2,20 @@
 
 Enumeration is over the free (not pre-weighted) edges, by ascending count of
 weight-1 edges with lexicographic tie-breaking over the canonical edge order,
-so witnesses are deterministic.  The inner loop lives in a compiled extension
-when available (vcew._search); a pure-Python twin is selected otherwise or
-when VCEW_PURE_PYTHON=1 is set.
+so witnesses are deterministic.  The inner loop has one C source,
+``_search.c``, built by ``python setup.py build_ext --inplace`` (or by a
+plain ``cc -O2 -std=c99 -shared -fPIC``) into a shared library next to this
+module.  The backend follows the presence of that library: when it is there,
+it is loaded through ctypes (vcew._search_c); otherwise the pure-Python twin
+vcew._search_py runs.  Both return the same witnesses and node counts.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 from typing import Mapping, Sequence
 
 from vcew import _search_py
@@ -23,25 +28,26 @@ from vcew.graph import (
 )
 
 DEFAULT_CUTOFF = 30
+NO_BOUND = 1 << 60
 
-if os.environ.get("VCEW_PURE_PYTHON") == "1":
-    _kernel = _search_py
-    _BACKEND = "python"
-else:
-    try:
-        from vcew import _search as _kernel  # type: ignore[no-redef]
 
-        _BACKEND = "compiled"
-    except ImportError:
-        _kernel = _search_py
-        _BACKEND = "python"
+def _load_kernel():
+    """The compiled kernel if its library sits next to this module, else the Python one."""
+    for suffix in EXTENSION_SUFFIXES:
+        library = Path(__file__).with_name("_search" + suffix)
+        if library.exists():
+            from vcew import _search_c
 
-NO_BOUND = _search_py.NO_BOUND
+            return _search_c.load(library)
+    return _search_py
+
+
+_kernel = _load_kernel()
 
 
 def backend() -> str:
     """Which search kernel is active: 'compiled' or 'python'."""
-    return _BACKEND
+    return "python" if _kernel is _search_py else "compiled"
 
 
 class SearchStats:
@@ -51,7 +57,27 @@ class SearchStats:
         self.nodes = 0
 
 
-def _prepare(g: Graph, pre: PartialWeightAssignment, bounds):
+@dataclass(frozen=True)
+class SearchInstance:
+    """A graph and pre-weighting prepared for the search kernels.
+
+    Edges are indexed as in ``g.edges``; free positions index ``free``.
+    """
+
+    n: int
+    m: int
+    eu: tuple[int, ...]  # edge j joins eu[j] and ev[j]
+    ev: tuple[int, ...]
+    fu: tuple[int, ...]  # free position p joins fu[p] and fv[p]
+    fv: tuple[int, ...]
+    sorder: tuple[int, ...]  # edges in settle order
+    skey: tuple[int, ...]  # last free position touching edge j's endpoints, -1 if none
+    colors: tuple[int, ...]  # start colors from the weight-1 pre-weights
+    bounds: tuple[int, ...]  # per-vertex color ceiling
+    free: tuple[int, ...]  # free position -> edge index
+
+
+def _prepare(g: Graph, pre: PartialWeightAssignment, bounds) -> SearchInstance:
     validate_partial(g, pre)
     n = g.vertex_count
     m = len(g.edges)
@@ -86,7 +112,13 @@ def _prepare(g: Graph, pre: PartialWeightAssignment, bounds):
         blist = list(bounds)
     else:
         raise TypeError(f"unsupported bound type {type(bounds)!r}")
-    return n, m, eu, ev, fu, fv, sorder, skey, colors, blist, free
+    # Clamped so that every bound fits a C long long (ctypes wraps larger ints
+    # silently); colors lie in [0, n), so no answer changes.
+    blist = [max(-1, min(b, NO_BOUND)) for b in blist]
+    return SearchInstance(
+        n, m, tuple(eu), tuple(ev), tuple(fu), tuple(fv), tuple(sorder), tuple(skey),
+        tuple(colors), tuple(blist), tuple(free),
+    )
 
 
 def _check_capacity(free_count: int, budget: int | None, cutoff: int) -> None:
@@ -119,10 +151,11 @@ def solve_exhaustive(
     pre = pre or {}
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
-    n, m, eu, ev, fu, fv, sorder, skey, colors, blist, free = _prepare(g, pre, None)
+    inst = _prepare(g, pre, None)
+    free = inst.free
     _check_capacity(len(free), budget, cutoff)
     maxc = len(free) if budget is None else budget
-    chosen, nodes = _kernel.solve_ones(n, m, eu, ev, fu, fv, sorder, skey, colors, blist, maxc)
+    chosen, nodes = _kernel.solve_ones(inst, maxc)
     if stats is not None:
         stats.nodes = nodes
     if chosen is None:
@@ -143,9 +176,9 @@ def count_proper(
 ) -> int:
     """Number of proper total assignments extending pre."""
     pre = pre or {}
-    n, m, eu, ev, fu, fv, sorder, skey, colors, blist, free = _prepare(g, pre, None)
-    _check_capacity(len(free), None, cutoff)
-    count, nodes = _kernel.count_all(n, m, eu, ev, fu, fv, sorder, skey, colors, blist)
+    inst = _prepare(g, pre, None)
+    _check_capacity(len(inst.free), None, cutoff)
+    count, nodes = _kernel.count_all(inst)
     if stats is not None:
         stats.nodes = nodes
     return count
@@ -164,9 +197,9 @@ def exists_with_color_bound(
     `bound` is a scalar, a vertex->bound mapping, or a per-vertex sequence.
     """
     pre = pre or {}
-    n, m, eu, ev, fu, fv, sorder, skey, colors, blist, free = _prepare(g, pre, bound)
-    _check_capacity(len(free), None, cutoff)
-    found, nodes = _kernel.exists_proper(n, m, eu, ev, fu, fv, sorder, skey, colors, blist)
+    inst = _prepare(g, pre, bound)
+    _check_capacity(len(inst.free), None, cutoff)
+    found, nodes = _kernel.exists_proper(inst)
     if stats is not None:
         stats.nodes = nodes
     return found

@@ -367,7 +367,6 @@ def run_dp(
     ntd: NiceTreeDecomposition,
     pre: PartialWeightAssignment | None = None,
     *,
-    fd_ceiling: str = "degree",
     check_invariants: bool = False,
 ) -> DPRun:
     """Execute the table computation bottom-up and return the root entry
@@ -382,9 +381,6 @@ def run_dp(
     pre = pre or {}
     validate_nice(g, ntd)
     validate_partial(g, pre)
-    if fd_ceiling not in ("degree", "max_degree"):
-        raise ValueError("fd_ceiling must be 'degree' or 'max_degree'")
-    delta = g.max_degree()
     nodes = ntd.nodes
     tables: dict[int, dict] = {}
     intro_deg: dict[int, dict[int, int]] = {}  # node -> bag vertex -> introduced incident edges
@@ -399,7 +395,7 @@ def run_dp(
             ideg = intro_deg.pop(node.children[0])
             ideg[node.vertex] = 0
             pos = node.bag.index(node.vertex)
-            cap = g.degree(node.vertex) if fd_ceiling == "degree" else delta
+            cap = g.degree(node.vertex)
             table = {}
             for s, h in child.items():
                 head, tail = s[: 2 * pos], s[2 * pos :]
@@ -500,11 +496,10 @@ def dp_solve(
     ntd: NiceTreeDecomposition,
     pre: PartialWeightAssignment | None = None,
     *,
-    fd_ceiling: str = "degree",
     check_invariants: bool = False,
 ) -> WeightAssignment | None:
     """A proper assignment extending pre, reconstructed from the root entry."""
-    run = run_dp(g, ntd, pre, fd_ceiling=fd_ceiling, check_invariants=check_invariants)
+    run = run_dp(g, ntd, pre, check_invariants=check_invariants)
     if run.solution_edge_ids is None:
         return None
     return from_subgraph(g, (g.edges[i] for i in run.solution_edge_ids))

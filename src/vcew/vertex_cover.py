@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from vcew import oracle
-from vcew.errors import ContractViolationError
+from vcew.errors import CapacityError, ContractViolationError
 from vcew.graph import (
     Edge,
     Graph,
@@ -80,12 +80,16 @@ def exact_vertex_cover(g: Graph, k: int) -> frozenset[int] | None:
 
 
 def minimum_vertex_cover(g: Graph, k_max: int = 12) -> tuple[frozenset[int], int]:
-    """Smallest cover by iterative deepening up to k_max."""
+    """Smallest cover by iterative deepening up to k_max.
+
+    A graph whose cover number exceeds k_max is refused with CapacityError:
+    the deepening stops there, the instance itself is well formed.
+    """
     for k in range(k_max + 1):
         cover = exact_vertex_cover(g, k)
         if cover is not None:
             return cover, len(cover)
-    raise ValueError(f"no vertex cover of size <= {k_max} found")
+    raise CapacityError(f"no vertex cover of size <= k_max={k_max}; larger covers are not searched")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,12 @@
 import itertools
 import random
+import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 
+from vcew import _search_c, oracle
 from vcew.graph import Graph
 
 
@@ -58,3 +62,15 @@ def atlas():
         graphs.append(Graph.build(n, [(mapping[u], mapping[v]) for u, v in G.edges()]))
     assert len(graphs) == 996
     return graphs
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The C search kernel, compiled from the package source into a temporary
+    directory and loaded, whether or not a built library sits in the package."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    source = Path(oracle.__file__).with_name("_search.c")
+    library = tmp_path_factory.mktemp("kernel") / "_search.so"
+    subprocess.run(["cc", "-O2", "-std=c99", "-shared", "-fPIC", "-o", str(library), str(source)], check=True)
+    return _search_c.load(library)

@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from vcew import cli, io
+from vcew import _search_py, cli, io, oracle
 from vcew.generators import random_graph
 
 
@@ -61,6 +61,28 @@ def test_solve_capacity_exits_3(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", path, "--algo", "oracle")
     assert code == 3
     assert io.parse_result(out).status == "unknown"
+
+
+def test_solve_vertex_cover_past_k_max_exits_3(tmp_path, capsys):
+    # A cover number above k_max is a capacity refusal, not an input error.
+    path = str(tmp_path / "sparse.gr")
+    assert run_cli(capsys, "gen", "random", "--n", "30", "--p", "0.1", "--seed", "2", "-o", path)[0] == 0
+    code, out, err = run_cli(capsys, "solve", path)
+    assert code == 3 and "k_max" in err
+    assert io.parse_result(out).status == "unknown"
+
+
+def test_solve_stdout_identical_across_kernels(tmp_path, capsys, monkeypatch, compiled_kernel):
+    yes = write(tmp_path, "yes.gr", "p vcew 5 6\n1 2\n2 3\n3 4\n4 5\n1 5\n2 4 1\n")
+    no = write(tmp_path, "no.gr", "p vcew 5 7\n1 2\n2 3\n1 3\n3 4\n1 4\n2 4\n4 5 1\n")
+    for path, status in ((yes, "yes"), (no, "no")):
+        outputs = []
+        for kernel in (_search_py, compiled_kernel):
+            monkeypatch.setattr(oracle, "_kernel", kernel)
+            code, out, _ = run_cli(capsys, "solve", path, "--algo", "oracle")
+            assert code == 0 and io.parse_result(out).status == status
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 def test_auto_routing(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vcew import oracle
+from vcew import _search_py, oracle
 from vcew.errors import CapacityError
 from vcew.graph import Graph, extends, is_proper
 from tests.conftest import brute_force_solve, random_small_graph
@@ -138,22 +138,17 @@ def test_exists_bound_matches_enumeration():
         assert oracle.exists_with_color_bound(g, {}, bound) == feasible
 
 
-def test_backends_agree():
-    try:
-        from vcew import _search
-    except ImportError:
-        pytest.skip("compiled kernel not built")
-    from vcew import _search_py
-
+def test_backends_agree(compiled_kernel):
+    # Every kernel call returns (value, nodes visited): node counts must agree too.
     rng = random.Random(53)
     for _ in range(120):
         g = random_small_graph(rng, max_n=7)
         pre = {e: rng.randint(0, 1) for e in g.edges if rng.random() < 0.3}
-        args = oracle._prepare(g, pre, None)
-        n, m, eu, ev, fu, fv, sorder, skey, colors, bounds, free = args
-        a = _search.solve_ones(n, m, eu, ev, fu, fv, sorder, skey, list(colors), bounds, len(free))
-        b = _search_py.solve_ones(n, m, eu, ev, fu, fv, sorder, skey, list(colors), bounds, len(free))
-        assert a == b
-        ca = _search.count_all(n, m, eu, ev, fu, fv, sorder, skey, list(colors), bounds)
-        cb = _search_py.count_all(n, m, eu, ev, fu, fv, sorder, skey, list(colors), bounds)
-        assert ca == cb
+        plain = oracle._prepare(g, pre, None)
+        bounded = oracle._prepare(g, pre, rng.choice([0, 1, 2, 3, 1 << 70]))
+        free = len(plain.free)
+        for inst in (plain, bounded):
+            for maxc in {free, rng.randrange(free) if free else 0}:
+                assert compiled_kernel.solve_ones(inst, maxc) == _search_py.solve_ones(inst, maxc)
+            assert compiled_kernel.count_all(inst) == _search_py.count_all(inst)
+            assert compiled_kernel.exists_proper(inst) == _search_py.exists_proper(inst)

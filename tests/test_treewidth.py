@@ -134,16 +134,6 @@ def test_dp_invariant_checks_pass():
         dp_solve(g, nice_for(g), check_invariants=True)
 
 
-def test_fd_ceiling_modes_agree():
-    rng = random.Random(15)
-    for _ in range(60):
-        g = random_small_graph(rng, max_n=6)
-        ntd = nice_for(g)
-        a = dp_solve(g, ntd, fd_ceiling="degree")
-        b = dp_solve(g, ntd, fd_ceiling="max_degree")
-        assert (a is None) == (b is None)
-
-
 def test_state_counts_within_bound():
     rng = random.Random(17)
     for _ in range(40):
