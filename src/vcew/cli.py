@@ -2,7 +2,8 @@
 
 Results go to standard output as canonical JSON (stats stripped, so reruns
 are byte-identical); counters and progress notes go to standard error.
-Exit codes: 0 clean run, 2 input error, 3 capacity error.
+Exit codes: 0 clean run, 2 input error, 3 capacity error, 4 contract violation
+(an internal result failed re-verification).
 """
 
 from __future__ import annotations
@@ -14,7 +15,13 @@ import time
 from pathlib import Path
 
 from vcew import generators, io, oracle, preweight, reduction, treewidth, vertex_cover
-from vcew.errors import CapacityError, ParseError, UnsupportedVariantError, ValidationError
+from vcew.errors import (
+    CapacityError,
+    ContractViolationError,
+    ParseError,
+    UnsupportedVariantError,
+    ValidationError,
+)
 from vcew.graph import (
     Graph,
     PartialWeightAssignment,
@@ -30,6 +37,7 @@ from vcew.listcolor import normalize_instance
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+EXIT_CONTRACT = 4
 
 ORACLE_MAX_FREE = 24
 TW_MAX_WIDTH = 4
@@ -135,7 +143,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     verified = is_proper(g, witness) and extends(witness, pre)
     if not verified:
-        raise AssertionError(f"{algo} produced a witness that failed re-verification")
+        raise ContractViolationError(f"{algo} produced a witness that failed re-verification")
     record = io.ResultRecord(
         status="yes",
         algorithm=algo,
@@ -323,7 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ContractViolationError as exc:
+        _err(f"contract violation: {exc}")
+        return EXIT_CONTRACT
 
 
 if __name__ == "__main__":

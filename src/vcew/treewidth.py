@@ -8,9 +8,27 @@ solution built so far.  Pre-weighted edges restrict the introduce-edge
 transition: a pre-weight of 1 removes the keep-it-out branch, a pre-weight
 of 0 removes the add-it branch.
 
-States are flat tuples (fd_0, cd_0, fd_1, cd_1, ...) over the sorted bag.
-Stored partial solutions are persistent cons cells so that extending or
-joining them is O(1); they decode to edge-id sets at the root.
+Tables are computed a whole node at a time (vcew._dp_tables, which numpy
+backs and which loads with the first DP run):
+
+* State packing.  A node's table is an int64 array with one packed state
+  per row.  Slot i, the i-th vertex of the sorted bag, holds fd in bits
+  [2bi, 2bi + b) and cd in bits [2bi + b, 2bi + 2b), where
+  b = max(1, Δ.bit_length()) fits every degree.  When 2b(width + 1)
+  exceeds 63 bits run_dp raises CapacityError instead of letting a state
+  wrap.
+* Provenance.  Each row records where it came from: the child row (child-1
+  row at a join), the child-2 row at a join, and at an introduce-edge node
+  whether the row takes the edge.  The witness is decoded by walking these
+  index arrays down from the root row; no partial solutions are stored.
+* Tie-break.  Rows stay in order of first derivation, as a dict filled
+  child row by child row would keep them.  Introduce-vertex expands each
+  child row into fd = 0..deg(v); introduce-edge emits each child row's
+  weight-1 row before its weight-0 row; join pairs rows in (child-1 row,
+  child-2 row) order.  When two derivations give the same state, the row
+  keeps the earlier position and the first derivation's provenance, except
+  at introduce-edge, where the weight-0 derivation beats the weight-1 one.
+  The witness therefore depends only on the decomposition and the input.
 """
 
 from __future__ import annotations
@@ -18,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from vcew.errors import ValidationError
+from vcew.errors import CapacityError, ValidationError
 from vcew.graph import (
     Edge,
     Graph,
@@ -34,6 +52,8 @@ INTRODUCE_VERTEX = "introduce_vertex"
 INTRODUCE_EDGE = "introduce_edge"
 FORGET = "forget"
 JOIN = "join"
+
+STATE_BITS = 63  # a packed state must stay a nonnegative int64
 
 
 @dataclass(frozen=True)
@@ -346,22 +366,6 @@ def subtree_edge_sets(ntd: NiceTreeDecomposition) -> list[frozenset[Edge]]:
     return out  # type: ignore[return-value]
 
 
-def _decode(payload) -> frozenset[int]:
-    ids: set[int] = set()
-    stack = [payload]
-    while stack:
-        p = stack.pop()
-        if p is None:
-            continue
-        if p[0] == "e":
-            ids.add(p[1])
-            stack.append(p[2])
-        else:
-            stack.append(p[1])
-            stack.append(p[2])
-    return frozenset(ids)
-
-
 def run_dp(
     g: Graph,
     ntd: NiceTreeDecomposition,
@@ -377,118 +381,25 @@ def run_dp(
     v-incident edges not yet introduced in the subtree, no extension can
     close the gap.  Dead states only ever produce dead states, so the live
     tables, the decision, and the reconstructed witness are unchanged.
+
+    Raises CapacityError when a packed state would need more than 63 bits,
+    and ContractViolationError when check_invariants finds a stored row
+    whose decoded partial solution fails check_partial_solution.
     """
     pre = pre or {}
     validate_nice(g, ntd)
     validate_partial(g, pre)
-    nodes = ntd.nodes
-    tables: dict[int, dict] = {}
-    intro_deg: dict[int, dict[int, int]] = {}  # node -> bag vertex -> introduced incident edges
-    state_counts = [0] * len(nodes)
-    for t in postorder(ntd):
-        node = nodes[t]
-        if node.kind == LEAF:
-            table = {(): None}
-            ideg: dict[int, int] = {}
-        elif node.kind == INTRODUCE_VERTEX:
-            child = tables.pop(node.children[0])
-            ideg = intro_deg.pop(node.children[0])
-            ideg[node.vertex] = 0
-            pos = node.bag.index(node.vertex)
-            cap = g.degree(node.vertex)
-            table = {}
-            for s, h in child.items():
-                head, tail = s[: 2 * pos], s[2 * pos :]
-                for fd in range(cap + 1):
-                    table[head + (fd, 0) + tail] = h
-        elif node.kind == INTRODUCE_EDGE:
-            child = tables.pop(node.children[0])
-            ideg = intro_deg.pop(node.children[0])
-            u, v = node.edge
-            ideg[u] += 1
-            ideg[v] += 1
-            iu, iv = 2 * node.bag.index(u), 2 * node.bag.index(v)
-            rem_u = g.degree(u) - ideg[u]
-            rem_v = g.degree(v) - ideg[v]
-            eid = g.edge_index[node.edge]
-            pw = pre.get(node.edge)
-            table = {}
-            # Weight-0 entries overwrite and weight-1 entries setdefault, so
-            # on a key collision the weight-0 derivation always wins, exactly
-            # as if the weight-0 branch ran in a first pass of its own.
-            allow0 = pw != 1
-            allow1 = pw != 0
-            setdefault = table.setdefault
-            for s, h in child.items():
-                fd_u = s[iu]
-                fd_v = s[iv]
-                if fd_u == fd_v:
-                    continue
-                cd_u = s[iu + 1]
-                cd_v = s[iv + 1]
-                if allow1 and cd_u < fd_u and cd_v < fd_v and fd_u - cd_u - 1 <= rem_u and fd_v - cd_v - 1 <= rem_v:
-                    lst = list(s)
-                    lst[iu + 1] = cd_u + 1
-                    lst[iv + 1] = cd_v + 1
-                    setdefault(tuple(lst), ("e", eid, h))
-                if allow0 and fd_u - cd_u <= rem_u and fd_v - cd_v <= rem_v:
-                    table[s] = h
-        elif node.kind == FORGET:
-            child = tables.pop(node.children[0])
-            ideg = intro_deg.pop(node.children[0])
-            del ideg[node.vertex]
-            child_bag = nodes[node.children[0]].bag
-            pos = child_bag.index(node.vertex)
-            table = {}
-            for s, h in child.items():
-                # A forgotten vertex gains no further incident edges, so
-                # only cd == fd states survive.
-                if s[2 * pos] != s[2 * pos + 1]:
-                    continue
-                s2 = s[: 2 * pos] + s[2 * pos + 2 :]
-                if s2 not in table:
-                    table[s2] = h
-        else:  # JOIN
-            c1, c2 = node.children
-            t1, t2 = tables.pop(c1), tables.pop(c2)
-            d1, d2 = intro_deg.pop(c1), intro_deg.pop(c2)
-            ideg = {v: d1[v] + d2[v] for v in node.bag}
-            rem = tuple(g.degree(v) - ideg[v] for v in node.bag)
-            by_fd: dict[tuple, list] = {}
-            for s, h in t2.items():
-                by_fd.setdefault(s[0::2], []).append((s, h))
-            table = {}
-            size = len(node.bag)
-            for s1, h1 in t1.items():
-                group = by_fd.get(s1[0::2])
-                if not group:
-                    continue
-                for s2, h2 in group:
-                    merged = list(s1)
-                    ok = True
-                    for i in range(size):
-                        fd = s1[2 * i]
-                        cd = s1[2 * i + 1] + s2[2 * i + 1]
-                        if cd > fd or fd - cd > rem[i]:
-                            ok = False
-                            break
-                        merged[2 * i + 1] = cd
-                    if ok:
-                        sm = tuple(merged)
-                        if sm not in table:
-                            table[sm] = ("j", h1, h2)
-        state_counts[t] = len(table)
-        if check_invariants:
-            for s, payload in table.items():
-                edges = frozenset(g.edges[i] for i in _decode(payload))
-                if not check_partial_solution(g, ntd, t, s, edges):
-                    raise AssertionError(f"stored entry violates the partial-solution conditions at node {t}")
-        tables[t] = table
-        intro_deg[t] = ideg
-    root_table = tables[ntd.root]
-    if () in root_table:
-        return DPRun(_decode(root_table[()]), state_counts)
-    return DPRun(None, state_counts)
+    bits = max(1, g.max_degree().bit_length())  # every fd and cd fits
+    need = 2 * bits * (ntd.width + 1)
+    if need > STATE_BITS:
+        raise CapacityError(
+            f"a DP state needs {need} bits (width {ntd.width}, {bits}-bit degree fields); "
+            f"the packed tables hold {STATE_BITS}"
+        )
+    from vcew import _dp_tables  # numpy loads with the first DP run, not with the CLI
+
+    ids, state_counts = _dp_tables.run(g, ntd, pre, bits, check_invariants)
+    return DPRun(ids, state_counts)
 
 
 def dp_solve(
@@ -511,11 +422,13 @@ def check_partial_solution(g: Graph, ntd: NiceTreeDecomposition, node_id: int, s
     `state` is the flat (fd, cd) tuple over the node's sorted bag; `h_edges`
     is an edge set within the node's subtree graph.
     """
-    node = ntd.nodes[node_id]
-    bag = node.bag
+    return _check_partial(g, ntd.nodes[node_id].bag, subtree_edge_sets(ntd)[node_id], state, h_edges)
+
+
+def _check_partial(g: Graph, bag: tuple[int, ...], e_t: frozenset[Edge], state: tuple, h_edges) -> bool:
+    """check_partial_solution with the node's subtree edge set `e_t` given."""
     if len(state) != 2 * len(bag):
         return False
-    e_t = subtree_edge_sets(ntd)[node_id]
     h = {edge_key(*e) for e in h_edges}
     if not h <= e_t:
         return False

@@ -1,8 +1,11 @@
+import itertools
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from vcew import _search_py, cli, io, oracle
+from vcew import _search_py, cli, io, oracle, treewidth
 from vcew.generators import random_graph
 
 
@@ -70,6 +73,34 @@ def test_solve_vertex_cover_past_k_max_exits_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "solve", path)
     assert code == 3 and "k_max" in err
     assert io.parse_result(out).status == "unknown"
+
+
+def test_solve_dp_state_past_63_bits_exits_3(tmp_path, capsys):
+    # K6 plus 32 pendant leaves on vertex 0: width 5, max degree 37, so a
+    # state needs 2 * 6 bits * 6 slots = 72 bits, more than an int64 holds.
+    edges = list(itertools.combinations(range(6), 2)) + [(0, 6 + i) for i in range(32)]
+    lines = [f"p vcew 38 {len(edges)}"] + [f"{u + 1} {v + 1}" for u, v in edges]
+    path = write(tmp_path, "wide.gr", "\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "tw")
+    assert code == 3 and "72 bits" in err
+    assert io.parse_result(out).status == "unknown"
+
+
+def test_solve_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
+    # every C4 edge at weight 1 gives all four vertices color 2
+    monkeypatch.setattr(treewidth, "run_dp", lambda g, ntd, pre: treewidth.DPRun(frozenset(range(4)), [1]))
+    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "tw")
+    assert code == 4 and out == ""
+    assert "re-verification" in err
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy loads with the first DP run; the other routes never pay for it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import vcew.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_solve_stdout_identical_across_kernels(tmp_path, capsys, monkeypatch, compiled_kernel):

@@ -309,10 +309,45 @@ def test_fvs_needs_the_instance_cover_too():
     assert verify_fvs_bound(red)
 
 
+UNRESTRICTED_DP_WITNESSES = [
+    (4, 5, 8, 9, 10, 12, 14, 16, 18, 20, 22, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37,
+     38, 39, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64, 65, 66, 82, 83, 84, 85, 86,
+     87, 88, 89, 90, 91, 92, 93, 94, 95, 96, 97, 115, 116, 117, 118, 119, 120, 121, 122,
+     123, 124, 125, 126, 127, 128, 129, 130, 131, 132, 152, 153, 154, 155, 156, 157,
+     158, 159, 160, 161, 162, 163, 164, 165, 166, 167, 168, 169, 170, 171, 193, 194,
+     195, 196, 197, 198, 199, 200, 201, 202, 203, 204, 205, 206, 207, 208, 209, 210,
+     211, 212, 213, 214, 237, 238, 239, 244, 245, 246, 247, 253, 254, 255, 256, 257,
+     263, 264, 265, 266, 272, 273, 274, 275, 276, 282, 283, 287, 288, 289, 294, 295,
+     296, 297, 303, 304, 305, 306, 307, 313, 314, 315, 316, 322, 323, 324, 325, 326),
+    None,
+    (1, 2, 4, 5, 7, 9, 11, 13, 15, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 40, 41,
+     42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 65, 66, 67, 68, 69, 70, 71, 72, 73, 74, 75,
+     76, 77, 78, 94, 95, 96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 107, 108,
+     109, 127, 128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139, 140, 141,
+     142, 143, 144, 163, 164, 165, 170, 171, 172, 173, 178, 179, 180, 185, 186, 187,
+     188),
+    (1, 2, 3, 5, 7, 9, 11, 13, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 37, 38, 39,
+     40, 41, 42, 43, 44, 45, 46, 47, 48, 62, 63, 64, 65, 66, 67, 68, 69, 70, 71, 72, 73,
+     74, 75, 91, 92, 93, 94, 95, 96, 97, 98, 99, 100, 101, 102, 103, 104, 105, 106, 124,
+     125, 126, 127, 128, 129, 130, 131, 132, 133, 134, 135, 136, 137, 138, 139, 140,
+     141, 160, 161, 165, 166, 167, 172, 173, 174, 175),
+    (2, 3, 4, 7, 8, 10, 12, 14, 16, 18, 20, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33,
+     34, 35, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 78, 79, 80, 81, 82,
+     83, 84, 85, 86, 87, 88, 89, 90, 91, 92, 93, 111, 112, 113, 114, 115, 116, 117, 118,
+     119, 120, 121, 122, 123, 124, 125, 126, 127, 128, 148, 149, 150, 151, 152, 153,
+     154, 155, 156, 157, 158, 159, 160, 161, 162, 163, 164, 165, 166, 167, 189, 190,
+     191, 192, 193, 194, 195, 196, 197, 198, 199, 200, 201, 202, 203, 204, 205, 206,
+     207, 208, 209, 210, 233, 234, 235, 236, 242, 243, 244, 245, 246, 252, 253, 254,
+     255, 261, 262, 263, 264, 265),
+]
+
+
 def test_solve_reduced_agrees_with_unrestricted_dp():
     # independent route: decide whole reductions with the treewidth DP and
     # no forced pre-weights at all (the instance cover plus z keeps the
-    # width tiny even though H has hundreds of vertices)
+    # width tiny even though H has hundreds of vertices); the DP witnesses
+    # are pinned to UNRESTRICTED_DP_WITNESSES, recorded from the
+    # dict-of-tuples engine the packed one replaced
     from vcew.treewidth import compute_decomposition, make_nice, run_dp
 
     cases = [
@@ -322,10 +357,12 @@ def test_solve_reduced_agrees_with_unrestricted_dp():
         make_inst(1, [], [[3]]),
         make_inst(2, [(0, 1)], [[2, 3], [2, 3]]),
     ]
-    for inst in cases:
+    for inst, expected in zip(cases, UNRESTRICTED_DP_WITNESSES, strict=True):
         red = build_reduction(inst, small_chain_scale(inst))
         ntd = make_nice(compute_decomposition(red.graph), red.graph)
-        unrestricted = run_dp(red.graph, ntd).solution_edge_ids is not None
+        ids = run_dp(red.graph, ntd).solution_edge_ids
+        assert (None if ids is None else tuple(sorted(ids))) == expected
+        unrestricted = ids is not None
         forced = solve_reduced(red) is not None
         assert unrestricted == forced
         assert forced == (brute_force_list_coloring(inst) is not None)

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from vcew import oracle
-from vcew.errors import ValidationError
+from vcew import _dp_tables, oracle
+from vcew.errors import ContractViolationError, ValidationError
+from vcew.generators import random_graph
 from vcew.graph import Graph, extends, is_proper
 from vcew.treewidth import (
     INTRODUCE_EDGE,
@@ -19,7 +20,7 @@ from vcew.treewidth import (
     validate_decomposition,
     validate_nice,
 )
-from tests.conftest import random_small_graph
+from tests.conftest import brute_force_solve, random_small_graph
 
 P3 = Graph.build(3, [(0, 1), (1, 2)])
 C3 = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
@@ -178,3 +179,86 @@ def test_check_partial_solution_rejects_foreign_edges():
         if missing and not node.bag:
             assert not check_partial_solution(C4, ntd, t, (), missing)
             break
+
+
+def test_dp_invariant_failure_is_a_contract_violation(monkeypatch):
+    monkeypatch.setattr(_dp_tables, "_check_partial", lambda *args: False)
+    with pytest.raises(ContractViolationError):
+        run_dp(P3, nice_for(P3), check_invariants=True)
+
+
+def test_dp_degenerate_cases_match_brute_force():
+    k4 = Graph.build(4, list(itertools.combinations(range(4), 2)))
+    isolated = Graph.build(6, [(0, 1), (1, 2), (2, 3)])  # vertices 4 and 5 isolated
+    cases = [
+        (Graph.build(0, []), {}),
+        (Graph.build(3, []), {}),
+        (isolated, {}),
+        (isolated, {(1, 2): 0}),
+        (C4, {e: 1 for e in C4.edges}),  # every edge pre-weighted, improper
+        (P3, {(0, 1): 1, (1, 2): 0}),  # every edge pre-weighted, proper
+        (C4, {e: 0 for e in C4.edges}),
+        (k4, {e: 0 for e in k4.edges[:3]}),  # all-0 pre-weights
+        (k4, {k4.edges[0]: 0, k4.edges[5]: 1}),  # mixed pre-weights
+        (C4, {(0, 1): 1, (2, 3): 0}),
+    ]
+    for g, pre in cases:
+        w = dp_solve(g, nice_for(g), pre, check_invariants=True)
+        first, _ = brute_force_solve(g, pre)
+        assert (w is None) == (first is None), (g.edges, pre)
+        if w is not None:
+            assert is_proper(g, w) and extends(w, pre)
+
+
+# Sorted solution_edge_ids of random_graph(8 + s % 5, (0.3, 0.4, 0.5)[s % 3], s,
+# pre_fraction=0.35) for s = 0..39, recorded from the dict-of-tuples engine
+# this one replaced: the tie-break rule makes witnesses engine-independent.
+GOLDEN_GNP_WITNESSES = [
+    None,
+    (3, 4, 8, 9, 10, 11, 12, 13, 15, 16),
+    (0, 1, 2, 6, 8, 12, 16, 17),
+    (0, 1, 3, 4, 5, 7, 8, 9),
+    (5, 6, 9, 11, 13, 18, 25, 26, 27),
+    None,
+    (3, 6, 7, 8, 9),
+    (1, 2, 5, 6, 7, 10, 11, 12, 13, 15, 19, 22, 23),
+    (0, 1, 5, 6, 9, 13, 16, 18, 24, 25, 26, 29),
+    (0, 1, 2, 3, 4, 8, 10, 11, 12, 13, 14, 15, 16, 17, 18, 20, 22, 24),
+    (1, 2, 4, 6),
+    (2, 3, 5, 8, 10, 13, 14, 16),
+    (6, 7, 9, 10, 11, 13),
+    (2, 3, 4, 7, 9, 12, 13, 14, 15, 16, 17, 18, 20),
+    (4, 5, 8, 10, 11, 12, 13, 15, 18, 19, 22, 25, 26, 30, 31, 32, 34),
+    (0, 6),
+    (0, 1, 3, 5, 6, 7, 8, 11, 14, 15),
+    None,
+    (5, 6, 7, 9, 10, 13, 14, 15),
+    (1, 5, 6, 8, 11, 12, 13, 15, 21, 22, 25, 27, 28, 30, 31),
+    (0, 1, 5, 7, 8, 11, 12),
+    (1, 5, 6, 7, 10),
+    (0, 4, 5, 6, 9, 10, 11),
+    (5, 6, 8, 9, 11, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 27, 28, 30),
+    (5, 7, 8, 10, 12, 13, 14),
+    None,
+    (0, 1, 2, 3, 4, 12, 13),
+    None,
+    (0, 1, 3, 4, 9, 12, 17, 18, 20, 23, 24, 25, 27, 30),
+    (0, 3, 6, 15, 21, 22, 25, 26, 27, 28, 29, 32),
+    (1, 2, 4, 5, 7),
+    (2, 3, 5, 6, 7, 15, 16),
+    (2, 5, 7, 8, 14, 16, 17, 19, 20, 21),
+    (0, 5, 7, 8, 9, 11, 18),
+    (3, 5, 8, 10, 12, 15, 20, 21, 24, 25),
+    (4, 6, 9, 10, 11, 12),
+    (0, 2, 3, 5),
+    (0, 1, 3, 5, 7),
+    (12, 16, 17, 18, 20, 22, 24, 25, 26),
+    (0, 3, 4, 5, 6, 7, 13, 15, 18, 20),
+]
+
+
+def test_dp_witnesses_match_golden():
+    for seed, expected in enumerate(GOLDEN_GNP_WITNESSES):
+        g, pre = random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35)
+        ids = run_dp(g, nice_for(g), pre).solution_edge_ids
+        assert (None if ids is None else tuple(sorted(ids))) == expected, seed
