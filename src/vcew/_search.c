@@ -1,9 +1,15 @@
 /*
- * Compiled twin of vcew/_search_py.py, which documents the algorithm: the same
- * steps in plain C99, so both kernels return the same witnesses, counts and
- * node counts.  There is no Python API: vcew/_search_c.py fills a Search record
- * through ctypes and calls the three traversals at the end of this file.
- * README.md ("Install") says how to build it.
+ * Compiled twin of vcew/_search_py.py, which documents the algorithm.  The two
+ * kernels share the search tree, its order (ascending weight-1 count with
+ * lexicographic ties; weight 0 before weight 1), the pruning rules (a bound
+ * exceeded, an equal-color settled edge) and what counts as a node, so both
+ * return the same witnesses, counts and node counts.  They differ in
+ * bookkeeping only: this file keeps a settle pointer into sorder and a
+ * conflict counter, pruning on entry to a node and unsettling on the way
+ * back; the Python kernel tests each child against a per-position settle
+ * table before entering it.  There is no Python API: vcew/_search_c.py fills
+ * a Search record through ctypes and calls the three traversals at the end of
+ * this file.  README.md ("Install") says how to build it.
  */
 
 /* One prepared instance (the first eleven fields, filled by the caller) and

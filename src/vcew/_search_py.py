@@ -1,28 +1,25 @@
 """Pure-Python search kernel for exhaustive {0,1} weighting enumeration.
 
 This is the reference kernel and the fallback of vcew.oracle.  Its compiled
-twin, _search.c (loaded through vcew._search_c), follows the same steps, so
-both return the same witnesses, counts and node counts; vcew.oracle uses the
-compiled one whenever its shared library sits next to the package.  Every
-traversal takes an ``oracle.SearchInstance`` and returns
-``(value, nodes visited)``.
+twin, _search.c (loaded through vcew._search_c), walks the same search tree
+and counts the same nodes, so both return the same witnesses, counts and
+node counts; vcew.oracle uses the compiled one whenever its shared library
+sits next to the package.  Every traversal takes an
+``oracle.SearchInstance`` and returns ``(value, nodes visited)``.
 
-Shared machinery
-----------------
+Search tree
+-----------
 The kernel enumerates assignments to the F "free" (not pre-weighted) edges.
-It maintains, incrementally along the search path:
+Along the search path it keeps ``colors[v]``, the induced color of v under
+the decided prefix plus the pre-weighting (undecided free edges contribute
+0, matching the candidate each leaf represents).  A node is pruned, after
+being counted, when
 
-* ``colors[v]``: the induced color of v under the decided prefix plus the
-  pre-weighting (undecided free edges contribute 0, matching the candidate
-  each leaf represents).
-* a "settled" edge counter: a graph edge is settled once every free edge
-  incident to one of its endpoints has been decided; its endpoint colors can
-  no longer change in the current subtree, so an equal-color settled edge
-  prunes the subtree.  ``skey[j]`` is the largest free-edge position
-  incident to edge j's endpoints (-1 when there is none); edges settle in
-  ``sorder`` (sorted by key) as the decided prefix grows.
-* ``over``: the number of vertices whose color exceeds its upper bound.
-  Colors only grow along a path, so over > 0 prunes.
+* some vertex color exceeds its upper bound (colors only grow along a
+  path), or
+* some settled edge has equal endpoint colors.  A graph edge is settled once
+  every free edge incident to one of its endpoints has been decided: its
+  endpoint colors can no longer change below that node.
 
 Two traversal modes:
 
@@ -31,10 +28,49 @@ Two traversal modes:
   c = 0, 1, ..., maxc.  The first proper candidate is returned, which makes
   witnesses deterministic.
 * binary mode (count_all / exists_proper): full 0/1 tree over free edges,
-  used where enumeration order does not matter.
+  weight 0 before weight 1, used where enumeration order does not matter.
+
+Settle table
+------------
+``skey[j]`` is the largest free position incident to edge j's endpoints (-1
+when there is none), so edge j is settled exactly when the last decided free
+position reaches skey[j].  ``_settle_table`` groups the edges by skey once
+per call: ``at[p]`` holds the endpoint pairs of the edges that settle when
+position p is decided; solve_ones also keeps ``tail[p]``, the pairs still
+unsettled after it.  Settled colors are frozen, so a node only checks the
+group its own decision settles, and nothing but the two color bumps is
+undone on the way back.
+
+Child-side pruning
+------------------
+Each child is counted, then tested inline; a child that fails (a bound
+exceeded, or an equal-color pair in the group it settles) is counted but
+not entered.  Node counts are therefore those of a walk that enters every
+child and tests it on entry, which is how _search.c counts them.  In
+combination mode, a position skipped by one sibling stays 0 in every later
+sibling, so a conflict in ``at[p]`` under the parent's colors prunes all
+later siblings: they are counted in one step.  The last level (one weight-1
+edge left to place) checks ``tail[p]`` in the loop instead of calling down
+to a leaf.
 """
 
 from __future__ import annotations
+
+
+def _settle_table(inst):
+    """The root group (edges with skey -1) and ``at`` (see above)."""
+    eu, ev, skey = inst.eu, inst.ev, inst.skey
+    groups = [[] for _ in range(len(inst.fu) + 1)]
+    for j in inst.sorder:
+        groups[skey[j] + 1].append((eu[j], ev[j]))
+    return tuple(groups[0]), [tuple(group) for group in groups[1:]]
+
+
+def _root_ok(inst, colors, root) -> bool:
+    bounds = inst.bounds
+    if any(colors[v] > bounds[v] for v in range(inst.n)):
+        return False
+    return all(colors[u] != colors[v] for u, v in root)
 
 
 def solve_ones(inst, maxc):
@@ -43,43 +79,61 @@ def solve_ones(inst, maxc):
     Returns (chosen_positions | None, nodes_visited).  Positions index the
     free-edge list; enumeration is by ascending popcount, ties lexicographic.
     """
-    m, eu, ev, fu, fv, sorder = inst.m, inst.eu, inst.ev, inst.fu, inst.fv, inst.sorder
+    fu, fv, bounds = inst.fu, inst.fv, inst.bounds
     f = len(fu)
-    state = _State(inst)
-    colors = state.colors
-    chosen: list[int] = []
+    colors = list(inst.colors)
+    root, at = _settle_table(inst)
+    tail = [tuple(pair for group in at[p + 1:] for pair in group) for p in range(f)]
+    root_ok = _root_ok(inst, colors, root)
+    chosen: list[int] = []  # filled deepest first on success
+    nodes = 0
 
-    def dfs(start: int, remaining: int) -> bool:
-        state.nodes += 1
-        if state.sconf or state.over:
-            return False
-        if remaining == 0:
-            q = state.ptr
-            while q < m:
-                j = sorder[q]
-                if colors[eu[j]] == colors[ev[j]]:
+    def place(start: int, remaining: int) -> bool:
+        # Children of a passed node whose free positions below `start` are
+        # decided and which has `remaining` weight-1 edges left to place.
+        nonlocal nodes
+        last = f - remaining
+        for p in range(start, last + 1):
+            nodes += 1
+            u = fu[p]
+            v = fv[p]
+            cu = colors[u] + 1
+            cv = colors[v] + 1
+            if cu <= bounds[u] and cv <= bounds[v]:
+                colors[u] = cu
+                colors[v] = cv
+                for a, b in at[p]:
+                    if colors[a] == colors[b]:
+                        break
+                else:
+                    if remaining == 1:
+                        for a, b in tail[p]:
+                            if colors[a] == colors[b]:
+                                break
+                        else:
+                            chosen.append(p)
+                            return True
+                    elif place(p + 1, remaining - 1):
+                        chosen.append(p)
+                        return True
+                colors[u] = cu - 1
+                colors[v] = cv - 1
+            for a, b in at[p]:
+                if colors[a] == colors[b]:
+                    nodes += last - p
                     return False
-                q += 1
-            return True
-        for p in range(start, f - remaining + 1):
-            state.bump_up(fu[p])
-            state.bump_up(fv[p])
-            old = state.ptr
-            state.settle(p)
-            chosen.append(p)
-            if dfs(p + 1, remaining - 1):
-                return True
-            chosen.pop()
-            state.unsettle(old)
-            state.bump_down(fv[p])
-            state.bump_down(fu[p])
         return False
 
-    top = min(maxc, f)
-    for c in range(top + 1):
-        if dfs(0, c):
-            return list(chosen), state.nodes
-    return None, state.nodes
+    for c in range(min(maxc, f) + 1):
+        nodes += 1
+        if not root_ok:
+            continue
+        if c == 0:
+            if all(colors[a] != colors[b] for group in at for a, b in group):
+                return [], nodes
+        elif place(0, c):
+            return chosen[::-1], nodes
+    return None, nodes
 
 
 def count_all(inst):
@@ -93,88 +147,47 @@ def exists_proper(inst):
     return count > 0, nodes
 
 
-class _State:
-    __slots__ = ("m", "sorder", "skey", "colors", "bounds", "eu", "ev", "ptr", "sconf", "over", "nodes")
-
-    def __init__(self, inst):
-        self.m = inst.m
-        self.sorder = inst.sorder
-        self.skey = inst.skey
-        self.colors = colors = list(inst.colors)
-        self.bounds = bounds = inst.bounds
-        self.eu = inst.eu
-        self.ev = inst.ev
-        self.ptr = 0
-        self.sconf = 0
-        self.over = sum(1 for v in range(inst.n) if colors[v] > bounds[v])
-        self.nodes = 0
-        self.settle(-1)
-
-    def settle(self, p: int) -> None:
-        sorder, skey, colors = self.sorder, self.skey, self.colors
-        eu, ev = self.eu, self.ev
-        ptr = self.ptr
-        while ptr < self.m:
-            j = sorder[ptr]
-            if skey[j] > p:
-                break
-            if colors[eu[j]] == colors[ev[j]]:
-                self.sconf += 1
-            ptr += 1
-        self.ptr = ptr
-
-    def unsettle(self, old: int) -> None:
-        # Settled endpoint colors are frozen, so re-comparing reverses exactly.
-        sorder, colors = self.sorder, self.colors
-        eu, ev = self.eu, self.ev
-        ptr = self.ptr
-        while ptr > old:
-            ptr -= 1
-            j = sorder[ptr]
-            if colors[eu[j]] == colors[ev[j]]:
-                self.sconf -= 1
-        self.ptr = ptr
-
-    def bump_up(self, v: int) -> None:
-        c = self.colors[v]
-        if c == self.bounds[v]:
-            self.over += 1
-        self.colors[v] = c + 1
-
-    def bump_down(self, v: int) -> None:
-        c = self.colors[v] - 1
-        self.colors[v] = c
-        if c == self.bounds[v]:
-            self.over -= 1
-
-
 def _binary_walk(inst, early):
-    fu, fv = inst.fu, inst.fv
+    fu, fv, bounds = inst.fu, inst.fv, inst.bounds
     f = len(fu)
-    state = _State(inst)
+    colors = list(inst.colors)
+    root, at = _settle_table(inst)
+    if not _root_ok(inst, colors, root):
+        return 0, 1
+    if f == 0:
+        return 1, 1
+    nodes = 1
 
     def walk(d: int) -> int:
-        state.nodes += 1
-        if state.sconf or state.over:
-            return 0
-        if d == f:
-            return 1
-        # weight 0
-        old = state.ptr
-        state.settle(d)
-        total = walk(d + 1)
-        state.unsettle(old)
-        if early and total:
-            return total
-        # weight 1
-        state.bump_up(fu[d])
-        state.bump_up(fv[d])
-        old = state.ptr
-        state.settle(d)
-        total += walk(d + 1)
-        state.unsettle(old)
-        state.bump_down(fv[d])
-        state.bump_down(fu[d])
+        # Proper completions below a passed node whose positions below d are
+        # decided: the weight-0 child, then the weight-1 child.
+        nonlocal nodes
+        leaf = d + 1 == f
+        pairs = at[d]
+        nodes += 1
+        for a, b in pairs:
+            if colors[a] == colors[b]:
+                total = 0
+                break
+        else:
+            total = 1 if leaf else walk(d + 1)
+            if early and total:
+                return total
+        nodes += 1
+        u = fu[d]
+        v = fv[d]
+        cu = colors[u] + 1
+        cv = colors[v] + 1
+        if cu <= bounds[u] and cv <= bounds[v]:
+            colors[u] = cu
+            colors[v] = cv
+            for a, b in pairs:
+                if colors[a] == colors[b]:
+                    break
+            else:
+                total += 1 if leaf else walk(d + 1)
+            colors[u] = cu - 1
+            colors[v] = cv - 1
         return total
 
-    return walk(0), state.nodes
+    return walk(0), nodes

@@ -118,14 +118,15 @@ def cmd_solve(args) -> int:
             e1 = preweight.ones_only(pre)
             if args.k is not None:
                 k = args.k
-                if vertex_cover.exact_vertex_cover(g, k) is None:
+                cover = vertex_cover.exact_vertex_cover(g, k)
+                if cover is None:
                     raise ValidationError(f"graph has no vertex cover of size <= {k}")
             else:
-                _, k = vertex_cover.minimum_vertex_cover(g)
-            red = preweight.apply_reduction(g, e1, k)
+                cover, k = vertex_cover.minimum_vertex_cover(g)
+            red = preweight.apply_reduction(g, e1, k, cover=cover)
             if red.deletions:
                 sys.stderr.write(preweight.deletion_log_text(red))
-            witness = preweight.solve_prewt(g, e1, k, cutoff=args.cutoff)
+            witness = preweight.solve_prewt(g, e1, k, cutoff=args.cutoff, reduction=red)
             stats["k"] = k
             stats["rule_deletions"] = len(red.deletions)
         else:
@@ -187,15 +188,12 @@ def cmd_kernelize(args) -> int:
     prefix = args.output or str(Path(args.graph).with_suffix("")) + ".kernel"
     Path(prefix + ".gr").write_text(io.emit_graph(kernel.graph))
     Path(prefix + ".map").write_text(vertex_cover.export_kernel_mapping(kernel))
-    class_count = len(kernel.class_sizes_before)
-    if class_count > 4**kernel.k_matching:
-        raise AssertionError("class count exceeds 2^(2k)")
     print(f"kernel {kernel.graph.vertex_count} vertices {len(kernel.graph.edges)} edges")
     print(f"wrote {prefix}.gr and {prefix}.map")
     stats = {
         "k_matching": kernel.k_matching,
         "cap": kernel.cap,
-        "classes": class_count,
+        "classes": len(kernel.class_sizes_before),
         "removed": len(kernel.removed),
         "class_sizes_before": list(kernel.class_sizes_before),
         "class_sizes_after": list(kernel.class_sizes_after),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from vcew import oracle
-from vcew.errors import UnsupportedVariantError
+from vcew.errors import ContractViolationError, UnsupportedVariantError
 from vcew.graph import (
     Edge,
     Graph,
@@ -142,7 +142,7 @@ def apply_reduction(g: Graph, e1: Iterable[Edge], k: int, cover: Iterable[int] |
     residual = sum(1 for e in current.edges if e not in e1set)
     limit = k * (k - 1) + (3**k) * (k * color_budget(k) + 1)
     if residual > limit:
-        raise AssertionError(f"{residual} unweighted edges remain, above the bound {limit}")
+        raise ContractViolationError(f"{residual} unweighted edges remain, above the bound {limit}")
     return red
 
 
@@ -152,14 +152,21 @@ def solve_prewt(
     k: int,
     *,
     cutoff: int = oracle.DEFAULT_CUTOFF,
+    reduction: PreweightReduction | None = None,
 ) -> WeightAssignment | None:
     """Reduce, run the budgeted search over the unweighted edges of H*, and
-    extend any witness back by weighting the deleted edges 0."""
+    extend any witness back by weighting the deleted edges 0.
+
+    A caller that already holds ``apply_reduction(g, e1, k, ...)`` passes it
+    as `reduction`, so the cover and the reduction are not computed again.
+    """
     e1set = frozenset(edge_key(u, v) for u, v in e1)
     bad = [e for e in e1set if e not in g.edge_index]
     if bad:
         raise ValueError(f"pre-weighted edge {bad[0]} not in the graph")
-    red = apply_reduction(g, e1set, k)
+    red = reduction if reduction is not None else apply_reduction(g, e1set, k)
+    if red.e1 != e1set:
+        raise ValueError("the reduction was built for a different pre-weighted edge set")
     pre = {e: 1 for e in e1set}
     w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), cutoff=cutoff)
     if w_star is None:
@@ -167,5 +174,5 @@ def solve_prewt(
     w: WeightAssignment = {e: 0 for e in g.edges}
     w.update(w_star)
     if not is_proper(g, w):
-        raise AssertionError("extended pre-weighting witness failed re-verification")
+        raise ContractViolationError("extended pre-weighting witness failed re-verification")
     return w

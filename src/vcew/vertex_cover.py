@@ -155,11 +155,13 @@ def kernelize(g: Graph) -> Kernel:
 
 def _assert_kernel_bounds(kernel: Kernel) -> None:
     k = kernel.k_matching
+    if len(kernel.class_sizes_before) > 4**k:
+        raise ContractViolationError("class count exceeds 2^(2k)")
     if any(size > kernel.cap for size in kernel.class_sizes_after):
-        raise AssertionError("kernel class size exceeds the cap")
+        raise ContractViolationError("kernel class size exceeds the cap")
     limit = 2 * k + (4**k) * kernel.cap
     if kernel.graph.vertex_count > limit:
-        raise AssertionError(f"kernel has {kernel.graph.vertex_count} vertices, above the bound {limit}")
+        raise ContractViolationError(f"kernel has {kernel.graph.vertex_count} vertices, above the bound {limit}")
 
 
 def solve_kernel(

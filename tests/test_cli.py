@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -5,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from vcew import _search_py, cli, io, oracle, treewidth
+from vcew import _search_py, cli, io, oracle, preweight, treewidth, vertex_cover
 from vcew.generators import random_graph
 
 
@@ -93,6 +94,63 @@ def test_solve_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
     code, out, err = run_cli(capsys, "solve", path, "--algo", "tw")
     assert code == 4 and out == ""
     assert "re-verification" in err
+
+
+def test_prewt_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(preweight, "is_proper", lambda g, w: False)
+    path = write(tmp_path, "p3.gr", "p vcew 3 2\n1 2 1\n2 3\n")
+    code, out, err = run_cli(capsys, "solve", path)
+    assert code == 4 and out == ""
+    assert "contract violation" in err and "re-verification" in err
+
+
+def test_prewt_residual_bound_violation_exits_4(tmp_path, capsys, monkeypatch):
+    # A color budget of -1 drives the residual-edge bound below zero, while
+    # the unweighted edge 1-3 between the cover vertices 1 and 3 always stays.
+    monkeypatch.setattr(preweight, "color_budget", lambda k: -1)
+    path = write(tmp_path, "paw.gr", "p vcew 4 4\n1 2\n2 3\n1 3\n3 4 1\n")
+    code, out, err = run_cli(capsys, "solve", path)
+    assert code == 4 and out == ""
+    assert "contract violation" in err and "unweighted edges remain" in err
+
+
+def test_kernel_bound_violation_exits_4(tmp_path, capsys, monkeypatch):
+    # Without cover vertices the two C4 neighborhoods form two classes, above 4^0.
+    monkeypatch.setattr(vertex_cover, "maximal_matching_cover", lambda g: ())
+    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    for argv in (("kernelize", path, "-o", str(tmp_path / "out")), ("solve", path, "--algo", "vc")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert "contract violation: class count exceeds 2^(2k)" in err
+    assert not (tmp_path / "out.gr").exists()
+
+
+def test_prewt_route_finds_cover_and_reduction_once(tmp_path, capsys, monkeypatch):
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(preweight, "apply_reduction")
+    count(vertex_cover, "exact_vertex_cover")
+    monkeypatch.setattr(preweight, "exact_vertex_cover", vertex_cover.exact_vertex_cover)
+    # a 40-leaf star with every other edge pre-weighted: cover number 1, and
+    # both leaf classes are above the cap of 17, so the rule deletes edges
+    edges = [f"1 {leaf}" + (" 1" if leaf % 2 == 0 else "") for leaf in range(2, 42)]
+    path = write(tmp_path, "star.gr", "p vcew 41 40\n" + "\n".join(edges) + "\n")
+    code, out, err = run_cli(capsys, "solve", path)
+    record = io.parse_result(out)
+    assert code == 0 and record.algorithm == "prewt" and record.status == "yes"
+    # minimum_vertex_cover tries k = 0 and k = 1; nothing searches again
+    assert calls == {"apply_reduction": 1, "exact_vertex_cover": 2}
+    stats = json.loads(err.split("stats: ", 1)[1])
+    assert stats["rule_deletions"] == err.count("deleted ") > 0
 
 
 def test_cli_import_leaves_numpy_unloaded():

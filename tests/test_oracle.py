@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -138,8 +139,89 @@ def test_exists_bound_matches_enumeration():
         assert oracle.exists_with_color_bound(g, {}, bound) == feasible
 
 
-def test_backends_agree(compiled_kernel):
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+
+
+def _small_atlas(atlas):
+    return [g for g in atlas if g.vertex_count <= 6]
+
+
+def _seeded_instances(graphs):
+    """Each graph with seeded pre-weights and one seeded bound (None = unbounded)."""
+    rng = random.Random(59)
+    out = []
+    for g in graphs:
+        pre = {e: rng.randint(0, 1) for e in g.edges if rng.random() < 0.3}
+        out.append(oracle._prepare(g, pre, rng.choice([None, 0, 1, 2, 3])))
+    return out
+
+
+# Recorded with the kernel that kept its search state in a _State object,
+# before the settle-table rewrite: the rewrite must visit the same nodes.
+ATLAS_SOLVE_ONES = (82_973, "5b6d1c7524c2d2ad")
+SEEDED_SOLVE_ONES = (7_594, "c20f1630bbbb698e")
+SEEDED_COUNT_ALL = (9_183, "381ec6962abdb6f8")
+SEEDED_EXISTS_PROPER = (5_148, "2bca59b6c4e7abaf")
+
+
+def _summary(results):
+    """Total nodes and a digest of the values of (value, nodes) results."""
+    return sum(nodes for _, nodes in results), _digest([value for value, _ in results])
+
+
+def test_solve_ones_golden_over_atlas(atlas):
+    graphs = _small_atlas(atlas)
+    assert len(graphs) == 143
+    results = [_search_py.solve_ones(oracle._prepare(g, {}, None), len(g.edges)) for g in graphs]
+    assert _summary(results) == ATLAS_SOLVE_ONES
+
+
+def test_seeded_traversals_golden(atlas):
+    insts = _seeded_instances(_small_atlas(atlas))
+    assert _summary([_search_py.solve_ones(inst, len(inst.free) // 2) for inst in insts]) == SEEDED_SOLVE_ONES
+    assert _summary([_search_py.count_all(inst) for inst in insts]) == SEEDED_COUNT_ALL
+    assert _summary([_search_py.exists_proper(inst) for inst in insts]) == SEEDED_EXISTS_PROPER
+
+
+DEGENERATE = [
+    # (name, graph, pre-weights, bound, maxc)
+    ("no vertices", Graph.build(0, []), {}, None, 0),
+    ("no free edges, proper", P3, {(0, 1): 1, (1, 2): 1}, None, 2),
+    ("no free edges, improper", C3, {(0, 1): 1, (1, 2): 0, (0, 2): 1}, None, 0),
+    ("maxc 0, ones needed", C4, {}, None, 0),
+    ("root conflict from pre-weights", Graph.build(5, [(0, 1), (2, 3), (3, 4)]), {(0, 1): 1}, None, 2),
+    ("start color above its bound", P3, {(0, 1): 1}, 0, 1),
+    ("start color at its bound", P3, {(0, 1): 1}, 1, 1),
+]
+# (solve_ones, count_all, exists_proper), each as (value, nodes)
+DEGENERATE_EXPECTED = {
+    "no vertices": (([], 1), (1, 1), (True, 1)),
+    "no free edges, proper": (([], 1), (1, 1), (True, 1)),
+    "no free edges, improper": ((None, 1), (0, 1), (False, 1)),
+    "maxc 0, ones needed": ((None, 1), (4, 23), (True, 7)),
+    "root conflict from pre-weights": ((None, 3), (0, 1), (False, 1)),
+    "start color above its bound": ((None, 2), (0, 1), (False, 1)),
+    "start color at its bound": ((None, 3), (0, 3), (False, 3)),
+}
+
+
+@pytest.mark.parametrize("name, g, pre, bound, maxc", DEGENERATE, ids=[case[0] for case in DEGENERATE])
+def test_degenerate_instances(name, g, pre, bound, maxc):
+    inst = oracle._prepare(g, pre, bound)
+    got = (_search_py.solve_ones(inst, maxc), _search_py.count_all(inst), _search_py.exists_proper(inst))
+    assert got == DEGENERATE_EXPECTED[name]
+
+
+def _assert_kernels_agree(compiled, inst, budgets):
     # Every kernel call returns (value, nodes visited): node counts must agree too.
+    for maxc in budgets:
+        assert compiled.solve_ones(inst, maxc) == _search_py.solve_ones(inst, maxc)
+    assert compiled.count_all(inst) == _search_py.count_all(inst)
+    assert compiled.exists_proper(inst) == _search_py.exists_proper(inst)
+
+
+def test_backends_agree(compiled_kernel, atlas):
     rng = random.Random(53)
     for _ in range(120):
         g = random_small_graph(rng, max_n=7)
@@ -148,7 +230,9 @@ def test_backends_agree(compiled_kernel):
         bounded = oracle._prepare(g, pre, rng.choice([0, 1, 2, 3, 1 << 70]))
         free = len(plain.free)
         for inst in (plain, bounded):
-            for maxc in {free, rng.randrange(free) if free else 0}:
-                assert compiled_kernel.solve_ones(inst, maxc) == _search_py.solve_ones(inst, maxc)
-            assert compiled_kernel.count_all(inst) == _search_py.count_all(inst)
-            assert compiled_kernel.exists_proper(inst) == _search_py.exists_proper(inst)
+            _assert_kernels_agree(compiled_kernel, inst, {free, rng.randrange(free) if free else 0})
+    for inst in _seeded_instances(_small_atlas(atlas)):
+        free = len(inst.free)
+        _assert_kernels_agree(compiled_kernel, inst, {free, free // 2, 0})
+    for _, g, pre, bound, maxc in DEGENERATE:
+        _assert_kernels_agree(compiled_kernel, oracle._prepare(g, pre, bound), {maxc})

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,6 +8,7 @@ from vcew.errors import ContractViolationError
 from vcew.generators import planted_twin_graph
 from vcew.graph import Graph, induced_colors, is_proper
 from vcew.vertex_cover import (
+    _assert_kernel_bounds,
     class_cap,
     color_budget,
     edge_budget,
@@ -158,3 +160,17 @@ def test_solve_kernel_budget_is_a_ceiling():
     _, k = minimum_vertex_cover(g)
     assert solve_kernel(kernel, k) is not None
     assert solve_kernel(kernel, k, budget_override=0) is None
+
+
+def test_kernel_bound_violations_raise_contract_error():
+    # K_{1,5}: matching cover {0, 1}, k = 1, one class of four leaves, six vertices
+    kernel = kernelize(Graph.build(6, [(0, v) for v in range(1, 6)]))
+    assert (kernel.k_matching, kernel.class_sizes_after, kernel.graph.vertex_count) == (1, (4,), 6)
+    _assert_kernel_bounds(kernel)
+    for broken, message in (
+        (replace(kernel, class_sizes_before=(1,) * 5), "class count"),
+        (replace(kernel, cap=3), "class size"),
+        (replace(kernel, k_matching=0, cap=4), "vertices"),
+    ):
+        with pytest.raises(ContractViolationError, match=message):
+            _assert_kernel_bounds(broken)
