@@ -36,10 +36,11 @@ Settle table
 when there is none), so edge j is settled exactly when the last decided free
 position reaches skey[j].  ``_settle_table`` groups the edges by skey once
 per call: ``at[p]`` holds the endpoint pairs of the edges that settle when
-position p is decided; solve_ones also keeps ``tail[p]``, the pairs still
-unsettled after it.  Settled colors are frozen, so a node only checks the
-group its own decision settles, and nothing but the two color bumps is
-undone on the way back.
+position p is decided.  solve_ones also lists the endpoints of every edge
+in settle order (``su``/``sv``) with ``end[p + 1]``, the index of the first
+edge still unsettled once p is decided, so the table stays O(m).  Settled
+colors are frozen, so a node only checks the group its own decision
+settles, and nothing but the two color bumps is undone on the way back.
 
 Child-side pruning
 ------------------
@@ -50,11 +51,13 @@ child and tests it on entry, which is how _search.c counts them.  In
 combination mode, a position skipped by one sibling stays 0 in every later
 sibling, so a conflict in ``at[p]`` under the parent's colors prunes all
 later siblings: they are counted in one step.  The last level (one weight-1
-edge left to place) checks ``tail[p]`` in the loop instead of calling down
-to a leaf.
+edge left to place) checks the edges from ``end[p + 1]`` on in the loop
+instead of calling down to a leaf.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 
 def _settle_table(inst):
@@ -83,7 +86,10 @@ def solve_ones(inst, maxc):
     f = len(fu)
     colors = list(inst.colors)
     root, at = _settle_table(inst)
-    tail = [tuple(pair for group in at[p + 1:] for pair in group) for p in range(f)]
+    su = [inst.eu[j] for j in inst.sorder]
+    sv = [inst.ev[j] for j in inst.sorder]
+    m = len(su)
+    end = list(accumulate(map(len, at), initial=len(root)))
     root_ok = _root_ok(inst, colors, root)
     chosen: list[int] = []  # filled deepest first on success
     nodes = 0
@@ -107,8 +113,8 @@ def solve_ones(inst, maxc):
                         break
                 else:
                     if remaining == 1:
-                        for a, b in tail[p]:
-                            if colors[a] == colors[b]:
+                        for i in range(end[p + 1], m):
+                            if colors[su[i]] == colors[sv[i]]:
                                 break
                         else:
                             chosen.append(p)

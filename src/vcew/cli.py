@@ -118,15 +118,14 @@ def cmd_solve(args) -> int:
             e1 = preweight.ones_only(pre)
             if args.k is not None:
                 k = args.k
-                cover = vertex_cover.exact_vertex_cover(g, k)
-                if cover is None:
+                if vertex_cover.exact_vertex_cover(g, k) is None:
                     raise ValidationError(f"graph has no vertex cover of size <= {k}")
             else:
-                cover, k = vertex_cover.minimum_vertex_cover(g)
-            red = preweight.apply_reduction(g, e1, k, cover=cover)
+                _, k = vertex_cover.minimum_vertex_cover(g)
+            red = preweight.apply_reduction(g, e1, k)
             if red.deletions:
                 sys.stderr.write(preweight.deletion_log_text(red))
-            witness = preweight.solve_prewt(g, e1, k, cutoff=args.cutoff, reduction=red)
+            witness = preweight.solve_prewt(g, e1, k, cutoff=args.cutoff)
             stats["k"] = k
             stats["rule_deletions"] = len(red.deletions)
         else:

@@ -152,21 +152,14 @@ def solve_prewt(
     k: int,
     *,
     cutoff: int = oracle.DEFAULT_CUTOFF,
-    reduction: PreweightReduction | None = None,
 ) -> WeightAssignment | None:
     """Reduce, run the budgeted search over the unweighted edges of H*, and
-    extend any witness back by weighting the deleted edges 0.
-
-    A caller that already holds ``apply_reduction(g, e1, k, ...)`` passes it
-    as `reduction`, so the cover and the reduction are not computed again.
-    """
+    extend any witness back by weighting the deleted edges 0."""
     e1set = frozenset(edge_key(u, v) for u, v in e1)
     bad = [e for e in e1set if e not in g.edge_index]
     if bad:
         raise ValueError(f"pre-weighted edge {bad[0]} not in the graph")
-    red = reduction if reduction is not None else apply_reduction(g, e1set, k)
-    if red.e1 != e1set:
-        raise ValueError("the reduction was built for a different pre-weighted edge set")
+    red = apply_reduction(g, e1set, k)
     pre = {e: 1 for e in e1set}
     w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), cutoff=cutoff)
     if w_star is None:

@@ -1,4 +1,3 @@
-import collections
 import itertools
 import json
 import os
@@ -123,34 +122,6 @@ def test_kernel_bound_violation_exits_4(tmp_path, capsys, monkeypatch):
         assert code == 4 and out == ""
         assert "contract violation: class count exceeds 2^(2k)" in err
     assert not (tmp_path / "out.gr").exists()
-
-
-def test_prewt_route_finds_cover_and_reduction_once(tmp_path, capsys, monkeypatch):
-    calls = collections.Counter()
-
-    def count(module, name):
-        original = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
-    count(preweight, "apply_reduction")
-    count(vertex_cover, "exact_vertex_cover")
-    monkeypatch.setattr(preweight, "exact_vertex_cover", vertex_cover.exact_vertex_cover)
-    # a 40-leaf star with every other edge pre-weighted: cover number 1, and
-    # both leaf classes are above the cap of 17, so the rule deletes edges
-    edges = [f"1 {leaf}" + (" 1" if leaf % 2 == 0 else "") for leaf in range(2, 42)]
-    path = write(tmp_path, "star.gr", "p vcew 41 40\n" + "\n".join(edges) + "\n")
-    code, out, err = run_cli(capsys, "solve", path)
-    record = io.parse_result(out)
-    assert code == 0 and record.algorithm == "prewt" and record.status == "yes"
-    # minimum_vertex_cover tries k = 0 and k = 1; nothing searches again
-    assert calls == {"apply_reduction": 1, "exact_vertex_cover": 2}
-    stats = json.loads(err.split("stats: ", 1)[1])
-    assert stats["rule_deletions"] == err.count("deleted ") > 0
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -211,6 +212,21 @@ def test_degenerate_instances(name, g, pre, bound, maxc):
     inst = oracle._prepare(g, pre, bound)
     got = (_search_py.solve_ones(inst, maxc), _search_py.count_all(inst), _search_py.exists_proper(inst))
     assert got == DEGENERATE_EXPECTED[name]
+
+
+def test_budgeted_search_on_many_free_edges_stays_linear():
+    # A path with 3000 free edges and one weight-1 edge allowed: the kernel's
+    # per-call tables must stay O(m), where f * m is 9 million here.
+    f = 3000
+    inst = oracle._prepare(Graph.build(f + 1, [(i, i + 1) for i in range(f)]), {}, None)
+    tracemalloc.start()
+    try:
+        got = _search_py.solve_ones(inst, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (None, f + 2)
+    assert peak < 2_000_000
 
 
 def _assert_kernels_agree(compiled, inst, budgets):

@@ -141,23 +141,6 @@ def test_solve_prewt_matches_oracle_over_extensions():
             assert is_proper(g, a) and extends(a, {e: 1 for e in e1})
 
 
-def test_solve_prewt_reuses_a_given_reduction():
-    # a reduction handed in gives the witness solve_prewt finds on its own
-    rng = random.Random(19)
-    for _ in range(60):
-        g = random_small_graph(rng, max_n=7)
-        e1 = frozenset(e for e in g.edges if rng.random() < 0.35)
-        cover, k = minimum_vertex_cover(g)
-        red = apply_reduction(g, e1, k, cover=cover)
-        assert solve_prewt(g, e1, k, reduction=red) == solve_prewt(g, e1, k)
-    star = twin_star(40)
-    red = apply_reduction(star, [], 1)
-    assert red.deletions
-    assert solve_prewt(star, [], 1, reduction=red) == solve_prewt(star, [], 1)
-    with pytest.raises(ValueError):
-        solve_prewt(star, [(0, 1)], 1, reduction=red)
-
-
 def test_solve_prewt_rejects_missing_edges():
     g = Graph.build(3, [(0, 1)])
     with pytest.raises(ValueError):
