@@ -66,12 +66,12 @@ def _pick_algo(args, g: Graph, pre: PartialWeightAssignment) -> tuple[str, treew
         return "tw", td
     if pre:
         return "prewt", td
-    if len(g.edges) - len(pre) <= args.oracle_max_free:
+    if len(g.edges) - len(pre) <= ORACLE_MAX_FREE:
         return "oracle", td
     width_source = td if td is not None else treewidth.compute_decomposition(g)
     if td is None:
         td = width_source
-    if width_source.width() <= args.tw_max_width and g.max_degree() <= args.tw_max_degree:
+    if width_source.width() <= TW_MAX_WIDTH and g.max_degree() <= TW_MAX_DEGREE:
         return "tw", td
     return "vc", td
 
@@ -265,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--k", type=int, default=None, help="vertex cover size for vc/prewt")
     solve.add_argument("--seed", type=int, default=None, help="recorded in stats for reproducibility")
     solve.add_argument("--cutoff", type=int, default=oracle.DEFAULT_CUTOFF)
-    solve.add_argument("--oracle-max-free", type=int, default=ORACLE_MAX_FREE)
-    solve.add_argument("--tw-max-width", type=int, default=TW_MAX_WIDTH)
-    solve.add_argument("--tw-max-degree", type=int, default=TW_MAX_DEGREE)
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a weight certificate")

@@ -66,10 +66,6 @@ class Graph:
         """Position of each edge in the canonical edge order."""
         return {e: i for i, e in enumerate(self.edges)}
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 

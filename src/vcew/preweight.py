@@ -3,9 +3,12 @@
 With every pre-assigned weight equal to 1, each vertex starts from a base
 color (its count of pre-weighted incident edges) and yes-instances admit
 extensions gaining at most 8k^2 + 8k on top of the base, for cover size k.
-Twin classes are refined by the pre-weighted edge pattern, oversized classes
-shed the unweighted edges of one member at a time, and the residual instance
-is searched with the same weight-1 budget as the base pipeline.
+Twin classes are refined by the pre-weighted edge pattern and every oversized
+class sheds the unweighted edges of its surplus members.  One pass over the
+classes is exact: the vertices outside the cover form an independent set, so
+stripping one member's edges moves only that member, into a class with no
+unweighted edges, and leaves every other class as it was.  The residual
+instance is searched with the same weight-1 budget as the base pipeline.
 
 Mixed pre-weights (any 0 present) are out of scope here and belong to the
 treewidth solver.
@@ -26,7 +29,7 @@ from vcew.graph import (
     edge_key,
     is_proper,
 )
-from vcew.vertex_cover import color_budget, edge_budget, exact_vertex_cover
+from vcew.vertex_cover import color_budget, edge_budget, exact_vertex_cover, refine_classes
 
 
 def ones_only(pre: PartialWeightAssignment) -> frozenset[Edge]:
@@ -51,34 +54,6 @@ def base_colors(g: Graph, e1: Iterable[Edge]) -> list[int]:
 
 
 @dataclass(frozen=True)
-class RefinedClass:
-    """Twin class refined by the pre-weighted edge pattern: members share
-    the open neighborhood s1 and the pre-weighted neighbor subset s2."""
-
-    s1: frozenset[int]
-    s2: frozenset[int]
-    members: tuple[int, ...]
-
-
-def refine_classes(g: Graph, e1: Iterable[Edge], cover: Iterable[int]) -> list[RefinedClass]:
-    e1set = {edge_key(u, v) for u, v in e1}
-    in_cover = set(cover)
-    grouped: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
-    for v in range(g.vertex_count):
-        if v in in_cover:
-            continue
-        s1 = frozenset(g.neighbors(v))
-        s2 = frozenset(x for x in s1 if edge_key(v, x) in e1set)
-        grouped.setdefault((s1, s2), []).append(v)
-    out = [
-        RefinedClass(s1, s2, tuple(sorted(members)))
-        for (s1, s2), members in grouped.items()
-    ]
-    out.sort(key=lambda c: (sorted(c.s1), sorted(c.s2)))
-    return out
-
-
-@dataclass(frozen=True)
 class PreweightReduction:
     """Edge-deleted instance H* plus the audit log of deletions."""
 
@@ -86,9 +61,6 @@ class PreweightReduction:
     e1: frozenset[Edge]
     cover: tuple[int, ...]
     deletions: tuple[tuple[int, tuple[Edge, ...]], ...]  # (vertex, its deleted edges)
-
-    def deleted_edges(self) -> frozenset[Edge]:
-        return frozenset(e for _, edges in self.deletions for e in edges)
 
 
 def deletion_log_text(red: "PreweightReduction") -> str:
@@ -102,12 +74,15 @@ def deletion_log_text(red: "PreweightReduction") -> str:
 
 
 def apply_reduction(g: Graph, e1: Iterable[Edge], k: int, cover: Iterable[int] | None = None) -> PreweightReduction:
-    """Repeatedly strip the unweighted edges of one member of an oversized
-    refined class (cap k(8k^2+8k) + 1) until no class qualifies.
+    """Strip the unweighted edges of the surplus members of every oversized
+    refined class (cap k(8k^2+8k) + 1), in one pass.
 
-    Classes are recomputed after every deletion since the picked member's
-    neighborhood shrinks to its pre-weighted part.  The arbitrary pick is
-    made deterministic: smallest member id with an unweighted edge.
+    The vertices outside the cover form an independent set, so stripping
+    member u changes no other non-cover vertex's class: u moves to the class
+    (s2, s2), which has no unweighted edges to strip, and cover vertices are
+    never classed.  Each class with s1 != s2 therefore loses exactly its
+    smallest len(members) - cap ids, in class order, which is what applying
+    the rule one member at a time until no class qualifies also deletes.
     """
     e1set = frozenset(edge_key(u, v) for u, v in e1)
     if cover is None:
@@ -117,29 +92,20 @@ def apply_reduction(g: Graph, e1: Iterable[Edge], k: int, cover: Iterable[int] |
         cover_t = tuple(sorted(found))
     else:
         cover_t = tuple(sorted(cover))
+        in_cover = set(cover_t)
+        if any(u not in in_cover and v not in in_cover for u, v in g.edges):
+            raise ValueError("the given vertex set is not a vertex cover of the graph")
     cap = k * color_budget(k) + 1
-    current = g
-    deletions: list[tuple[int, tuple[Edge, ...]]] = []
-    while True:
-        victim = None
-        for cls in refine_classes(current, e1set, cover_t):
-            if len(cls.members) <= cap:
-                continue
-            for u in cls.members:
-                unweighted = [e for e in map(lambda x: edge_key(u, x), current.neighbors(u)) if e not in e1set]
-                if unweighted:
-                    victim = (u, tuple(sorted(unweighted)))
-                    break
-            if victim is not None:
-                break
-        if victim is None:
-            break
-        u, gone = victim
-        deletions.append(victim)
-        remaining = [e for e in current.edges if e not in set(gone)]
-        current = Graph.build(current.vertex_count, remaining)
-    red = PreweightReduction(graph=current, e1=e1set, cover=cover_t, deletions=tuple(deletions))
-    residual = sum(1 for e in current.edges if e not in e1set)
+    deletions = tuple(
+        (u, tuple(edge_key(u, x) for x in sorted(cls.s1 - cls.s2)))
+        for cls in refine_classes(g, e1set, cover_t)
+        if cls.s1 != cls.s2 and len(cls.members) > cap
+        for u in cls.members[: len(cls.members) - cap]
+    )
+    gone = {e for _, edges in deletions for e in edges}
+    h = Graph.build(g.vertex_count, [e for e in g.edges if e not in gone]) if gone else g
+    red = PreweightReduction(graph=h, e1=e1set, cover=cover_t, deletions=deletions)
+    residual = sum(1 for e in h.edges if e not in e1set)
     limit = k * (k - 1) + (3**k) * (k * color_budget(k) + 1)
     if residual > limit:
         raise ContractViolationError(f"{residual} unweighted edges remain, above the bound {limit}")

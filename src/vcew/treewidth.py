@@ -342,17 +342,6 @@ def postorder(ntd: NiceTreeDecomposition) -> list[int]:
     return order
 
 
-def subtree_vertex_sets(ntd: NiceTreeDecomposition) -> list[frozenset[int]]:
-    out: list[frozenset[int] | None] = [None] * len(ntd.nodes)
-    for t in postorder(ntd):
-        node = ntd.nodes[t]
-        acc = set(node.bag)
-        for c in node.children:
-            acc |= out[c]
-        out[t] = frozenset(acc)
-    return out  # type: ignore[return-value]
-
-
 def subtree_edge_sets(ntd: NiceTreeDecomposition) -> list[frozenset[Edge]]:
     out: list[frozenset[Edge] | None] = [None] * len(ntd.nodes)
     for t in postorder(ntd):

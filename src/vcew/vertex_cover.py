@@ -11,6 +11,7 @@ budgeted search has to consider (k(8k^2+8k)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from vcew import oracle
 from vcew.errors import CapacityError, ContractViolationError
@@ -93,6 +94,37 @@ def minimum_vertex_cover(g: Graph, k_max: int = 12) -> tuple[frozenset[int], int
 
 
 @dataclass(frozen=True)
+class RefinedClass:
+    """Twin class refined by the pre-weighted edge pattern: members share
+    the open neighborhood s1 and the pre-weighted neighbor subset s2."""
+
+    s1: frozenset[int]
+    s2: frozenset[int]
+    members: tuple[int, ...]
+
+
+def refine_classes(g: Graph, e1: Iterable[Edge], cover: Iterable[int]) -> list[RefinedClass]:
+    """Twin classes of the vertices outside the cover, sorted by (s1, s2),
+    members ascending.  With no pre-weighted edges s2 is always empty and the
+    classes are the plain neighborhood twin classes."""
+    e1set = {edge_key(u, v) for u, v in e1}
+    in_cover = set(cover)
+    grouped: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
+    for v in range(g.vertex_count):
+        if v in in_cover:
+            continue
+        s1 = frozenset(g.neighbors(v))
+        s2 = frozenset(x for x in s1 if edge_key(v, x) in e1set)
+        grouped.setdefault((s1, s2), []).append(v)
+    out = [
+        RefinedClass(s1, s2, tuple(sorted(members)))
+        for (s1, s2), members in grouped.items()
+    ]
+    out.sort(key=lambda c: (sorted(c.s1), sorted(c.s2)))
+    return out
+
+
+@dataclass(frozen=True)
 class Kernel:
     """Reduced instance with the bookkeeping needed to lift solutions back."""
 
@@ -117,28 +149,18 @@ def kernelize(g: Graph) -> Kernel:
     cover = maximal_matching_cover(g)
     k_matching = len(cover) // 2
     cap = class_cap(k_matching)
-    in_cover = set(cover)
-    classes: dict[frozenset[int], list[int]] = {}
-    for v in range(g.vertex_count):
-        if v not in in_cover:
-            classes.setdefault(frozenset(g.neighbors(v)), []).append(v)
-    keys = sorted(classes, key=sorted)
-    removed: list[int] = []
-    for key in keys:
-        members = classes[key]
-        if len(members) > cap:
-            removed.extend(members[cap:])  # members are ascending: keep smallest ids
-    removed_set = set(removed)
-    kept = [v for v in range(g.vertex_count) if v not in removed_set]
+    classes = refine_classes(g, (), cover)
+    removed = {v for cls in classes for v in cls.members[cap:]}  # members are ascending: keep smallest ids
+    kept = [v for v in range(g.vertex_count) if v not in removed]
     relabel = {old: new for new, old in enumerate(kept)}
     edges = [
         (relabel[u], relabel[v])
         for u, v in g.edges
-        if u not in removed_set and v not in removed_set
+        if u not in removed and v not in removed
     ]
     kernel_graph = Graph.build(len(kept), edges)
-    sizes_before = tuple(len(classes[key]) for key in keys)
-    sizes_after = tuple(min(len(classes[key]), cap) for key in keys)
+    sizes_before = tuple(len(cls.members) for cls in classes)
+    sizes_after = tuple(min(len(cls.members), cap) for cls in classes)
     kernel = Kernel(
         graph=kernel_graph,
         kept=tuple(kept),
