@@ -28,6 +28,7 @@ from vcew.graph import (
     WeightAssignment,
     extends,
     find_conflicts,
+    from_subgraph,
     induced_colors,
     is_proper,
     isolated_edges,
@@ -100,15 +101,11 @@ def cmd_solve(args) -> int:
         elif algo == "tw":
             if td is None:
                 td = treewidth.compute_decomposition(g)
-            elif not treewidth.validate_decomposition(g, td):
-                raise ValidationError("provided decomposition is invalid")
             ntd = treewidth.make_nice(td, g)
             run = treewidth.run_dp(g, ntd, pre)
             witness = None
             if run.solution_edge_ids is not None:
-                witness = {e: 0 for e in g.edges}
-                for i in run.solution_edge_ids:
-                    witness[g.edges[i]] = 1
+                witness = from_subgraph(g, (g.edges[i] for i in run.solution_edge_ids))
             stats.update(width=ntd.width, dp_nodes=len(ntd.nodes), states_stored=run.states_stored, max_states=run.max_states)
         elif algo == "vc":
             if pre:

@@ -80,12 +80,14 @@ class Graph:
 
 
 class GraphBuilder:
-    """Mutable helper for assembling graphs vertex by vertex (gadget construction)."""
+    """Mutable helper for assembling graphs vertex by vertex (gadget construction).
+
+    Edges are recorded unchecked; `build` hands them to `Graph.build`, which
+    rejects self-loops, duplicates and out-of-range endpoints."""
 
     def __init__(self, vertex_count: int = 0):
         self.vertex_count = vertex_count
         self._edges: list[Edge] = []
-        self._seen: set[Edge] = set()
 
     def add_vertex(self) -> int:
         v = self.vertex_count
@@ -94,11 +96,6 @@ class GraphBuilder:
 
     def add_edge(self, u: int, v: int) -> Edge:
         e = edge_key(u, v)
-        if u == v or e in self._seen:
-            raise ValidationError(f"bad edge ({u}, {v})")
-        if not (0 <= u < self.vertex_count and 0 <= v < self.vertex_count):
-            raise ValidationError(f"edge ({u}, {v}) out of range")
-        self._seen.add(e)
         self._edges.append(e)
         return e
 

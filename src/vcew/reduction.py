@@ -14,6 +14,13 @@ induced colors encode the chosen list colors:
   {N+1, ..., 2N}, which pins z's color to exactly N and starts the cascade
   that zeroes every chain edge.  N defaults to n^3 + n^2 - n, large enough
   that z's degree stays at most 3N.
+
+Only vertices carry a stored role.  An edge's role follows from its two
+endpoints' roles (see `edge_role`): an edge at a suspended leaf, a suspended
+middle vertex, a pendant or a chain vertex is, in that order of precedence,
+suspended-outer, suspended-inner, pendant or chain; two original vertices
+span a graph edge; z with triangle-u i or triangle-v i spans triangle-z0 i
+or triangle-z1 i; and triangle-u i with triangle-v i spans triangle-third i.
 """
 
 from __future__ import annotations
@@ -147,11 +154,8 @@ class AnnotatedReduction:
     big_n: int  # the chain scale N
     z: int | None
     vertex_roles: tuple[tuple, ...]  # per vertex: (tag, *args)
-    edge_roles: dict[Edge, tuple]
     pendants: tuple[tuple[int, ...], ...]  # per original vertex
-    suspended: tuple[tuple[SuspendedRecord, SuspendedRecord], ...]  # per original vertex
     chains: tuple[TypeBRecord, ...]
-    gadgets: tuple[TypeARecord, ...]
 
     def disallowed(self, v: int) -> tuple[int, ...]:
         allowed = set(self.instance.lists[v]) | {1}
@@ -197,11 +201,8 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
             big_n=n_override or 1,
             z=None,
             vertex_roles=(),
-            edge_roles={},
             pendants=(),
-            suspended=(),
             chains=(),
-            gadgets=(),
         )
     for v in range(n):
         if any(c < 2 for c in inst.lists[v]):
@@ -223,7 +224,6 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
 
     b = GraphBuilder(n)
     vroles: list[tuple] = [(ORIGINAL, v) for v in range(n)]
-    eroles: dict[Edge, tuple] = {}
 
     def set_vrole(vertex: int, tag: tuple) -> None:
         while len(vroles) <= vertex:
@@ -233,38 +233,27 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
     def record_suspended(rec: SuspendedRecord) -> None:
         set_vrole(rec.mid, (SUSPENDED_MID, rec.host))
         set_vrole(rec.leaf, (SUSPENDED_LEAF, rec.host))
-        eroles[rec.inner] = (SUSPENDED_INNER,)
-        eroles[rec.outer] = (SUSPENDED_OUTER,)
 
     for e in inst.graph.edges:
         b.add_edge(*e)
-        eroles[e] = (GRAPH_EDGE,)
 
     z: int | None = None
-    gadgets: list[TypeARecord] = []
     chains: list[TypeBRecord] = []
     if total_chains:
         z = b.add_vertex()
         set_vrole(z, (UNIVERSAL_Z,))
         for i in range(1, big_n + 1):
             rec = add_type_a(b, z, big_n + i)
-            gadgets.append(rec)
             set_vrole(rec.u, (TRIANGLE_U, i))
             set_vrole(rec.v, (TRIANGLE_V, i))
-            eroles[edge_key(z, rec.u)] = (TRIANGLE_Z0, i)
-            eroles[edge_key(z, rec.v)] = (TRIANGLE_Z1, i)
-            eroles[edge_key(rec.u, rec.v)] = (TRIANGLE_THIRD, i)
             for p in rec.paths_u + rec.paths_v:
                 record_suspended(p)
         for v in range(n):
             for k in disallowed[v]:
                 rec = add_type_b(b, v, k, z, big_n)
                 chains.append(rec)
-                hops = [v, *rec.vertices, z]
                 for idx, x in enumerate(rec.vertices, start=1):
                     set_vrole(x, (CHAIN_VERTEX, v, k, idx))
-                for a, bb in zip(hops, hops[1:]):
-                    eroles[edge_key(a, bb)] = (CHAIN_EDGE,)
                 for per_vertex in rec.paths:
                     for p in per_vertex:
                         record_suspended(p)
@@ -276,21 +265,16 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
             p = b.add_vertex()
             b.add_edge(v, p)
             set_vrole(p, (PENDANT, v))
-            eroles[edge_key(v, p)] = (PENDANT_EDGE,)
             mine.append(p)
         pendants.append(tuple(mine))
 
-    suspended: list[tuple[SuspendedRecord, SuspendedRecord]] = []
     for v in range(n):
-        first = add_suspended_path(b, v)
-        second = add_suspended_path(b, v)
-        record_suspended(first)
-        record_suspended(second)
-        suspended.append((first, second))
+        record_suspended(add_suspended_path(b, v))
+        record_suspended(add_suspended_path(b, v))
 
     graph = b.build()
     if z is not None and graph.degree(z) != 2 * big_n + total_chains:
-        raise AssertionError("z degree does not match the construction")
+        raise ContractViolationError("z degree does not match the construction")
     return AnnotatedReduction(
         graph=graph,
         instance=inst,
@@ -298,12 +282,35 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
         big_n=big_n,
         z=z,
         vertex_roles=tuple(vroles),
-        edge_roles=eroles,
         pendants=tuple(pendants),
-        suspended=tuple(suspended),
         chains=tuple(chains),
-        gadgets=tuple(gadgets),
     )
+
+
+# Vertex tags that fix the role of every edge at them, in order of precedence.
+_EDGE_TAG_AT = (
+    (SUSPENDED_LEAF, SUSPENDED_OUTER),
+    (SUSPENDED_MID, SUSPENDED_INNER),
+    (PENDANT, PENDANT_EDGE),
+    (CHAIN_VERTEX, CHAIN_EDGE),
+)
+
+
+def edge_role(red: AnnotatedReduction, u: int, v: int) -> tuple:
+    """Role of the edge {u, v} of the reduced graph, as (tag, *args), read
+    off the roles of its endpoints."""
+    ru, rv = red.vertex_roles[u], red.vertex_roles[v]
+    tags = (ru[0], rv[0])
+    for vertex_tag, edge_tag in _EDGE_TAG_AT:
+        if vertex_tag in tags:
+            return (edge_tag,)
+    # what is left: original-original, z-triangle and triangle-triangle
+    if tags[0] == ORIGINAL:
+        return (GRAPH_EDGE,)
+    if UNIVERSAL_Z in tags:
+        corner = rv if tags[0] == UNIVERSAL_Z else ru
+        return (TRIANGLE_Z0 if corner[0] == TRIANGLE_U else TRIANGLE_Z1, corner[1])
+    return (TRIANGLE_THIRD, ru[1])
 
 
 def witness_weighting(red: AnnotatedReduction, coloring) -> WeightAssignment:
@@ -315,15 +322,8 @@ def witness_weighting(red: AnnotatedReduction, coloring) -> WeightAssignment:
     coloring = list(coloring)
     if not is_proper_list_coloring(inst, coloring):
         raise ContractViolationError("coloring is not a proper list coloring of the instance")
-    w: WeightAssignment = {}
-    for e, role in red.edge_roles.items():
-        tag = role[0]
-        if tag in (GRAPH_EDGE, SUSPENDED_OUTER, CHAIN_EDGE, TRIANGLE_Z0):
-            w[e] = 0
-        elif tag in (SUSPENDED_INNER, TRIANGLE_Z1, TRIANGLE_THIRD):
-            w[e] = 1
-        else:  # pendant edges are filled below
-            w[e] = 0
+    weight_one = (SUSPENDED_INNER, TRIANGLE_Z1, TRIANGLE_THIRD)  # pendant edges are filled below
+    w: WeightAssignment = {e: int(edge_role(red, *e)[0] in weight_one) for e in red.graph.edges}
     for v in range(inst.graph.vertex_count):
         ones = coloring[v] - 2
         for p in red.pendants[v][:ones]:
@@ -331,11 +331,11 @@ def witness_weighting(red: AnnotatedReduction, coloring) -> WeightAssignment:
     colors = induced_colors(red.graph, w)
     for v in range(inst.graph.vertex_count):
         if colors[v] != coloring[v]:
-            raise AssertionError(f"witness gives color {colors[v]} at vertex {v}, wanted {coloring[v]}")
+            raise ContractViolationError(f"witness gives color {colors[v]} at vertex {v}, wanted {coloring[v]}")
     if red.z is not None and colors[red.z] != red.big_n:
-        raise AssertionError("witness does not pin z to N")
+        raise ContractViolationError("witness does not pin z to N")
     if not is_proper(red.graph, w):
-        raise AssertionError("canonical witness is not proper")
+        raise ContractViolationError("canonical witness is not proper")
     return w
 
 
@@ -351,15 +351,12 @@ def forced_preweights(red: AnnotatedReduction) -> dict[Edge, int]:
     """Weights justified by the forcing arguments (plus the outer-edge-0
     convention, which never loses completions because every suspended-path
     host in a built reduction has forced color at least 2)."""
+    forced = {SUSPENDED_INNER: 1, TRIANGLE_Z1: 1, SUSPENDED_OUTER: 0, CHAIN_EDGE: 0, TRIANGLE_Z0: 0}
     pre: dict[Edge, int] = {}
-    for e, role in red.edge_roles.items():
-        tag = role[0]
-        if tag == SUSPENDED_INNER:
-            pre[e] = 1
-        elif tag in (SUSPENDED_OUTER, CHAIN_EDGE, TRIANGLE_Z0):
-            pre[e] = 0
-        elif tag == TRIANGLE_Z1:
-            pre[e] = 1
+    for e in red.graph.edges:
+        tag = edge_role(red, *e)[0]
+        if tag in forced:
+            pre[e] = forced[tag]
     return pre
 
 
@@ -415,7 +412,7 @@ def emit_roles(red: AnnotatedReduction) -> str:
         rendered = [str(a + 1) if i < shift else str(a) for i, a in enumerate(args)]
         lines.append(" ".join(["v", str(vertex + 1), tag, *rendered]).rstrip())
     for e in red.graph.edges:
-        tag, *args = red.edge_roles[e]
+        tag, *args = edge_role(red, *e)
         lines.append(" ".join(["e", str(e[0] + 1), str(e[1] + 1), tag, *map(str, args)]).rstrip())
     return "\n".join(lines) + "\n"
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -5,7 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from vcew import _search_py, cli, io, oracle, preweight, treewidth, vertex_cover
+from vcew import _search_py, cli, io, oracle, preweight, reduction, treewidth, vertex_cover
 from vcew.generators import random_graph
 
 
@@ -19,6 +20,10 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_solve_triangle_no(tmp_path, capsys):
@@ -211,16 +216,45 @@ def test_reduce_lc(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "reduce-lc", inst, "--N", "7", "-o", str(tmp_path / "red"), "--dot")
     assert code == 0
     assert "N 7" in out
-    assert (tmp_path / "red.gr").exists() and (tmp_path / "red.roles").exists()
-    assert (tmp_path / "red.dot").exists()
+    # the written .gr, .roles and .dot bytes are pinned
+    assert sha256(tmp_path / "red.gr") == "6b66da8ea5bdcc36552fd3601345967f4ae3801a8ef985a64a27c3d99a74d7b1"
+    assert sha256(tmp_path / "red.roles") == "25be9a4fec015ee5b9a5bd524004de078a043d7374a53a9d555c42522ff60d21"
+    assert sha256(tmp_path / "red.dot") == "8b4896b5c0a40224a71593512bdd68ab0aafea0d0f3a5f014fd0b1aa93cb7dfe"
     # override below the largest disallowed color is rejected
     assert run_cli(capsys, "reduce-lc", inst, "--N", "2")[0] == 2
 
 
+def test_reduce_lc_z_degree_mismatch_exits_4(tmp_path, capsys, monkeypatch):
+    # one stray edge at the anchor of every triangle gadget raises z's degree
+    def type_a_with_stray_edge(b, a, k):
+        b.add_edge(a, b.add_vertex())
+        return add_type_a(b, a, k)
+
+    add_type_a = reduction.add_type_a
+    monkeypatch.setattr(reduction, "add_type_a", type_a_with_stray_edge)
+    inst = write(tmp_path, "i.lc", "p lc 2 1\n1 2\nl 1 2\nl 2 3\n")
+    code, out, err = run_cli(capsys, "reduce-lc", inst, "--N", "7", "-o", str(tmp_path / "red"))
+    assert code == 4 and out == ""
+    assert "contract violation: z degree does not match the construction" in err
+    assert not (tmp_path / "red.gr").exists()
+
+
 def test_reduce_lc_default_scale(tmp_path, capsys):
-    inst = write(tmp_path, "i3.lc", "p lc 3 2\n1 2\n2 3\nl 1 2\nl 2 3\nl 3 2\n")
-    code, out, _ = run_cli(capsys, "reduce-lc", inst, "-o", str(tmp_path / "red3"))
-    assert code == 0 and "N 33" in out
+    # a path and a triangle instance; the digests pin every edge role's lines
+    cases = [
+        ("red3", "p lc 3 2\n1 2\n2 3\nl 1 2\nl 2 3\nl 3 2\n",
+         "9802c209de076989c985e5f425914c1dde84e0b4d0ee2e20aea85ed54ab959ce",
+         "ee593b8645de76b15dc1e0f15453e8178fa3cda303be4d319269162bb99439e2"),
+        ("tri", "p lc 3 3\n1 2\n2 3\n1 3\nl 1 2 3\nl 2 3 4\nl 3 2 4\n",
+         "6e062798aca1256dbb0b9fd726c46d19f159dd70ef75079b249d2d6b10c5dd87",
+         "8fd1c010adf6771b5a6a6fc6bc63e29156e25fab3fea10f60615034df7c7b849"),
+    ]
+    for name, text, gr_sha, roles_sha in cases:
+        inst = write(tmp_path, name + ".lc", text)
+        code, out, _ = run_cli(capsys, "reduce-lc", inst, "-o", str(tmp_path / name))
+        assert code == 0 and "N 33" in out
+        assert sha256(tmp_path / (name + ".gr")) == gr_sha
+        assert sha256(tmp_path / (name + ".roles")) == roles_sha
 
 
 def test_gen_deterministic(tmp_path, capsys):

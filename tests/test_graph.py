@@ -5,6 +5,7 @@ import pytest
 from vcew.errors import ValidationError
 from vcew.graph import (
     Graph,
+    GraphBuilder,
     find_conflicts,
     from_subgraph,
     induced_colors,
@@ -34,6 +35,16 @@ def test_build_rejects_bad_edges():
         Graph.build(2, [(0, 1), (1, 0)])
     with pytest.raises(ValidationError):
         Graph.build(2, [(0, 2)])
+
+
+def test_graph_builder_rejects_bad_edges():
+    # a duplicate, a self-loop and an out-of-range edge each fail by build()
+    for bad in ((1, 0), (1, 1), (0, 2)):
+        b = GraphBuilder(2)
+        b.add_edge(0, 1)
+        with pytest.raises(ValidationError):
+            b.add_edge(*bad)
+            b.build()
 
 
 def test_induced_colors_path():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from vcew import oracle
+from vcew import oracle, reduction
 from vcew.errors import ContractViolationError, ValidationError
 from vcew.generators import pinned_chain_host
 from vcew.graph import Graph, GraphBuilder, edge_key, induced_colors, is_proper
@@ -189,7 +189,7 @@ def test_structural_counts():
     t = red.t
     for v in range(2):
         assert len(red.pendants[v]) == t - 2
-        assert len(red.suspended[v]) == 2
+        assert red.vertex_roles.count(("suspended-mid", v)) == 2
     chains = len(red.chains)
     assert red.graph.degree(red.z) == 2 * red.big_n + chains
     assert verify_fvs_bound(red)
@@ -240,6 +240,20 @@ def test_witness_rejects_bad_coloring():
         witness_weighting(red, [2, 2])  # not list-respecting
     with pytest.raises(ContractViolationError):
         witness_weighting(red, [3, 3])
+
+
+def test_witness_failed_checks_raise_contract_error(monkeypatch):
+    inst = make_inst(2, [(0, 1)], [[2], [3]])
+    red = build_reduction(inst, small_chain_scale(inst))
+    monkeypatch.setattr(reduction, "is_proper", lambda g, w: False)
+    with pytest.raises(ContractViolationError, match="not proper"):
+        witness_weighting(red, [2, 3])
+    monkeypatch.setattr(reduction, "induced_colors", lambda g, w: [2, 3] + [0] * (g.vertex_count - 2))
+    with pytest.raises(ContractViolationError, match="does not pin z"):
+        witness_weighting(red, [2, 3])
+    monkeypatch.setattr(reduction, "induced_colors", lambda g, w: [0] * g.vertex_count)
+    with pytest.raises(ContractViolationError, match="wanted 2"):
+        witness_weighting(red, [2, 3])
 
 
 def test_extract_requires_proper():
