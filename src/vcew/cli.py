@@ -9,6 +9,7 @@ Exit codes: 0 clean run, 2 input error, 3 capacity error, 4 contract violation
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -211,9 +212,8 @@ def cmd_reduce_lc(args) -> int:
     Path(prefix + ".roles").write_text(reduction.emit_roles(red))
     if args.dot:
         Path(prefix + ".dot").write_text(reduction.to_dot(red))
-    z_degree = red.graph.degree(red.z) if red.z is not None else 0
     print(f"reduced {red.graph.vertex_count} vertices {len(red.graph.edges)} edges")
-    print(f"N {red.big_n} z-degree {z_degree} removed {len(normalized.removed_vertices)}")
+    print(f"N {red.big_n} z-degree {red.z_degree} removed {len(normalized.removed_vertices)}")
     print(f"wrote {prefix}.gr and {prefix}.roles")
     return EXIT_OK
 
@@ -250,7 +250,9 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused."""
     parser = argparse.ArgumentParser(prog="vcew", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -2,13 +2,18 @@
 
 Vertices are dense integers in [0, n); edges are canonical (min, max) pairs.
 All types are immutable after construction and the operations here are pure
-functions, so everything is safe to share across threads.
+functions, so everything is safe to share across threads.  A graph stores
+only its vertex count and sorted edges; `edge_index` and `adjacency` are
+computed once, on first use, from those immutable edges, so two threads
+that both compute one get equal values and keeping either is harmless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, starmap
+from operator import eq, itemgetter
 from typing import Iterable
 
 from vcew.errors import ValidationError
@@ -33,33 +38,36 @@ class Graph:
 
     vertex_count: int
     edges: tuple[Edge, ...]
-    adjacency: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def build(vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if vertex_count < 0:
             raise ValidationError("vertex count must be nonnegative")
-        seen: set[Edge] = set()
-        canon: list[Edge] = []
-        adj: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in edges:
-            if u == v:
-                raise ValidationError(f"self-loop at vertex {u}")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValidationError(f"edge ({u}, {v}) out of range [0, {vertex_count})")
-            e = edge_key(u, v)
-            if e in seen:
-                raise ValidationError(f"duplicate edge {e}")
-            seen.add(e)
-            canon.append(e)
-            adj[e[0]].append(e[1])
-            adj[e[1]].append(e[0])
+        edges = list(edges)  # kept in input order to name the first bad edge
+        # an edge given as a canonical tuple is kept, not copied
+        canon = [e if u < v and type(e) is tuple else edge_key(u, v) for e in edges for u, v in (e,)]
         canon.sort()
-        return Graph(
-            vertex_count=vertex_count,
-            edges=tuple(canon),
-            adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adj),
-        )
+        # in sorted canonical order a self-loop has equal ends, the extreme
+        # ends bound every endpoint and a duplicate follows its twin
+        if canon and (
+            canon[0][0] < 0
+            or max(map(itemgetter(1), canon)) >= vertex_count
+            or any(starmap(eq, canon))
+            or any(map(eq, canon, islice(canon, 1, None)))
+        ):
+            _raise_first_bad_edge(vertex_count, edges)
+        return Graph(vertex_count=vertex_count, edges=tuple(canon))
+
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbours of each vertex.  The canonical edge order lists
+        a vertex's smaller neighbours before its larger ones, each in
+        ascending order, so no list needs sorting."""
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
@@ -79,6 +87,21 @@ class Graph:
         return max((len(a) for a in self.adjacency), default=0)
 
 
+def _raise_first_bad_edge(vertex_count: int, edges: list[tuple[int, int]]) -> None:
+    """Report the first edge, in input order, that is a self-loop, out of
+    range or a repeat of an earlier one."""
+    seen: set[Edge] = set()
+    for u, v in edges:
+        if u == v:
+            raise ValidationError(f"self-loop at vertex {u}")
+        if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+            raise ValidationError(f"edge ({u}, {v}) out of range [0, {vertex_count})")
+        e = edge_key(u, v)
+        if e in seen:
+            raise ValidationError(f"duplicate edge {e}")
+        seen.add(e)
+
+
 class GraphBuilder:
     """Mutable helper for assembling graphs vertex by vertex (gadget construction).
 
@@ -90,14 +113,21 @@ class GraphBuilder:
         self._edges: list[Edge] = []
 
     def add_vertex(self) -> int:
-        v = self.vertex_count
-        self.vertex_count += 1
-        return v
+        return self.add_vertices(1)
+
+    def add_vertices(self, count: int) -> int:
+        """Add `count` fresh vertices with consecutive ids; returns the first."""
+        first = self.vertex_count
+        self.vertex_count += count
+        return first
 
     def add_edge(self, u: int, v: int) -> Edge:
         e = edge_key(u, v)
         self._edges.append(e)
         return e
+
+    def add_edges(self, edges: Iterable[tuple[int, int]]) -> None:
+        self._edges.extend(edges)
 
     def build(self) -> Graph:
         return Graph.build(self.vertex_count, self._edges)

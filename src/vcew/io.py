@@ -109,12 +109,10 @@ def parse_graph(text: str) -> tuple[Graph, PartialWeightAssignment]:
 def emit_graph(g: Graph, pre: PartialWeightAssignment | None = None) -> str:
     pre = pre or {}
     lines = [f"p vcew {g.vertex_count} {len(g.edges)}"]
-    for e in g.edges:
-        u, v = e
-        if e in pre:
-            lines.append(f"{u + 1} {v + 1} {pre[e]}")
-        else:
-            lines.append(f"{u + 1} {v + 1}")
+    lines += [
+        f"{u + 1} {v + 1} {pre[u, v]}" if pre and (u, v) in pre else f"{u + 1} {v + 1}"
+        for u, v in g.edges
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -21,11 +21,21 @@ middle vertex, a pendant or a chain vertex is, in that order of precedence,
 suspended-outer, suspended-inner, pendant or chain; two original vertices
 span a graph edge; z with triangle-u i or triangle-v i spans triangle-z0 i
 or triangle-z1 i; and triangle-u i with triangle-v i spans triangle-third i.
+
+A suspended path's vertices are contiguous ids right after its host's
+gadget vertices: every gadget adds its paths as blocks of consecutive ids
+(`add_suspended_paths`), path j of a block starting at f being f + 2j (the
+middle vertex) and f + 2j + 1 (the leaf).  A triangle's u and v are
+followed by u's block and then v's, and each chain vertex by its own block.
+The records' `paths_u`, `paths_v` and `paths` properties rely on this
+layout instead of storing one record per path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import countOf
 
 from vcew import oracle
 from vcew.errors import ContractViolationError, ValidationError
@@ -77,6 +87,10 @@ class SuspendedRecord:
         return edge_key(self.mid, self.leaf)
 
 
+def _paths(host: int, first: int, count: int) -> tuple[SuspendedRecord, ...]:
+    return tuple(SuspendedRecord(host, mid, mid + 1) for mid in range(first, first + 2 * count, 2))
+
+
 @dataclass(frozen=True)
 class TypeARecord:
     """Triangle gadget at `anchor` disallowing color k there."""
@@ -85,8 +99,20 @@ class TypeARecord:
     k: int
     u: int
     v: int
-    paths_u: tuple[SuspendedRecord, ...]
-    paths_v: tuple[SuspendedRecord, ...]
+
+    @property
+    def path_blocks(self) -> tuple[tuple[int, int, int], ...]:
+        """(host, first id, count) of u's and of v's suspended paths."""
+        count = self.k - 1
+        return ((self.u, self.v + 1, count), (self.v, self.v + 1 + 2 * count, count))
+
+    @property
+    def paths_u(self) -> tuple[SuspendedRecord, ...]:
+        return _paths(*self.path_blocks[0])
+
+    @property
+    def paths_v(self) -> tuple[SuspendedRecord, ...]:
+        return _paths(*self.path_blocks[1])
 
 
 @dataclass(frozen=True)
@@ -96,18 +122,35 @@ class TypeBRecord:
     owner: int
     k: int
     vertices: tuple[int, ...]  # x_1 ... x_{N-k}
-    paths: tuple[tuple[SuspendedRecord, ...], ...]  # per chain vertex
+
+    @property
+    def path_blocks(self) -> tuple[tuple[int, int, int], ...]:
+        """(host, first id, count) of each chain vertex's suspended paths."""
+        return tuple((x, x + 1, self.k + i) for i, x in enumerate(self.vertices))
+
+    @property
+    def paths(self) -> tuple[tuple[SuspendedRecord, ...], ...]:
+        """Suspended paths per chain vertex."""
+        return tuple(_paths(*block) for block in self.path_blocks)
+
+
+def add_suspended_paths(b: GraphBuilder, host: int, count: int) -> int:
+    """Attach `count` suspended paths host-x-y as one block of 2 * count
+    fresh ids: path j has middle vertex first + 2j and leaf first + 2j + 1.
+    Returns first."""
+    first = b.add_vertices(2 * count)
+    mids = range(first, first + 2 * count, 2)
+    b.add_edges(zip(repeat(host), mids))
+    b.add_edges(zip(mids, range(first + 1, first + 2 * count, 2)))
+    return first
 
 
 def add_suspended_path(b: GraphBuilder, v: int) -> SuspendedRecord:
     """Attach a pendant path v-x-y.  Every proper weighting of the host
     graph gives the inner edge vx weight 1: otherwise x and y tie at the
     weight of xy."""
-    x = b.add_vertex()
-    y = b.add_vertex()
-    b.add_edge(v, x)
-    b.add_edge(x, y)
-    return SuspendedRecord(v, x, y)
+    x = add_suspended_paths(b, v, 1)
+    return SuspendedRecord(v, x, x + 1)
 
 
 def add_type_a(b: GraphBuilder, a: int, k: int) -> TypeARecord:
@@ -117,14 +160,12 @@ def add_type_a(b: GraphBuilder, a: int, k: int) -> TypeARecord:
     u with v) and one of u, v lands exactly on color k, so `a` cannot."""
     if k < 2:
         raise ValueError("type-A gadgets need k >= 2")
-    u = b.add_vertex()
-    v = b.add_vertex()
-    b.add_edge(a, u)
-    b.add_edge(a, v)
-    b.add_edge(u, v)
-    paths_u = tuple(add_suspended_path(b, u) for _ in range(k - 1))
-    paths_v = tuple(add_suspended_path(b, v) for _ in range(k - 1))
-    return TypeARecord(a, k, u, v, paths_u, paths_v)
+    u = b.add_vertices(2)
+    v = u + 1
+    b.add_edges(((a, u), (a, v), (u, v)))
+    add_suspended_paths(b, u, k - 1)
+    add_suspended_paths(b, v, k - 1)
+    return TypeARecord(a, k, u, v)
 
 
 def add_type_b(b: GraphBuilder, v: int, k: int, z: int, big_n: int) -> TypeBRecord:
@@ -134,16 +175,15 @@ def add_type_b(b: GraphBuilder, v: int, k: int, z: int, big_n: int) -> TypeBReco
     if not 2 <= k < big_n:
         raise ValueError("type-B gadgets need 2 <= k < N")
     vertices: list[int] = []
-    paths: list[tuple[SuspendedRecord, ...]] = []
     prev = v
     for i in range(1, big_n - k + 1):
         x = b.add_vertex()
         b.add_edge(prev, x)
         vertices.append(x)
-        paths.append(tuple(add_suspended_path(b, x) for _ in range(k + i - 1)))
+        add_suspended_paths(b, x, k + i - 1)
         prev = x
     b.add_edge(prev, z)
-    return TypeBRecord(v, k, tuple(vertices), tuple(paths))
+    return TypeBRecord(v, k, tuple(vertices))
 
 
 @dataclass(frozen=True)
@@ -156,6 +196,12 @@ class AnnotatedReduction:
     vertex_roles: tuple[tuple, ...]  # per vertex: (tag, *args)
     pendants: tuple[tuple[int, ...], ...]  # per original vertex
     chains: tuple[TypeBRecord, ...]
+
+    @property
+    def z_degree(self) -> int:
+        """z's degree by construction: two edges per triangle gadget and one
+        per chain; 0 without z."""
+        return 2 * self.big_n + len(self.chains) if self.z is not None else 0
 
     def disallowed(self, v: int) -> tuple[int, ...]:
         allowed = set(self.instance.lists[v]) | {1}
@@ -225,58 +271,47 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
     b = GraphBuilder(n)
     vroles: list[tuple] = [(ORIGINAL, v) for v in range(n)]
 
-    def set_vrole(vertex: int, tag: tuple) -> None:
-        while len(vroles) <= vertex:
-            vroles.append(())
-        vroles[vertex] = tag
+    def record(first: int, roles) -> None:
+        # roles arrive in id order; an id no gadget claimed keeps ()
+        vroles.extend([()] * (first - len(vroles)))
+        vroles.extend(roles)
 
-    def record_suspended(rec: SuspendedRecord) -> None:
-        set_vrole(rec.mid, (SUSPENDED_MID, rec.host))
-        set_vrole(rec.leaf, (SUSPENDED_LEAF, rec.host))
+    def record_paths(host: int, first: int, count: int) -> None:
+        record(first, ((SUSPENDED_MID, host), (SUSPENDED_LEAF, host)) * count)
 
-    for e in inst.graph.edges:
-        b.add_edge(*e)
+    b.add_edges(inst.graph.edges)
 
     z: int | None = None
     chains: list[TypeBRecord] = []
     if total_chains:
         z = b.add_vertex()
-        set_vrole(z, (UNIVERSAL_Z,))
+        record(z, ((UNIVERSAL_Z,),))
         for i in range(1, big_n + 1):
             rec = add_type_a(b, z, big_n + i)
-            set_vrole(rec.u, (TRIANGLE_U, i))
-            set_vrole(rec.v, (TRIANGLE_V, i))
-            for p in rec.paths_u + rec.paths_v:
-                record_suspended(p)
+            record(rec.u, ((TRIANGLE_U, i), (TRIANGLE_V, i)))
+            for block in rec.path_blocks:
+                record_paths(*block)
         for v in range(n):
             for k in disallowed[v]:
                 rec = add_type_b(b, v, k, z, big_n)
                 chains.append(rec)
-                for idx, x in enumerate(rec.vertices, start=1):
-                    set_vrole(x, (CHAIN_VERTEX, v, k, idx))
-                for per_vertex in rec.paths:
-                    for p in per_vertex:
-                        record_suspended(p)
+                for idx, (x, first, count) in enumerate(rec.path_blocks, start=1):
+                    record(x, ((CHAIN_VERTEX, v, k, idx),))
+                    record_paths(x, first, count)
 
     pendants: list[tuple[int, ...]] = []
     for v in range(n):
-        mine = []
-        for _ in range(t - 2):
-            p = b.add_vertex()
-            b.add_edge(v, p)
-            set_vrole(p, (PENDANT, v))
-            mine.append(p)
+        first = b.add_vertices(t - 2)
+        mine = range(first, first + t - 2)
+        b.add_edges(zip(repeat(v), mine))
+        record(first, ((PENDANT, v),) * (t - 2))
         pendants.append(tuple(mine))
 
     for v in range(n):
-        record_suspended(add_suspended_path(b, v))
-        record_suspended(add_suspended_path(b, v))
+        record_paths(v, add_suspended_paths(b, v, 2), 2)
 
-    graph = b.build()
-    if z is not None and graph.degree(z) != 2 * big_n + total_chains:
-        raise ContractViolationError("z degree does not match the construction")
-    return AnnotatedReduction(
-        graph=graph,
+    red = AnnotatedReduction(
+        graph=b.build(),
         instance=inst,
         t=t,
         big_n=big_n,
@@ -285,6 +320,11 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
         pendants=tuple(pendants),
         chains=tuple(chains),
     )
+    # z's degree is the number of edge ends at z; graph.degree would build
+    # the whole adjacency
+    if z is not None and countOf(chain.from_iterable(red.graph.edges), z) != red.z_degree:
+        raise ContractViolationError("z degree does not match the construction")
+    return red
 
 
 # Vertex tags that fix the role of every edge at them, in order of precedence.
@@ -294,6 +334,7 @@ _EDGE_TAG_AT = (
     (PENDANT, PENDANT_EDGE),
     (CHAIN_VERTEX, CHAIN_EDGE),
 )
+_EDGE_RANK = {vertex_tag: rank for rank, (vertex_tag, _) in enumerate(_EDGE_TAG_AT)}
 
 
 def edge_role(red: AnnotatedReduction, u: int, v: int) -> tuple:
@@ -402,19 +443,39 @@ def verify_fvs_bound(red: AnnotatedReduction) -> bool:
 _VERTEX_ARGS = {ORIGINAL: 1, SUSPENDED_MID: 1, SUSPENDED_LEAF: 1, PENDANT: 1, CHAIN_VERTEX: 1}
 
 
+def _vertex_role_text(role: tuple) -> str:
+    tag, *args = role
+    shift = _VERTEX_ARGS.get(tag, 0)
+    return " ".join([tag, *(str(a + 1) if i < shift else str(a) for i, a in enumerate(args))])
+
+
+def _edge_role_text(red: AnnotatedReduction, u: int, v: int) -> str:
+    return " ".join(map(str, edge_role(red, u, v)))
+
+
 def emit_roles(red: AnnotatedReduction) -> str:
     """Role sidecar: 'v <id> <role> [args]' and 'e <u> <v> <role> [args]'
     lines, 1-indexed, so external tools can re-derive the forcing."""
-    lines = []
-    for vertex, role in enumerate(red.vertex_roles):
-        tag, *args = role
-        shift = _VERTEX_ARGS.get(tag, 0)
-        rendered = [str(a + 1) if i < shift else str(a) for i, a in enumerate(args)]
-        lines.append(" ".join(["v", str(vertex + 1), tag, *rendered]).rstrip())
-    for e in red.graph.edges:
-        tag, *args = edge_role(red, *e)
-        lines.append(" ".join(["e", str(e[0] + 1), str(e[1] + 1), tag, *map(str, args)]).rstrip())
-    return "\n".join(lines) + "\n"
+    roles = red.vertex_roles
+    ids = [str(v) for v in range(1, len(roles) + 1)]
+    role_text = {role: _vertex_role_text(role) for role in set(roles)}
+    # the vertex lines are joined before the edge lines are made, so that
+    # only one section's line strings are alive at a time
+    lines = ["\n".join([f"v {i} {text}" for i, text in zip(ids, map(role_text.__getitem__, roles))])]
+    # A vertex's rank is its tag's index in _EDGE_TAG_AT; an edge with a
+    # ranked end takes the role of its smaller end rank, as in edge_role.
+    # Edges with two unranked ends (instance, z-triangle and triangle third
+    # edges) go through edge_role.
+    unranked = len(_EDGE_TAG_AT)
+    rank = [_EDGE_RANK.get(role[0], unranked) for role in roles]
+    tags = [edge_tag for _, edge_tag in _EDGE_TAG_AT] + [""]
+    by_ranks = [[tags[min(a, b)] for b in range(unranked + 1)] for a in range(unranked + 1)]
+    lines += [
+        f"e {ids[u]} {ids[v]} {by_ranks[rank[u]][rank[v]] or _edge_role_text(red, u, v)}"
+        for u, v in red.graph.edges
+    ]
+    lines.append("")  # the final newline, without copying the whole text
+    return "\n".join(lines)
 
 
 def to_dot(red: AnnotatedReduction) -> str:

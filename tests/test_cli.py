@@ -177,6 +177,32 @@ def test_verify_proper_and_improper(tmp_path, capsys):
     assert out.splitlines() == ["improper", "conflict 1 2"]
 
 
+def test_main_reuses_one_parser(tmp_path, capsys):
+    # the cached parser gives the same exit codes and stdout as a fresh one,
+    # also after a call that argparse ended with SystemExit
+    g = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    w = write(tmp_path, "c4.w", "1 2 1\n2 3 1\n3 4 0\n1 4 0\n")
+    calls = (["solve", g, "--algo", "nope"], ["solve", g], ["verify", g, w], ["solve", g])
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    cli.build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert reused == fresh
+    assert [code for code, _ in fresh] == [2, 0, 0, 0]
+    assert fresh[1] == fresh[3] and fresh[2][1] == "proper\n"
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_verify_incomplete_exits_2(tmp_path, capsys):
     g = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
     w = write(tmp_path, "c4.w", "1 2 1\n")
@@ -240,19 +266,26 @@ def test_reduce_lc_z_degree_mismatch_exits_4(tmp_path, capsys, monkeypatch):
 
 
 def test_reduce_lc_default_scale(tmp_path, capsys):
-    # a path and a triangle instance; the digests pin every edge role's lines
+    # a path, a triangle and the 4-vertex reduce_lc benchmark member
+    # (161k vertices); the digests pin every edge role's lines
     cases = [
         ("red3", "p lc 3 2\n1 2\n2 3\nl 1 2\nl 2 3\nl 3 2\n",
          "9802c209de076989c985e5f425914c1dde84e0b4d0ee2e20aea85ed54ab959ce",
-         "ee593b8645de76b15dc1e0f15453e8178fa3cda303be4d319269162bb99439e2"),
+         "ee593b8645de76b15dc1e0f15453e8178fa3cda303be4d319269162bb99439e2",
+         "N 33"),
         ("tri", "p lc 3 3\n1 2\n2 3\n1 3\nl 1 2 3\nl 2 3 4\nl 3 2 4\n",
          "6e062798aca1256dbb0b9fd726c46d19f159dd70ef75079b249d2d6b10c5dd87",
-         "8fd1c010adf6771b5a6a6fc6bc63e29156e25fab3fea10f60615034df7c7b849"),
+         "8fd1c010adf6771b5a6a6fc6bc63e29156e25fab3fea10f60615034df7c7b849",
+         "N 33"),
+        ("red4", "p lc 4 5\n1 2\n1 3\n1 4\n2 4\n3 4\nl 1 4 5\nl 2 2 3\nl 3 4\nl 4 4\n",
+         "84d7bab77ad664e13d6feba606681ea108bccdfddecf044b8fef68b3882db052",
+         "eccd9dc5158f8c2f398f18e854b6933aa75e403928b6e27d36663b34e48d2406",
+         "reduced 161035 vertices 161133 edges\nN 76 z-degree 174 removed 0\n"),
     ]
-    for name, text, gr_sha, roles_sha in cases:
+    for name, text, gr_sha, roles_sha, stdout in cases:
         inst = write(tmp_path, name + ".lc", text)
         code, out, _ = run_cli(capsys, "reduce-lc", inst, "-o", str(tmp_path / name))
-        assert code == 0 and "N 33" in out
+        assert code == 0 and stdout in out
         assert sha256(tmp_path / (name + ".gr")) == gr_sha
         assert sha256(tmp_path / (name + ".roles")) == roles_sha
 

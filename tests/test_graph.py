@@ -37,6 +37,59 @@ def test_build_rejects_bad_edges():
         Graph.build(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        # the first duplicate in input order, not in sorted order
+        (7, [(5, 6), (1, 2), (6, 5), (2, 1)], "duplicate edge (5, 6)"),
+        # a duplicate, a self-loop and an out-of-range edge: the first one wins
+        (3, [(0, 1), (1, 0), (2, 2)], "duplicate edge (0, 1)"),
+        (3, [(2, 2), (0, 1), (1, 0)], "self-loop at vertex 2"),
+        (3, [(0, 1), (5, 0), (1, 0)], "edge (5, 0) out of range [0, 3)"),
+        (3, [(1, 2), (0, -1)], "edge (0, -1) out of range [0, 3)"),
+        (3, [(4, 4)], "self-loop at vertex 4"),
+    ],
+)
+def test_build_reports_first_bad_edge_in_input_order(n, edges, message):
+    with pytest.raises(ValidationError) as info:
+        Graph.build(n, edges)
+    assert str(info.value) == message
+    with pytest.raises(ValidationError) as info:
+        Graph.build(n, iter(edges))
+    assert str(info.value) == message
+
+
+def test_adjacency_matches_sorted_reference():
+    rng = random.Random(11)
+    for trial in range(300):
+        n = trial % 9  # n = 0 included; sparse draws leave isolated vertices
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        rng.shuffle(given)
+        g = Graph.build(n, given)
+        assert g.edges == tuple(sorted(pairs))
+        reference = [sorted({v for e in pairs if x in e for v in e} - {x}) for x in range(n)]
+        assert g.adjacency == tuple(tuple(nbrs) for nbrs in reference)
+        for x in range(n):
+            assert g.neighbors(x) == tuple(reference[x])
+            assert g.degree(x) == len(reference[x])
+        assert g.max_degree() == max(map(len, reference), default=0)
+
+
+def test_equal_edge_sets_build_equal_graphs():
+    rng = random.Random(12)
+    for _ in range(50):
+        g = random_small_graph(rng)
+        given = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(given)
+        h = Graph.build(g.vertex_count, given)
+        # the cached adjacency must not take part in equality or hashing
+        assert len(g.adjacency) == g.vertex_count
+        assert h == g and hash(h) == hash(g)
+    assert Graph.build(3, [(0, 1)]) != Graph.build(3, [(1, 2)])
+    assert Graph.build(3, [(0, 1)]) != Graph.build(4, [(0, 1)])
+
+
 def test_graph_builder_rejects_bad_edges():
     # a duplicate, a self-loop and an out-of-range edge each fail by build()
     for bad in ((1, 0), (1, 1), (0, 2)):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -19,7 +20,9 @@ from vcew.reduction import (
     add_type_b,
     build_reduction,
     default_chain_scale,
+    edge_role,
     emit_roles,
+    forced_preweights,
     extract_coloring,
     small_chain_scale,
     solve_reduced,
@@ -78,6 +81,15 @@ def test_normalize_rejects_color_one():
 # ---------- gadget builders ----------
 
 
+def assert_paths(g, host, paths, count):
+    """The records name `count` distinct suspended paths host-mid-leaf of g."""
+    assert len(paths) == count
+    assert len({p.mid for p in paths} | {p.leaf for p in paths}) == 2 * count
+    for p in paths:
+        assert p.host == host and g.has_edge(*p.inner) and g.has_edge(*p.outer)
+        assert g.degree(p.mid) == 2 and g.degree(p.leaf) == 1
+
+
 def test_suspended_path_forces_inner_one():
     for q in range(1, 5):
         b = GraphBuilder(1)
@@ -99,6 +111,8 @@ def test_type_a_counts_and_forcing():
         rec = add_type_a(b, 0, k)
         g = b.build()
         assert g.vertex_count == 1 + 2 + 4 * (k - 1)
+        assert_paths(g, rec.u, rec.paths_u, k - 1)
+        assert_paths(g, rec.v, rec.paths_v, k - 1)
         au, av = edge_key(0, rec.u), edge_key(0, rec.v)
         assert oracle.count_proper(g, {au: 0, av: 0}) == 0
         assert oracle.count_proper(g, {au: 1, av: 1}) == 0
@@ -131,7 +145,11 @@ def test_type_b_counts():
         rec = add_type_b(b, 0, k, 1, big_n)
         assert len(rec.vertices) == big_n - k
         path_vertices = 2 * sum(range(k, big_n))
-        assert b.build().vertex_count == 2 + (big_n - k) + path_vertices
+        g = b.build()
+        assert g.vertex_count == 2 + (big_n - k) + path_vertices
+        assert len(rec.paths) == len(rec.vertices)
+        for i, (x, paths) in enumerate(zip(rec.vertices, rec.paths)):
+            assert_paths(g, x, paths, k + i)
     with pytest.raises(ValueError):
         add_type_b(GraphBuilder(2), 0, 6, 1, 6)
 
@@ -297,6 +315,45 @@ def test_roles_sidecar_and_dot():
     assert any(line.startswith("e 1 2 graph") for line in lines)
     dot = to_dot(red)
     assert dot.startswith("graph reduction {") and dot.rstrip().endswith("}")
+
+
+def role_instances():
+    """(instance, scale override) pairs: seeded instances with n = 1..4 at
+    small_chain_scale, and the triangle instance at the default scale."""
+    rng = random.Random(7)
+    cases = []
+    for n in (1, 2, 3, 4, 1, 2, 3, 4):
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
+        lists = [sorted(rng.sample(range(2, 6), rng.randint(1, 2))) for _ in range(n)]
+        inst = make_inst(n, edges, lists)
+        cases.append((inst, small_chain_scale(inst)))
+    cases.append((make_inst(3, [(0, 1), (1, 2), (0, 2)], [[2, 3], [3, 4], [2, 4]]), None))
+    return cases
+
+
+# sha256 over every case's sorted forced pre-weights, and over every
+# yes-case's canonical witness, recorded before emit_roles ranked edges
+FORCED_DIGEST = "bcc5b118b65643da9815199ca115e7dbc819b05ad3a848712cf6f11feaa26859"
+WITNESS_DIGEST = "cda92f634773c0339c39a14b45e39bb44094cccfda176d81ab0c520515c3bd35"
+
+
+def test_emitted_edge_roles_match_edge_role():
+    # emit_roles ranks edges by its own table lookup; every 'e' line must
+    # still say what edge_role says, so the two cannot drift apart
+    forced, witnesses = [], []
+    for inst, scale in role_instances():
+        red = build_reduction(inst, scale)
+        lines = [line.split() for line in emit_roles(red).splitlines() if line.startswith("e ")]
+        assert len(lines) == len(red.graph.edges)
+        for (u, v), (_, eu, ev, *role) in zip(red.graph.edges, lines, strict=True):
+            assert (int(eu), int(ev)) == (u + 1, v + 1)
+            assert role == [str(part) for part in edge_role(red, u, v)]
+        forced.append(sorted(forced_preweights(red).items()))
+        coloring = brute_force_list_coloring(inst)
+        if coloring is not None:
+            witnesses.append(sorted(witness_weighting(red, coloring).items()))
+    assert hashlib.sha256(repr(forced).encode()).hexdigest() == FORCED_DIGEST
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == WITNESS_DIGEST
 
 
 def test_fvs_needs_the_instance_cover_too():
