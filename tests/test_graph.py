@@ -86,6 +86,8 @@ def test_equal_edge_sets_build_equal_graphs():
         # the cached adjacency must not take part in equality or hashing
         assert len(g.adjacency) == g.vertex_count
         assert h == g and hash(h) == hash(g)
+    # edges given as lists are stored as canonical tuples
+    assert Graph.build(3, [[0, 1], [2, 1]]) == Graph.build(3, [(0, 1), (1, 2)])
     assert Graph.build(3, [(0, 1)]) != Graph.build(3, [(1, 2)])
     assert Graph.build(3, [(0, 1)]) != Graph.build(4, [(0, 1)])
 

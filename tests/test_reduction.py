@@ -22,8 +22,8 @@ from vcew.reduction import (
     default_chain_scale,
     edge_role,
     emit_roles,
-    forced_preweights,
     extract_coloring,
+    forced_preweights,
     small_chain_scale,
     solve_reduced,
     to_dot,
