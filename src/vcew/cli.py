@@ -79,12 +79,8 @@ def _pick_algo(args, g: Graph, pre: PartialWeightAssignment) -> tuple[str, treew
 
 
 def cmd_solve(args) -> int:
-    try:
-        g, pre = io.parse_graph(Path(args.graph).read_text())
-        algo, td = _pick_algo(args, g, pre)
-    except (OSError, ParseError, ValidationError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    g, pre = io.parse_graph(Path(args.graph).read_text())
+    algo, td = _pick_algo(args, g, pre)
     started = time.perf_counter()
     stats: dict[str, int] = {"free_edges": len(g.edges) - len(pre)}
     if args.seed is not None:
@@ -112,34 +108,31 @@ def cmd_solve(args) -> int:
             if pre:
                 raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
             witness = vertex_cover.solve_vc(g, k=args.k, budget_override=args.budget, cutoff=args.cutoff)
-        elif algo == "prewt":
+        else:  # prewt
             e1 = preweight.ones_only(pre)
-            if args.k is not None:
-                k = args.k
-                if vertex_cover.exact_vertex_cover(g, k) is None:
-                    raise ValidationError(f"graph has no vertex cover of size <= {k}")
-            else:
+            k = args.k
+            if k is None:
                 _, k = vertex_cover.minimum_vertex_cover(g)
+            else:
+                vertex_cover.cover_within(g, k)
             red = preweight.apply_reduction(g, e1, k)
             if red.deletions:
                 sys.stderr.write(preweight.deletion_log_text(red))
             witness = preweight.solve_prewt(g, e1, k, cutoff=args.cutoff)
             stats["k"] = k
             stats["rule_deletions"] = len(red.deletions)
-        else:
-            raise ValidationError(f"unknown algorithm {algo!r}")
     except CapacityError as exc:
         _err(str(exc))
         _emit(io.ResultRecord(status="unknown", algorithm=algo, verified=False))
         return EXIT_CAPACITY
-    except (UnsupportedVariantError, ValidationError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
     stats["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
     if witness is None:
         _emit(io.ResultRecord(status="no", algorithm=algo, verified=True, stats=stats))
         return EXIT_OK
-    verified = is_proper(g, witness) and extends(witness, pre)
+    try:
+        verified = is_proper(g, witness) and extends(witness, pre)
+    except ValidationError:  # not a total {0, 1} map of the edges
+        verified = False
     if not verified:
         raise ContractViolationError(f"{algo} produced a witness that failed re-verification")
     record = io.ResultRecord(
@@ -155,12 +148,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        g, _ = io.parse_graph(Path(args.graph).read_text())
-        w = io.parse_weights(Path(args.weights).read_text(), g)
-    except (OSError, ParseError, ValidationError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    g, _ = io.parse_graph(Path(args.graph).read_text())
+    w = io.parse_weights(Path(args.weights).read_text(), g)
     conflicts = find_conflicts(g, w)
     if conflicts:
         print("improper")
@@ -172,16 +161,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kernelize(args) -> int:
-    try:
-        g, pre = io.parse_graph(Path(args.graph).read_text())
-        if pre:
-            raise ValidationError("kernelization applies to the base problem; drop the pre-weights")
-        if args.k is not None and vertex_cover.exact_vertex_cover(g, args.k) is None:
-            raise ValidationError(f"graph has no vertex cover of size <= {args.k}")
-        kernel = vertex_cover.kernelize(g)
-    except (OSError, ParseError, ValidationError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    g, pre = io.parse_graph(Path(args.graph).read_text())
+    if pre:
+        raise ValidationError("kernelization applies to the base problem; drop the pre-weights")
+    if args.k is not None:
+        vertex_cover.cover_within(g, args.k)
+    kernel = vertex_cover.kernelize(g)
     prefix = args.output or str(Path(args.graph).with_suffix("")) + ".kernel"
     Path(prefix + ".gr").write_text(io.emit_graph(kernel.graph))
     Path(prefix + ".map").write_text(vertex_cover.export_kernel_mapping(kernel))
@@ -200,13 +185,9 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_reduce_lc(args) -> int:
-    try:
-        inst = io.parse_listcoloring(Path(args.instance).read_text())
-        normalized = normalize_instance(inst)
-        red = reduction.build_reduction(normalized.instance, args.n_scale)
-    except (OSError, ParseError, ValidationError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    inst = io.parse_listcoloring(Path(args.instance).read_text())
+    normalized = normalize_instance(inst)
+    red = reduction.build_reduction(normalized.instance, args.n_scale)
     prefix = args.output or str(Path(args.instance).with_suffix("")) + ".reduced"
     Path(prefix + ".gr").write_text(io.emit_graph(red.graph))
     Path(prefix + ".roles").write_text(reduction.emit_roles(red))
@@ -219,28 +200,23 @@ def cmd_reduce_lc(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        if args.kind == "random":
-            g, pre = generators.random_graph(
-                args.n, args.p, args.seed, pre_fraction=args.pre, pre_ones_only=args.pre_ones
-            )
-        elif args.kind == "planted":
-            sizes = [int(tok) for tok in args.classes.split(",") if tok]
-            g = generators.planted_twin_graph(
-                args.k, sizes, args.seed, cover_edge_p=args.cover_p, full_sig=args.full_sig
-            )
-            pre = {}
-        else:  # gadget
-            if args.gadget == "suspended":
-                g, pre = generators.suspended_host(args.paths), {}
-            elif args.gadget == "type-a":
-                g, pre = generators.type_a_host(args.k, args.headroom), {}
-            else:  # type-b
-                host = generators.pinned_chain_host(args.k, args.n_scale)
-                g, pre = host.graph, host.pre
-    except (ValidationError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_INPUT
+    if args.kind == "random":
+        g, pre = generators.random_graph(
+            args.n, args.p, args.seed, pre_fraction=args.pre, pre_ones_only=args.pre_ones
+        )
+    elif args.kind == "planted":
+        sizes = [int(tok) for tok in args.classes.split(",") if tok]
+        g = generators.planted_twin_graph(
+            args.k, sizes, args.seed, cover_edge_p=args.cover_p, full_sig=args.full_sig
+        )
+        pre = {}
+    elif args.gadget == "suspended":
+        g, pre = generators.suspended_host(args.paths), {}
+    elif args.gadget == "type-a":
+        g, pre = generators.type_a_host(args.k, args.headroom), {}
+    else:  # type-b
+        host = generators.pinned_chain_host(args.k, args.n_scale)
+        g, pre = host.graph, host.pre
     text = io.emit_graph(g, pre)
     if args.output:
         Path(args.output).write_text(text)
@@ -323,12 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  The only place where errors become exit codes 2 and
+    4; `cmd_solve` handles capacity refusals (exit 3) itself, since it also
+    prints an `unknown` record."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ContractViolationError as exc:
         _err(f"contract violation: {exc}")
         return EXIT_CONTRACT
+    except (OSError, ParseError, ValidationError, UnsupportedVariantError, ValueError) as exc:
+        _err(str(exc))
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

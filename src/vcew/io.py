@@ -9,7 +9,15 @@ this boundary.  Formats:
   ``b <id> v1 v2 ...``, then tree edge lines ``i j``.  Bag 1 is the root.
 * ``.lc``: header ``p lc <n> <m>``, m edge lines, then one list line
   ``l <v> c1 c2 ...`` per vertex.
+* weights: one ``u v w`` line per edge of a given graph, w in {0, 1}.
 * results: canonical JSON text with a stable key order.
+
+The three headers share one reader (`_header`): a second header, a wrong
+shape, non-integer counts and negative counts are rejected.  The vertex
+pairs of ``.gr``, ``.lc`` and weights lines share another (`_edge`): both
+ids are integers in 1..n, distinct, and the pair is not a repeat.  Each of
+these rejections is a ParseError that names the line and the ids as
+written, 1-indexed.
 """
 
 from __future__ import annotations
@@ -59,6 +67,43 @@ def _tokens(text: str):
         yield lineno, line.split()
 
 
+def _ints(tokens, lineno: int, what: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ParseError(f"non-integer {what}", lineno) from None
+
+
+def _header(parts: list[str], lineno: int, known: bool, expected: str) -> list[int]:
+    """The counts of a header line shaped like `expected`, e.g. 'p vcew <n> <m>'."""
+    if known:
+        raise ParseError("duplicate header", lineno)
+    shape = expected.split()
+    if len(parts) != len(shape) or parts[1] != shape[1]:
+        raise ParseError(f"expected header '{expected}'", lineno)
+    counts = _ints(parts[2:], lineno, "counts in header")
+    if any(c < 0 for c in counts):
+        raise ParseError("negative counts in header", lineno)
+    return counts
+
+
+def _edge(parts: list[str], lineno: int, n: int, seen) -> Edge:
+    """The canonical 0-indexed edge of the 1-indexed pair parts[0], parts[1],
+    which must name two distinct vertices in 1..n and not be in `seen`."""
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError("non-integer vertex id", lineno) from None
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise ParseError(f"vertex out of range 1..{n}", lineno)
+    if u == v:
+        raise ParseError("self-loop", lineno)
+    e = (u - 1, v - 1) if u < v else (v - 1, u - 1)
+    if e in seen:
+        raise ParseError(f"duplicate edge {u} {v}", lineno)
+    return e
+
+
 def parse_graph(text: str) -> tuple[Graph, PartialWeightAssignment]:
     """Parse a .gr instance; pre-weighted edges go into the partial map."""
     n = m = None
@@ -67,32 +112,13 @@ def parse_graph(text: str) -> tuple[Graph, PartialWeightAssignment]:
     pre: PartialWeightAssignment = {}
     for lineno, parts in _tokens(text):
         if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "vcew":
-                raise ParseError("expected header 'p vcew <n> <m>'", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer counts in header", lineno) from None
-            if n < 0 or m < 0:
-                raise ParseError("negative counts in header", lineno)
+            n, m = _header(parts, lineno, n is not None, "p vcew <n> <m>")
             continue
         if n is None:
             raise ParseError("edge line before header", lineno)
         if len(parts) not in (2, 3):
             raise ParseError("expected 'u v' or 'u v w'", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError("non-integer vertex id", lineno) from None
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise ParseError(f"vertex out of range 1..{n}", lineno)
-        if u == v:
-            raise ParseError("self-loop", lineno)
-        e = edge_key(u - 1, v - 1)
-        if e in seen:
-            raise ParseError(f"duplicate edge {u} {v}", lineno)
+        e = _edge(parts, lineno, n, seen)
         seen.add(e)
         edges.append(e)
         if len(parts) == 3:
@@ -127,14 +153,7 @@ def parse_td(text: str) -> TreeDecomposition:
     tree_edges: list[tuple[int, int]] = []
     for lineno, parts in _tokens(text):
         if parts[0] == "s":
-            if header is not None:
-                raise ParseError("duplicate 's td' header", lineno)
-            if len(parts) != 5 or parts[1] != "td":
-                raise ParseError("expected header 's td <bags> <maxbagsize> <n>'", lineno)
-            try:
-                header = (int(parts[2]), int(parts[3]), int(parts[4]))
-            except ValueError:
-                raise ParseError("non-integer counts in header", lineno) from None
+            header = _header(parts, lineno, header is not None, "s td <bags> <maxbagsize> <n>")
             continue
         if header is None:
             raise ParseError("content before 's td' header", lineno)
@@ -142,11 +161,7 @@ def parse_td(text: str) -> TreeDecomposition:
         if parts[0] == "b":
             if len(parts) < 2:
                 raise ParseError("bag line needs an id", lineno)
-            try:
-                bag_id = int(parts[1])
-                vertices = [int(tok) for tok in parts[2:]]
-            except ValueError:
-                raise ParseError("non-integer token in bag line", lineno) from None
+            bag_id, *vertices = _ints(parts[1:], lineno, "token in bag line")
             if not (1 <= bag_id <= num_bags):
                 raise ParseError(f"bag id {bag_id} out of range 1..{num_bags}", lineno)
             if bag_id in bags:
@@ -157,10 +172,7 @@ def parse_td(text: str) -> TreeDecomposition:
         else:
             if len(parts) != 2:
                 raise ParseError("expected tree edge 'i j'", lineno)
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("non-integer bag id in tree edge", lineno) from None
+            a, b = _ints(parts, lineno, "bag id in tree edge")
             if not (1 <= a <= num_bags and 1 <= b <= num_bags):
                 raise ParseError("unknown bag id in tree edge", lineno)
             tree_edges.append((a - 1, b - 1))
@@ -209,28 +221,18 @@ def emit_td(td: TreeDecomposition) -> str:
 def parse_listcoloring(text: str) -> ListColoringInstance:
     n = m = None
     edges: list[Edge] = []
+    seen: set[Edge] = set()
     lists: dict[int, list[int]] = {}
     for lineno, parts in _tokens(text):
         if parts[0] == "p":
-            if n is not None:
-                raise ParseError("duplicate header", lineno)
-            if len(parts) != 4 or parts[1] != "lc":
-                raise ParseError("expected header 'p lc <n> <m>'", lineno)
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError("non-integer counts in header", lineno) from None
+            n, m = _header(parts, lineno, n is not None, "p lc <n> <m>")
             continue
         if n is None:
             raise ParseError("content before header", lineno)
         if parts[0] == "l":
             if len(parts) < 3:
                 raise ParseError("empty color list", lineno)
-            try:
-                v = int(parts[1])
-                colors = [int(tok) for tok in parts[2:]]
-            except ValueError:
-                raise ParseError("non-integer token in list line", lineno) from None
+            v, *colors = _ints(parts[1:], lineno, "token in list line")
             if not (1 <= v <= n):
                 raise ParseError(f"vertex out of range 1..{n}", lineno)
             if v - 1 in lists:
@@ -241,13 +243,9 @@ def parse_listcoloring(text: str) -> ListColoringInstance:
         else:
             if len(parts) != 2:
                 raise ParseError("expected edge 'u v'", lineno)
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError("non-integer vertex id", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n) or u == v:
-                raise ParseError("bad edge", lineno)
-            edges.append(edge_key(u - 1, v - 1))
+            e = _edge(parts, lineno, n, seen)
+            seen.add(e)
+            edges.append(e)
     if n is None:
         raise ParseError("missing 'p lc' header")
     if m != len(edges):
@@ -318,19 +316,12 @@ def parse_weights(text: str, g: Graph) -> WeightAssignment:
     for lineno, parts in _tokens(text):
         if len(parts) != 3:
             raise ParseError("expected 'u v w'", lineno)
-        try:
-            u, v, value = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError("non-integer token", lineno) from None
+        e = _edge(parts, lineno, g.vertex_count, w)
+        if e not in g.edge_index:
+            raise ParseError(f"edge {parts[0]} {parts[1]} not in the graph", lineno)
+        (value,) = _ints(parts[2:], lineno, "weight")
         if value not in (0, 1):
             raise ParseError("weight not in {0, 1}", lineno)
-        if not (1 <= u <= g.vertex_count and 1 <= v <= g.vertex_count):
-            raise ParseError("vertex out of range", lineno)
-        e = edge_key(u - 1, v - 1)
-        if e not in g.edge_index:
-            raise ParseError(f"edge {u} {v} not in the graph", lineno)
-        if e in w:
-            raise ParseError(f"duplicate weight for edge {u} {v}", lineno)
         w[e] = value
     missing = [e for e in g.edges if e not in w]
     if missing:

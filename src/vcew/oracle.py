@@ -172,15 +172,12 @@ def count_proper(
     pre: PartialWeightAssignment | None = None,
     *,
     cutoff: int = DEFAULT_CUTOFF,
-    stats: SearchStats | None = None,
 ) -> int:
     """Number of proper total assignments extending pre."""
     pre = pre or {}
     inst = _prepare(g, pre, None)
     _check_capacity(len(inst.free), None, cutoff)
-    count, nodes = _kernel.count_all(inst)
-    if stats is not None:
-        stats.nodes = nodes
+    count, _ = _kernel.count_all(inst)
     return count
 
 
@@ -190,7 +187,6 @@ def exists_with_color_bound(
     bound,
     *,
     cutoff: int = DEFAULT_CUTOFF,
-    stats: SearchStats | None = None,
 ) -> bool:
     """Whether some proper extension keeps colors(v) <= bound(v) everywhere.
 
@@ -199,7 +195,5 @@ def exists_with_color_bound(
     pre = pre or {}
     inst = _prepare(g, pre, bound)
     _check_capacity(len(inst.free), None, cutoff)
-    found, nodes = _kernel.exists_proper(inst)
-    if stats is not None:
-        stats.nodes = nodes
+    found, _ = _kernel.exists_proper(inst)
     return found

@@ -29,7 +29,7 @@ from vcew.graph import (
     edge_key,
     is_proper,
 )
-from vcew.vertex_cover import color_budget, edge_budget, exact_vertex_cover, refine_classes
+from vcew.vertex_cover import color_budget, cover_within, edge_budget, refine_classes
 
 
 def ones_only(pre: PartialWeightAssignment) -> frozenset[Edge]:
@@ -86,10 +86,7 @@ def apply_reduction(g: Graph, e1: Iterable[Edge], k: int, cover: Iterable[int] |
     """
     e1set = frozenset(edge_key(u, v) for u, v in e1)
     if cover is None:
-        found = exact_vertex_cover(g, k)
-        if found is None:
-            raise ValueError(f"graph has no vertex cover of size <= {k}")
-        cover_t = tuple(sorted(found))
+        cover_t = tuple(sorted(cover_within(g, k)))
     else:
         cover_t = tuple(sorted(cover))
         in_cover = set(cover_t)

@@ -204,9 +204,12 @@ class AnnotatedReduction:
         return 2 * self.big_n + len(self.chains) if self.z is not None else 0
 
     def disallowed(self, v: int) -> tuple[int, ...]:
-        allowed = set(self.instance.lists[v]) | {1}
-        span = self.t + self.instance.graph.vertex_count - 1
-        return tuple(c for c in range(2, span + 1) if c not in allowed)
+        return _disallowed(self.instance, self.t, v)
+
+
+def _disallowed(inst: ListColoringInstance, t: int, v: int) -> tuple[int, ...]:
+    """The colors in 2..t+n-1 missing from v's list: one type-B chain each."""
+    return tuple(c for c in range(2, t + inst.graph.vertex_count) if c not in inst.lists[v])
 
 
 def default_chain_scale(n: int) -> int:
@@ -218,12 +221,7 @@ def small_chain_scale(inst: ListColoringInstance) -> int:
     where the production scale makes exhaustive checking impossible."""
     n = inst.graph.vertex_count
     t = inst.max_color()
-    total_chains = sum(
-        1
-        for v in range(n)
-        for c in range(2, t + n)
-        if c not in inst.lists[v]
-    )
+    total_chains = sum(len(_disallowed(inst, t, v)) for v in range(n))
     return max(t + n, total_chains) + 1
 
 
@@ -254,9 +252,7 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
         if any(c < 2 for c in inst.lists[v]):
             raise ValidationError("list colors below 2 cannot be encoded; normalize the instance")
     t = inst.max_color()
-    disallowed = [
-        tuple(c for c in range(2, t + n) if c not in inst.lists[v]) for v in range(n)
-    ]
+    disallowed = [_disallowed(inst, t, v) for v in range(n)]
     total_chains = sum(len(d) for d in disallowed)
     big_n = default_chain_scale(n) if n_override is None else n_override
     max_disallowed = max((d[-1] for d in disallowed if d), default=0)

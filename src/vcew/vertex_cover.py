@@ -80,6 +80,14 @@ def exact_vertex_cover(g: Graph, k: int) -> frozenset[int] | None:
     return None
 
 
+def cover_within(g: Graph, k: int) -> frozenset[int]:
+    """A cover of size at most k; a k below the cover number is a ValueError."""
+    cover = exact_vertex_cover(g, k)
+    if cover is None:
+        raise ValueError(f"graph has no vertex cover of size <= {k}")
+    return cover
+
+
 def minimum_vertex_cover(g: Graph, k_max: int = 12) -> tuple[frozenset[int], int]:
     """Smallest cover by iterative deepening up to k_max.
 
@@ -223,7 +231,6 @@ def solve_vc(
     k: int | None = None,
     budget_override: int | None = None,
     *,
-    k_max: int = 12,
     cutoff: int = oracle.DEFAULT_CUTOFF,
 ) -> WeightAssignment | None:
     """Full pipeline: kernelize, search the kernel, lift any witness back.
@@ -233,13 +240,10 @@ def solve_vc(
     deepening on the kernel.
     """
     kernel = kernelize(g)
-    if k is not None:
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        if exact_vertex_cover(g, k) is None:
-            raise ValueError(f"graph has no vertex cover of size <= {k}")
+    if k is None:
+        _, k = minimum_vertex_cover(kernel.graph)
     else:
-        _, k = minimum_vertex_cover(kernel.graph, k_max=k_max)
+        cover_within(g, k)
     w_kernel = solve_kernel(kernel, k, budget_override, cutoff=cutoff)
     if w_kernel is None:
         return None

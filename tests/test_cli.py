@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from vcew import _search_py, cli, io, oracle, preweight, reduction, treewidth, vertex_cover
 from vcew.generators import random_graph
 
@@ -96,6 +98,23 @@ def test_solve_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(treewidth, "run_dp", lambda g, ntd, pre: treewidth.DPRun(frozenset(range(4)), [1]))
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
     code, out, err = run_cli(capsys, "solve", path, "--algo", "tw")
+    assert code == 4 and out == ""
+    assert "re-verification" in err
+
+
+def test_solve_partial_witness_exits_4(tmp_path, capsys, monkeypatch):
+    # a witness that is not a total {0, 1} map fails re-verification; it is
+    # not an input error
+    solve_exhaustive = oracle.solve_exhaustive
+
+    def drop_one_edge(*args, **kwargs):
+        w = solve_exhaustive(*args, **kwargs)
+        del w[next(iter(w))]
+        return w
+
+    monkeypatch.setattr(oracle, "solve_exhaustive", drop_one_edge)
+    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "oracle")
     assert code == 4 and out == ""
     assert "re-verification" in err
 
@@ -201,6 +220,59 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     assert [code for code, _ in fresh] == [2, 0, 0, 0]
     assert fresh[1] == fresh[3] and fresh[2][1] == "proper\n"
     assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["solve", "solve --td", "verify graph", "verify weights", "kernelize", "reduce-lc"]
+)
+def test_missing_input_file_exits_2(tmp_path, capsys, command):
+    g = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    w = write(tmp_path, "c4.w", "1 2 1\n2 3 1\n3 4 0\n1 4 0\n")
+    gone = str(tmp_path / "absent.txt")
+    argv = {
+        "solve": ["solve", gone],
+        "solve --td": ["solve", g, "--algo", "tw", "--td", gone],
+        "verify graph": ["verify", gone, w],
+        "verify weights": ["verify", g, gone],
+        "kernelize": ["kernelize", gone],
+        "reduce-lc": ["reduce-lc", gone],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("vcew: ") and "absent.txt" in err
+
+
+@pytest.mark.parametrize("command", ["kernelize", "reduce-lc", "gen"])
+def test_unwritable_output_exits_2(tmp_path, capsys, command):
+    g = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    lc = write(tmp_path, "i.lc", "p lc 2 1\n1 2\nl 1 2\nl 2 3\n")
+    out_path = str(tmp_path / "missing" / "dir" / "x")
+    argv = {
+        "kernelize": ["kernelize", g, "-o", out_path],
+        "reduce-lc": ["reduce-lc", lc, "--N", "7", "-o", out_path],
+        "gen": ["gen", "random", "--n", "5", "--seed", "1", "-o", out_path + ".gr"],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("vcew: ") == 1 and err.startswith("vcew: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "k,message",
+    [("-1", "k must be nonnegative"), ("1", "no vertex cover of size <= 1")],
+)
+def test_kernelize_bad_k_exits_2(tmp_path, capsys, k, message):
+    path = write(tmp_path, "c3.gr", "p vcew 3 3\n1 2\n2 3\n1 3\n")
+    code, out, err = run_cli(capsys, "kernelize", path, "--k", k, "-o", str(tmp_path / "out"))
+    assert code == 2 and out == "" and message in err
+    assert not (tmp_path / "out.gr").exists()
+
+
+def test_solve_prewt_k_below_cover_number_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2 1\n2 3\n3 4\n1 4\n")
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "prewt", "--k", "1")
+    assert code == 2 and out == ""
+    assert err == "vcew: graph has no vertex cover of size <= 1\n"
 
 
 def test_verify_incomplete_exits_2(tmp_path, capsys):

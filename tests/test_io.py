@@ -49,6 +49,43 @@ def test_parse_graph_error_carries_line_number():
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize(
+    "parse,text,line,fragment",
+    [
+        (io.parse_listcoloring, "p lc 3 2\n1 2\n2 1\nl 1 2\nl 2 2\nl 3 2\n", 3, "duplicate edge 2 1"),
+        (io.parse_listcoloring, "p lc 2 1\n2 2\nl 1 2\nl 2 2\n", 2, "self-loop"),
+        (io.parse_listcoloring, "p lc 2 1\n1 3\nl 1 2\nl 2 2\n", 2, "vertex out of range 1..2"),
+        (io.parse_listcoloring, "p lc -1 0\n", 1, "negative counts in header"),
+        (io.parse_listcoloring, "p lc 1 0\np lc 1 0\n", 2, "duplicate header"),
+        (io.parse_td, "s td 1 2 -3\nb 1\n", 1, "negative counts in header"),
+        (io.parse_td, "s td -1 2 3\n", 1, "negative counts in header"),
+        (io.parse_td, "s td 1 1 1\ns td 1 1 1\n", 2, "duplicate header"),
+        (io.parse_td, "s td 1 1 1\nb 1 x\n", 2, "non-integer token in bag line"),
+    ],
+)
+def test_shared_header_and_edge_checks(parse, text, line, fragment):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line and fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,line,fragment",
+    [
+        ("1 2 1\n2 1 0\n", 2, "duplicate edge 2 1"),
+        ("1 2 1\n1 4 0\n", 2, "vertex out of range 1..3"),
+        ("1 3 1\n", 1, "edge 1 3 not in the graph"),
+        ("1 2 x\n", 1, "non-integer weight"),
+        ("1 2 2\n", 1, "weight not in {0, 1}"),
+    ],
+)
+def test_parse_weights_errors(text, line, fragment):
+    g = Graph.build(3, [(0, 1), (1, 2)])
+    with pytest.raises(ParseError) as err:
+        io.parse_weights(text, g)
+    assert err.value.line == line and fragment in str(err.value)
+
+
 def test_parse_td_single_bag():
     td = io.parse_td("s td 1 3 3\nb 1 1 2 3\n")
     assert td.bags == (frozenset({0, 1, 2}),) and td.root == 0

@@ -11,6 +11,7 @@ from vcew.vertex_cover import (
     _assert_kernel_bounds,
     class_cap,
     color_budget,
+    cover_within,
     edge_budget,
     exact_vertex_cover,
     export_kernel_mapping,
@@ -151,6 +152,17 @@ def test_pipeline_rejects_wrong_k():
     c3 = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(ValueError):
         solve_vc(c3, k=1)
+
+
+def test_cover_within():
+    c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for k in (2, 3):
+        cover = cover_within(c4, k)
+        assert is_cover(c4, cover) and len(cover) <= k
+    with pytest.raises(ValueError, match="no vertex cover of size <= 1"):
+        cover_within(c4, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        cover_within(c4, -1)
 
 
 def test_solve_kernel_budget_is_a_ceiling():
