@@ -70,10 +70,9 @@ def _pick_algo(args, g: Graph, pre: PartialWeightAssignment) -> tuple[str, treew
         return "prewt", td
     if len(g.edges) - len(pre) <= ORACLE_MAX_FREE:
         return "oracle", td
-    width_source = td if td is not None else treewidth.compute_decomposition(g)
     if td is None:
-        td = width_source
-    if width_source.width() <= TW_MAX_WIDTH and g.max_degree() <= TW_MAX_DEGREE:
+        td = treewidth.compute_decomposition(g)
+    if td.width() <= TW_MAX_WIDTH and g.max_degree() <= TW_MAX_DEGREE:
         return "tw", td
     return "vc", td
 

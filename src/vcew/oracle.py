@@ -122,6 +122,8 @@ def _prepare(g: Graph, pre: PartialWeightAssignment, bounds) -> SearchInstance:
 
 
 def _check_capacity(free_count: int, budget: int | None, cutoff: int) -> None:
+    if cutoff < 0:
+        raise ValueError("cutoff must be nonnegative")
     if budget is None:
         if free_count > cutoff:
             raise CapacityError(

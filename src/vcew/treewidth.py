@@ -29,12 +29,15 @@ backs and which loads with the first DP run):
   keeps the earlier position and the first derivation's provenance, except
   at introduce-edge, where the weight-0 derivation beats the weight-1 one.
   The witness therefore depends only on the decomposition and the input.
+
+A nice decomposition is checked as a tree decomposition (validate_nice calls
+validate_decomposition) plus the local rule of each node kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from vcew.errors import CapacityError, ValidationError
 from vcew.graph import (
@@ -54,6 +57,8 @@ FORGET = "forget"
 JOIN = "join"
 
 STATE_BITS = 63  # a packed state must stay a nonnegative int64
+
+_ARITY = {LEAF: 0, INTRODUCE_VERTEX: 1, INTRODUCE_EDGE: 1, FORGET: 1, JOIN: 2}  # children per node kind
 
 
 @dataclass(frozen=True)
@@ -107,53 +112,44 @@ class DPRun:
         return sum(self.state_counts)
 
 
+def _postorder(children, root: int) -> Iterator[int]:
+    """Post-order from root; the last child's subtree comes first, an order
+    that make_nice's node ids, and so the DP's witnesses, depend on."""
+    stack: list[tuple[int, bool]] = [(root, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            yield t
+        else:
+            stack.append((t, True))
+            stack.extend((c, False) for c in children[t])
+
+
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> bool:
-    """All three decomposition conditions: edges covered, occurrences form a
-    nonempty connected subtree per vertex, bags cover the vertex set."""
+    """All three decomposition conditions on a tree rooted at td.root: edges
+    covered, occurrences form a nonempty connected subtree per vertex, bags
+    cover the vertex set."""
     n = g.vertex_count
     count = len(td.bags)
-    if len(td.parent) != count or not (0 <= td.root < count):
+    if len(td.parent) != count or not (0 <= td.root < count) or td.parent[td.root] != -1:
         return False
-    if td.parent[td.root] != -1:
+    # Every node has one parent, so the nodes form a tree rooted at td.root
+    # exactly when every other parent is in range and the root reaches all.
+    if any(not (0 <= p < count) for t, p in enumerate(td.parent) if t != td.root):
         return False
-    # every node must reach the root without cycles
-    unseen, visiting = -1, -2
-    state = [unseen] * count
-    state[td.root] = 0
-    for node in range(count):
-        trail = []
-        cur = node
-        while state[cur] == unseen:
-            state[cur] = visiting
-            trail.append(cur)
-            p = td.parent[cur]
-            if not (0 <= p < count):
-                return False  # only the root may point at -1
-            cur = p
-        if state[cur] == visiting:
-            return False  # cycle
-        base = state[cur]
-        for i, t in enumerate(reversed(trail), start=1):
-            state[t] = base + i
-    if any(v < 0 or v >= n for bag in td.bags for v in bag):
+    if sum(1 for _ in _postorder(td.children(), td.root)) != count:
         return False
-    covered = set()
-    for bag in td.bags:
-        covered.update(bag)
-    if covered != set(range(n)):
-        return False
-    for u, v in g.edges:
-        if not any(u in bag and v in bag for bag in td.bags):
-            return False
-    # Occurrences of v are connected iff exactly one occurrence node has no
-    # occurrence parent.
-    tops = [0] * n
+    occ: list[set[int]] = [set() for _ in range(n)]
     for node, bag in enumerate(td.bags):
-        p = td.parent[node]
         for v in bag:
-            if p < 0 or v not in td.bags[p]:
-                tops[v] += 1
-    return all(tops[v] == 1 for v in covered)
+            if not (0 <= v < n):
+                return False
+            occ[v].add(node)
+    if any(occ[u].isdisjoint(occ[v]) for u, v in g.edges):
+        return False
+    # The occurrences of v are nonempty and connected iff exactly one of them
+    # has its parent outside them.
+    return all(sum(td.parent[t] not in ts for t in ts) == 1 for ts in occ)
 
 
 def compute_decomposition(g: Graph) -> TreeDecomposition:
@@ -238,16 +234,8 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
         return cur
 
     children = td.children()
-    # Iterative post-order over the rooted input tree.
     tops: dict[int, int] = {}
-    stack: list[tuple[int, bool]] = [(td.root, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if not expanded:
-            stack.append((t, True))
-            for c in children[t]:
-                stack.append((c, False))
-            continue
+    for t in _postorder(children, td.root):
         kids = [raise_chain(tops[c], td.bags[c], td.bags[t]) for c in children[t]]
         if not kids:
             leaf = add(LEAF, (), ())
@@ -263,83 +251,60 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
 
 
 def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> None:
-    """Raise ValidationError unless ntd is a well-formed nice decomposition of g."""
+    """Raise ValidationError unless ntd is a nice decomposition of g: a tree
+    decomposition of g (validate_decomposition, with the parents its child
+    lists give) whose root bag is empty, whose nodes keep their kind's child
+    count and bag rule, and which introduces every edge exactly once."""
     nodes = ntd.nodes
-    if not nodes or not (0 <= ntd.root < len(nodes)):
+    count = len(nodes)
+    if not (0 <= ntd.root < count):
         raise ValidationError("bad root")
-    seen_parent = [0] * len(nodes)
-    for node in nodes:
+    parent = [-1] * count
+    for i, node in enumerate(nodes):
+        arity = _ARITY.get(node.kind)
+        if arity is None:
+            raise ValidationError(f"unknown node kind {node.kind!r}")
+        if len(node.children) != arity:
+            raise ValidationError(f"{node.kind} node {i} has {len(node.children)} children, not {arity}")
         for c in node.children:
-            if not (0 <= c < len(nodes)):
-                raise ValidationError("child index out of range")
-            seen_parent[c] += 1
-    if seen_parent[ntd.root] != 0 or any(count != 1 for i, count in enumerate(seen_parent) if i != ntd.root):
-        raise ValidationError("nodes do not form a tree rooted at the root")
+            if not (0 <= c < count):
+                raise ValidationError(f"node {i} has child index {c} out of range")
+            if parent[c] != -1:
+                raise ValidationError(f"node {c} is a child of nodes {parent[c]} and {i}")
+            parent[c] = i
     if nodes[ntd.root].bag:
         raise ValidationError("root bag must be empty")
+    bags = tuple(frozenset(node.bag) for node in nodes)
+    if not validate_decomposition(g, TreeDecomposition(bags, tuple(parent), ntd.root)):
+        raise ValidationError("not a tree decomposition of the graph")
     introduced: dict[Edge, int] = {}
-    vertices_seen: set[int] = set()
     for i, node in enumerate(nodes):
-        bag = set(node.bag)
-        vertices_seen |= bag
+        bag = bags[i]
+        child = bags[node.children[0]] if node.children else bag
         if node.kind == LEAF:
-            if node.children or node.bag:
-                raise ValidationError("leaf nodes have no children and empty bags")
+            if bag:
+                raise ValidationError(f"leaf node {i} has a nonempty bag")
         elif node.kind == INTRODUCE_VERTEX:
-            (c,) = node.children
-            child = set(nodes[c].bag)
             if node.vertex in child or bag != child | {node.vertex}:
                 raise ValidationError(f"bad introduce-vertex node {i}")
         elif node.kind == INTRODUCE_EDGE:
-            (c,) = node.children
             if node.edge is None or node.edge not in g.edge_index:
                 raise ValidationError(f"introduce-edge node {i} names no graph edge")
-            if set(nodes[c].bag) != bag or not set(node.edge) <= bag:
+            if child != bag or not set(node.edge) <= bag:
                 raise ValidationError(f"bad introduce-edge node {i}")
             introduced[node.edge] = introduced.get(node.edge, 0) + 1
         elif node.kind == FORGET:
-            (c,) = node.children
-            child = set(nodes[c].bag)
             if node.vertex not in child or bag != child - {node.vertex}:
                 raise ValidationError(f"bad forget node {i}")
-        elif node.kind == JOIN:
-            if len(node.children) != 2:
-                raise ValidationError(f"join node {i} needs two children")
-            if any(set(nodes[c].bag) != bag for c in node.children):
-                raise ValidationError(f"join node {i} has mismatched child bags")
-        else:
-            raise ValidationError(f"unknown node kind {node.kind!r}")
-    if vertices_seen != set(range(g.vertex_count)):
-        raise ValidationError("bags do not cover the vertex set")
+        elif any(bags[c] != bag for c in node.children):  # join
+            raise ValidationError(f"join node {i} has mismatched child bags")
     for e in g.edges:
         if introduced.get(e, 0) != 1:
             raise ValidationError(f"edge {e} introduced {introduced.get(e, 0)} times")
-    # Occurrence connectivity: each vertex has exactly one top occurrence.
-    parent = [-1] * len(nodes)
-    for i, node in enumerate(nodes):
-        for c in node.children:
-            parent[c] = i
-    tops = {v: 0 for v in vertices_seen}
-    for i, node in enumerate(nodes):
-        for v in node.bag:
-            if parent[i] < 0 or v not in nodes[parent[i]].bag:
-                tops[v] += 1
-    if any(count != 1 for count in tops.values()):
-        raise ValidationError("vertex occurrences are not connected")
 
 
 def postorder(ntd: NiceTreeDecomposition) -> list[int]:
-    order: list[int] = []
-    stack: list[tuple[int, bool]] = [(ntd.root, False)]
-    while stack:
-        t, expanded = stack.pop()
-        if expanded:
-            order.append(t)
-        else:
-            stack.append((t, True))
-            for c in ntd.nodes[t].children:
-                stack.append((c, False))
-    return order
+    return list(_postorder([node.children for node in ntd.nodes], ntd.root))
 
 
 def subtree_edge_sets(ntd: NiceTreeDecomposition) -> list[frozenset[Edge]]:

@@ -268,6 +268,16 @@ def test_kernelize_bad_k_exits_2(tmp_path, capsys, k, message):
     assert not (tmp_path / "out.gr").exists()
 
 
+@pytest.mark.parametrize(
+    "extra", [["--algo", "oracle"], ["--algo", "oracle", "--budget", "1"], ["--algo", "vc"], ["--algo", "prewt"]]
+)
+def test_solve_negative_cutoff_exits_2(tmp_path, capsys, extra):
+    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    code, out, err = run_cli(capsys, "solve", path, *extra, "--cutoff", "-1")
+    assert code == 2 and out == ""
+    assert err == "vcew: cutoff must be nonnegative\n"
+
+
 def test_solve_prewt_k_below_cover_number_exits_2(tmp_path, capsys):
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2 1\n2 3\n3 4\n1 4\n")
     code, out, err = run_cli(capsys, "solve", path, "--algo", "prewt", "--k", "1")

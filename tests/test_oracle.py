@@ -110,6 +110,21 @@ def test_capacity_cutoff_flag():
     assert w is not None and sum(w.values()) == 2 and is_proper(star, w)
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: oracle.solve_exhaustive(C4, cutoff=-1),
+        lambda: oracle.solve_exhaustive(C4, budget=1, cutoff=-1),
+        lambda: oracle.count_proper(C4, cutoff=-1),
+        lambda: oracle.exists_with_color_bound(C4, None, 3, cutoff=-1),
+    ],
+    ids=["solve_exhaustive", "solve_exhaustive_budget", "count_proper", "exists_with_color_bound"],
+)
+def test_negative_cutoff_is_a_value_error(search):
+    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
+        search()
+
+
 def test_exists_with_color_bound():
     assert not oracle.exists_with_color_bound(C4, {}, 0)
     assert oracle.exists_with_color_bound(C4, {}, 2)

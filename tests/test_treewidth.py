@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,12 @@ from vcew.errors import ContractViolationError, ValidationError
 from vcew.generators import random_graph
 from vcew.graph import Graph, extends, is_proper
 from vcew.treewidth import (
+    FORGET,
     INTRODUCE_EDGE,
+    INTRODUCE_VERTEX,
+    JOIN,
+    LEAF,
+    NiceNode,
     NiceTreeDecomposition,
     TreeDecomposition,
     check_partial_solution,
@@ -48,6 +54,26 @@ def test_validate_decomposition_disconnected_occurrence():
     )
     # vertex 0 appears in bags 0 and 2 but not 1
     assert not validate_decomposition(C3, bad)
+
+
+@pytest.mark.parametrize(
+    "bags,parent,root",
+    [
+        (({0, 1, 2}, {1}, {1}), (-1, 2, 1), 0),  # two-node cycle below a valid root
+        (({0, 1}, {1, 2}), (-1, 2), 0),  # parent index >= count
+        (({0, 1}, {1, 2}), (-1, -1), 0),  # a second node with parent -1
+        (({0, 1}, {1, 2}), (1, 0), 0),  # the root has a parent
+        (({0, 1}, {1, 2}), (-1,), 0),  # parent tuple of the wrong length
+        (({0, 1}, {1, 2, -1}), (-1, 0), 0),  # bag vertex < 0
+        (({0, 1}, {1, 2, 3}), (-1, 0), 0),  # bag vertex >= n
+        (({0, 1}, {2}), (-1, 0), 0),  # edge (1, 2) in no bag
+    ],
+    ids=["cycle", "parent-range", "two-roots", "root-parent", "parent-length", "vertex-negative",
+         "vertex-range", "uncovered-edge"],
+)
+def test_validate_decomposition_rejects_malformed(bags, parent, root):
+    td = TreeDecomposition(bags=tuple(frozenset(b) for b in bags), parent=parent, root=root)
+    assert not validate_decomposition(P3, td)
 
 
 def test_min_fill_widths():
@@ -113,6 +139,83 @@ def test_dp_rejects_invalid_ntd():
     broken = NiceTreeDecomposition(nodes=ntd.nodes[:-1], root=ntd.root - 1, width=ntd.width)
     with pytest.raises(ValidationError):
         dp_solve(P3, broken)
+
+
+IV, IE = INTRODUCE_VERTEX, INTRODUCE_EDGE
+
+
+def chain(*steps, width=1):
+    """A path-shaped nice decomposition: a leaf, then one node per (kind, payload) step."""
+    nodes = [NiceNode(LEAF, (), ())]
+    bag = set()
+    for kind, x in steps:
+        if kind == IV:
+            bag.add(x)
+        elif kind == FORGET:
+            bag.discard(x)
+        edge = x if kind == IE else None
+        vertex = -1 if kind == IE else x
+        nodes.append(NiceNode(kind, tuple(sorted(bag)), (len(nodes) - 1,), vertex, edge))
+    return NiceTreeDecomposition(nodes=tuple(nodes), root=len(nodes) - 1, width=width)
+
+
+def edit(ntd, i, **fields):
+    nodes = list(ntd.nodes)
+    nodes[i] = replace(nodes[i], **fields)
+    return replace(ntd, nodes=tuple(nodes))
+
+
+def detached_ring():
+    """make_nice of the P3 part of P3 + triangle, plus a ring of nine nodes that
+    introduces and forgets the triangle and that no path from the root reaches."""
+    g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)])
+    base = nice_for(P3)
+    ring = chain(
+        (IV, 3), (IV, 4), (IE, (3, 4)), (IV, 5), (IE, (3, 5)), (IE, (4, 5)), (FORGET, 3), (FORGET, 4), (FORGET, 5),
+    ).nodes[1:]
+    first = len(base.nodes)
+    ring = [replace(node, children=(first + i - 1,)) for i, node in enumerate(ring)]
+    ring[0] = replace(ring[0], children=(first + len(ring) - 1,))
+    return g, NiceTreeDecomposition(nodes=base.nodes + tuple(ring), root=base.root, width=2)
+
+
+K2 = Graph.build(2, [(0, 1)])
+K2_NICE = chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (FORGET, 1))  # root 5
+
+
+@pytest.mark.parametrize(
+    "g,ntd",
+    [
+        detached_ring(),
+        (Graph.build(1, []), NiceTreeDecomposition(  # introduce-vertex with two children
+            nodes=(NiceNode(LEAF, (), ()), NiceNode(LEAF, (), ()), NiceNode(IV, (0,), (0, 1), 0),
+                   NiceNode(FORGET, (), (2,), 0)), root=3, width=0)),
+        (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0))),  # root bag (1,)
+        (K2, edit(K2_NICE, 5, children=(6,))),  # child index out of range
+        (K2, edit(K2_NICE, 4, children=(2,))),  # node 2 under nodes 3 and 4
+        (K2, edit(K2_NICE, 1, children=(5,))),  # the root listed as a child
+        (Graph.build(2, []), chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (FORGET, 1))),
+        (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (IE, (0, 1)), (FORGET, 0), (FORGET, 1))),
+        (K2, chain((IV, 0), (IV, 1), (FORGET, 0), (FORGET, 1))),  # edge never introduced
+        (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (FORGET, 0), (FORGET, 1))),
+        (Graph.build(2, []), NiceTreeDecomposition(  # join of bags (0,) and (1,)
+            nodes=(NiceNode(LEAF, (), ()), NiceNode(IV, (0,), (0,), 0), NiceNode(LEAF, (), ()),
+                   NiceNode(IV, (1,), (2,), 1), NiceNode(JOIN, (0,), (1, 3)), NiceNode(FORGET, (), (4,), 0)),
+            root=5, width=0)),
+        (K2, edit(K2_NICE, 3, kind="bogus")),
+        (Graph.build(3, [(0, 1)]), K2_NICE),  # vertex 2 in no bag
+        (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (IV, 0), (FORGET, 0), (FORGET, 1))),
+    ],
+    ids=["detached-ring", "introduce-two-children", "root-bag", "child-range", "two-parents",
+         "root-is-child", "non-edge", "edge-twice", "edge-never", "forget-missing", "join-mismatch",
+         "unknown-kind", "vertex-in-no-bag", "disconnected-occurrences"],
+)
+def test_validate_nice_rejects_malformed(g, ntd):
+    validate_nice(K2, K2_NICE)  # the decomposition the edits start from is valid
+    with pytest.raises(ValidationError):
+        validate_nice(g, ntd)
+    with pytest.raises(ValidationError):
+        run_dp(g, ntd)
 
 
 def test_dp_matches_oracle_with_preweights():
