@@ -333,6 +333,26 @@ _EDGE_TAG_AT = (
 _EDGE_RANK = {vertex_tag: rank for rank, (vertex_tag, _) in enumerate(_EDGE_TAG_AT)}
 
 
+def _rank_table(red: AnnotatedReduction) -> tuple[list[int], list[list[str]]]:
+    """Edge tags by table lookup: rank[v] is the index in _EDGE_TAG_AT of
+    v's tag, or len(_EDGE_TAG_AT) when no entry names it, and
+    by_ranks[rank[u]][rank[v]] is the tag of the edge {u, v}: that of its
+    smaller end rank, as in edge_role.  It is "" when both ends are
+    unranked (instance, z-triangle and triangle third edges); those edges
+    go through edge_role."""
+    unranked = len(_EDGE_TAG_AT)
+    rank = [_EDGE_RANK.get(role[0], unranked) for role in red.vertex_roles]
+    tags = [edge_tag for _, edge_tag in _EDGE_TAG_AT] + [""]
+    by_ranks = [[tags[min(a, b)] for b in range(unranked + 1)] for a in range(unranked + 1)]
+    return rank, by_ranks
+
+
+def _edge_tags(red: AnnotatedReduction) -> list[str]:
+    """The tag of every edge of the reduced graph, in edge order."""
+    rank, by_ranks = _rank_table(red)
+    return [by_ranks[rank[u]][rank[v]] or edge_role(red, u, v)[0] for u, v in red.graph.edges]
+
+
 def edge_role(red: AnnotatedReduction, u: int, v: int) -> tuple:
     """Role of the edge {u, v} of the reduced graph, as (tag, *args), read
     off the roles of its endpoints."""
@@ -360,7 +380,7 @@ def witness_weighting(red: AnnotatedReduction, coloring) -> WeightAssignment:
     if not is_proper_list_coloring(inst, coloring):
         raise ContractViolationError("coloring is not a proper list coloring of the instance")
     weight_one = (SUSPENDED_INNER, TRIANGLE_Z1, TRIANGLE_THIRD)  # pendant edges are filled below
-    w: WeightAssignment = {e: int(edge_role(red, *e)[0] in weight_one) for e in red.graph.edges}
+    w: WeightAssignment = {e: int(tag in weight_one) for e, tag in zip(red.graph.edges, _edge_tags(red))}
     for v in range(inst.graph.vertex_count):
         ones = coloring[v] - 2
         for p in red.pendants[v][:ones]:
@@ -389,12 +409,7 @@ def forced_preweights(red: AnnotatedReduction) -> dict[Edge, int]:
     convention, which never loses completions because every suspended-path
     host in a built reduction has forced color at least 2)."""
     forced = {SUSPENDED_INNER: 1, TRIANGLE_Z1: 1, SUSPENDED_OUTER: 0, CHAIN_EDGE: 0, TRIANGLE_Z0: 0}
-    pre: dict[Edge, int] = {}
-    for e in red.graph.edges:
-        tag = edge_role(red, *e)[0]
-        if tag in forced:
-            pre[e] = forced[tag]
-    return pre
+    return {e: forced[tag] for e, tag in zip(red.graph.edges, _edge_tags(red)) if tag in forced}
 
 
 def solve_reduced(
@@ -458,14 +473,7 @@ def emit_roles(red: AnnotatedReduction) -> str:
     # the vertex lines are joined before the edge lines are made, so that
     # only one section's line strings are alive at a time
     lines = ["\n".join([f"v {i} {text}" for i, text in zip(ids, map(role_text.__getitem__, roles))])]
-    # A vertex's rank is its tag's index in _EDGE_TAG_AT; an edge with a
-    # ranked end takes the role of its smaller end rank, as in edge_role.
-    # Edges with two unranked ends (instance, z-triangle and triangle third
-    # edges) go through edge_role.
-    unranked = len(_EDGE_TAG_AT)
-    rank = [_EDGE_RANK.get(role[0], unranked) for role in roles]
-    tags = [edge_tag for _, edge_tag in _EDGE_TAG_AT] + [""]
-    by_ranks = [[tags[min(a, b)] for b in range(unranked + 1)] for a in range(unranked + 1)]
+    rank, by_ranks = _rank_table(red)
     lines += [
         f"e {ids[u]} {ids[v]} {by_ranks[rank[u]][rank[v]] or _edge_role_text(red, u, v)}"
         for u, v in red.graph.edges

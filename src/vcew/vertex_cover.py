@@ -6,6 +6,16 @@ stay at or below 8k^2 + 8k.  That bound caps both the twin-class size kept
 by the kernel (2k(8k^2+8k)+1 members per class, counted with the matching
 endpoint set of size at most 2k) and the number of weight-1 edges the
 budgeted search has to consider (k(8k^2+8k)).
+
+The exact cover comes from a bounded search tree: branch on the first
+uncovered edge (u, v) in canonical edge order, u before v.  Every cover
+contains u or v, so a subtree holds a cover within its budget exactly when
+branching on it succeeds.  A greedy maximal matching on the uncovered edges
+is a lower bound (each matching edge needs its own cover vertex), so a
+subtree whose matching exceeds its budget holds no cover within budget and
+is cut without being walked.  Only failing subtrees are cut, so the search
+returns the same cover as the plain branching, in far fewer nodes
+(Niedermeier, "Invitation to Fixed-Parameter Algorithms", 2006).
 """
 
 from __future__ import annotations
@@ -51,33 +61,71 @@ def maximal_matching_cover(g: Graph) -> tuple[int, ...]:
 
 
 def exact_vertex_cover(g: Graph, k: int) -> frozenset[int] | None:
-    """A cover of size at most k via branch-on-an-edge, or None."""
+    """A cover of size at most k via branch-on-an-edge, or None.
+
+    Depth first, on the first uncovered edge (u, v) in canonical order,
+    taking u before v; the cover returned is the first this order reaches.
+    A node is cut when a greedy maximal matching on its uncovered edges has
+    more edges than its budget: every cover of those edges takes one end of
+    each matching edge, so such a subtree holds no cover within budget and
+    branching on it would only return failure.  The cut therefore never
+    changes which cover is found first, and the search returns the cover
+    the plain recursive branching returns.  The chosen vertices are a
+    bitmask and the pending nodes a last-in first-out list, so a large k
+    costs no recursion depth.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    taken: set[int] = set()
-
-    def uncovered_edge() -> Edge | None:
-        for u, v in g.edges:
-            if u not in taken and v not in taken:
-                return (u, v)
+    # the root's matching bound, before any mask is built: a large graph
+    # and a small k need only this O(m) pass
+    if len(maximal_matching_cover(g)) > 2 * k:
         return None
-
-    def branch(budget: int) -> bool:
-        e = uncovered_edge()
-        if e is None:
-            return True
-        if budget == 0:
-            return False
-        for pick in e:
-            taken.add(pick)
-            if branch(budget - 1):
-                return True
-            taken.remove(pick)
-        return False
-
-    if branch(k):
-        return frozenset(taken)
+    larger = [0] * g.vertex_count  # larger[u]: u's larger neighbours
+    for u, v in g.edges:
+        larger[u] |= 1 << v
+    # canonical edge order groups edges by their smaller end, so a scan
+    # over these (u, larger[u]) rows in order meets them in that order
+    rows = [(1 << u, mask) for u, mask in enumerate(larger) if mask]
+    everyone = (1 << g.vertex_count) - 1
+    # (taken, first row that may hold an uncovered edge, budget left)
+    pending = [(0, 0, k)]
+    while pending:
+        taken, start, budget = pending.pop()
+        free = everyone ^ taken  # shrinks by each matching edge's ends
+        first = None
+        matched = 0
+        for i in range(start, len(rows)):
+            bit_u, mask = rows[i]
+            if free & bit_u:
+                avail = mask & free
+                if avail:
+                    bit_v = avail & -avail  # smallest free larger neighbour
+                    free ^= bit_u | bit_v
+                    matched += 1
+                    if first is None:
+                        first = (i, bit_u, bit_v)
+                    if matched > budget:
+                        break
+        if first is None:
+            return frozenset(_bits(taken))
+        if matched > budget:
+            continue
+        i, bit_u, bit_v = first
+        # u's child is pushed last, so it is searched first; taking u
+        # covers row i, taking v may leave u's later edges open
+        pending.append((taken | bit_v, i, budget - 1))
+        pending.append((taken | bit_u, i + 1, budget - 1))
     return None
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def cover_within(g: Graph, k: int) -> frozenset[int]:

@@ -405,6 +405,24 @@ def test_solve_output_byte_identical_across_processes(tmp_path):
     assert runs[0].stdout == runs[1].stdout
 
 
+def test_cover_number_past_recursion_limit(tmp_path):
+    # 1,100 disjoint paths on 3 vertices: cover number 1,100, deeper than
+    # Python's default recursion limit
+    edges = [f"{3 * i + 1} {3 * i + 2}\n{3 * i + 2} {3 * i + 3}" for i in range(1100)]
+    path = write(tmp_path, "paths.gr", "\n".join(["p vcew 3300 2200", *edges]) + "\n")
+    kernel = str(tmp_path / "paths.kernel")
+    for argv, code in (
+        (["solve", path, "--algo", "vc", "--k", "1100"], 3),  # the kernel search is refused
+        (["solve", path, "--algo", "prewt", "--k", "1100"], 3),
+        (["kernelize", path, "--k", "1100", "-o", kernel], 0),
+        (["kernelize", path, "--k", "1099", "-o", kernel], 2),
+    ):
+        run = subprocess.run([sys.executable, "-m", "vcew.cli", *argv], capture_output=True, text=True)
+        assert run.returncode == code, (argv, run.stderr[-300:])
+        assert "Traceback" not in run.stderr
+    assert "no vertex cover of size <= 1099" in run.stderr
+
+
 def test_fuzz_oracle_vs_tw(tmp_path, capsys):
     """1000 seeded instances through solve with both forced algorithms."""
     disagreements = []

@@ -1,11 +1,12 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
 from vcew import oracle
-from vcew.errors import ContractViolationError
-from vcew.generators import planted_twin_graph
+from vcew.errors import CapacityError, ContractViolationError
+from vcew.generators import planted_twin_graph, random_graph
 from vcew.graph import Graph, induced_colors, is_proper
 from vcew.vertex_cover import (
     _assert_kernel_bounds,
@@ -53,6 +54,107 @@ def test_exact_cover_examples():
     c3 = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
     assert exact_vertex_cover(c3, 1) is None
     assert exact_vertex_cover(Graph.build(3, []), 0) == frozenset()
+
+
+def reference_exact_vertex_cover(g, k):
+    """A copy of the recursive branch-on-edge search that the bitmask search
+    replaced, kept as the reference whose covers it must return."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    taken: set[int] = set()
+
+    def uncovered_edge():
+        for u, v in g.edges:
+            if u not in taken and v not in taken:
+                return (u, v)
+        return None
+
+    def branch(budget: int) -> bool:
+        e = uncovered_edge()
+        if e is None:
+            return True
+        if budget == 0:
+            return False
+        for pick in e:
+            taken.add(pick)
+            if branch(budget - 1):
+                return True
+            taken.remove(pick)
+        return False
+
+    if branch(k):
+        return frozenset(taken)
+    return None
+
+
+def test_exact_cover_matches_reference_search():
+    # every k from 0 to the first success, so that failing searches, which
+    # the matching bound cuts short, are compared too
+    queries = 0
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n = rng.randint(0, 20)
+        g, _ = random_graph(n, rng.choice((0.1, 0.15, 0.2, 0.25, 0.3)), seed)
+        for k in range(n + 1):
+            want = reference_exact_vertex_cover(g, k)
+            assert exact_vertex_cover(g, k) == want, (seed, k)
+            queries += 1
+            if want is not None:
+                break
+        # and a budget with room to spare, as a user's --k may give
+        assert exact_vertex_cover(g, n) == reference_exact_vertex_cover(g, n), seed
+    assert queries > 5000
+
+
+def prewt_draws():
+    """All-ones pre-weighted G(n, 3.5/n) draws, n = 16..24, as the prewt
+    route sees them; ten have cover number above 12."""
+    for s in range(120):
+        n = 16 + s % 9
+        yield random_graph(n, round(3.5 / n, 4), s, pre_fraction=0.4, pre_ones_only=True)[0]
+
+
+def planted_kernels():
+    """Kernels of planted twin graphs: stars, three classes on one cover
+    vertex, and six small classes on two to four cover vertices."""
+    for s in range(20):
+        yield kernelize(planted_twin_graph(1, [150 + (37 * s) % 251], s, full_sig=True)).graph
+        leaves = 150 + (53 * s) % 251
+        yield kernelize(planted_twin_graph(1, [leaves // 2, leaves // 3, leaves - leaves // 2 - leaves // 3], 100 + s)).graph
+    for s in range(60):
+        classes = [3 + (7 * s + 5 * i) % 5 for i in range(6)]
+        yield kernelize(planted_twin_graph(2 + s % 3, classes, 200 + s, max_edges=25 + s % 6)).graph
+
+
+# sha256 over each set's minimum covers (None for a k_max refusal), recorded
+# with the recursive search, so the prewt deletions and witnesses built on
+# these covers cannot move
+GOLDEN_COVERS = {
+    prewt_draws: ("442b636c9bd76ae22585a63b9442685db12cbf0499afe999bbb4fca4e86760b5", 10),
+    planted_kernels: ("93d1f7af9021e068d4cdf2602660870aa6560f24ae4107d73e307a69a32e364c", 0),
+}
+
+
+@pytest.mark.parametrize("graphs", list(GOLDEN_COVERS), ids=lambda f: f.__name__)
+def test_minimum_covers_match_golden(graphs):
+    h = hashlib.sha256()
+    refused = 0
+    for g in graphs():
+        try:
+            cover = sorted(minimum_vertex_cover(g)[0])
+        except CapacityError:
+            cover = None
+            refused += 1
+        h.update(repr(cover).encode() + b"\n")
+    assert (h.hexdigest(), refused) == GOLDEN_COVERS[graphs]
+
+
+def test_cover_number_above_k_max_is_refused():
+    g, _ = random_graph(30, 0.1, 2)  # cover number 15
+    with pytest.raises(CapacityError, match="k_max=12"):
+        minimum_vertex_cover(g)
+    cover, k = minimum_vertex_cover(g, k_max=15)
+    assert k == 15 and is_cover(g, cover)
 
 
 def test_budget_formulas():
