@@ -21,6 +21,7 @@ returns the same cover as the plain branching, in far fewer nodes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 from vcew import oracle
@@ -70,62 +71,58 @@ def exact_vertex_cover(g: Graph, k: int) -> frozenset[int] | None:
     each matching edge, so such a subtree holds no cover within budget and
     branching on it would only return failure.  The cut therefore never
     changes which cover is found first, and the search returns the cover
-    the plain recursive branching returns.  The chosen vertices are a
-    bitmask and the pending nodes a last-in first-out list, so a large k
-    costs no recursion depth.
+    the plain recursive branching returns.
+
+    Both children cover every edge up to their parent's branching edge, so
+    a node scans the canonical edge list at most once, from just past that
+    edge: O(m) time per node.  The state is one flag per vertex, the taken
+    vertices and at most k + 1 pending nodes, O(n + k) memory whatever the
+    vertex ids.  The pending nodes are a last-in first-out list, so a
+    large k costs no recursion depth.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    # the root's matching bound, before any mask is built: a large graph
-    # and a small k need only this O(m) pass
-    if len(maximal_matching_cover(g)) > 2 * k:
-        return None
-    larger = [0] * g.vertex_count  # larger[u]: u's larger neighbours
-    for u, v in g.edges:
-        larger[u] |= 1 << v
-    # canonical edge order groups edges by their smaller end, so a scan
-    # over these (u, larger[u]) rows in order meets them in that order
-    rows = [(1 << u, mask) for u, mask in enumerate(larger) if mask]
-    everyone = (1 << g.vertex_count) - 1
-    # (taken, first row that may hold an uncovered edge, budget left)
-    pending = [(0, 0, k)]
+    edges = g.edges
+    blocked = bytearray(g.vertex_count)  # taken, or matched in this node's scan
+    path: list[int] = []  # taken vertices, outermost branch first
+    # (vertices kept from path, vertex to take, first edge that may be
+    # uncovered, budget left)
+    pending = [(0, -1, 0, k)]
     while pending:
-        taken, start, budget = pending.pop()
-        free = everyone ^ taken  # shrinks by each matching edge's ends
-        first = None
-        matched = 0
-        for i in range(start, len(rows)):
-            bit_u, mask = rows[i]
-            if free & bit_u:
-                avail = mask & free
-                if avail:
-                    bit_v = avail & -avail  # smallest free larger neighbour
-                    free ^= bit_u | bit_v
-                    matched += 1
-                    if first is None:
-                        first = (i, bit_u, bit_v)
-                    if matched > budget:
-                        break
-        if first is None:
-            return frozenset(_bits(taken))
-        if matched > budget:
+        depth, pick, start, budget = pending.pop()
+        for v in path[depth:]:
+            blocked[v] = 0
+        del path[depth:]
+        if pick >= 0:
+            blocked[pick] = 1
+            path.append(pick)
+        scan = enumerate(islice(edges, start, None), start)
+        for first, (u, v) in scan:
+            if not blocked[u] and not blocked[v]:
+                break
+        else:
+            return frozenset(path)
+        if not budget:
             continue
-        i, bit_u, bit_v = first
-        # u's child is pushed last, so it is searched first; taking u
-        # covers row i, taking v may leave u's later edges open
-        pending.append((taken | bit_v, i, budget - 1))
-        pending.append((taken | bit_u, i + 1, budget - 1))
+        # grow a greedy matching from (u, v) over the later uncovered edges
+        matched = [u, v]
+        blocked[u] = blocked[v] = 1
+        room = budget - 1  # matching edges past (u, v) within budget
+        for _, (a, b) in scan:
+            if not blocked[a] and not blocked[b]:
+                if not room:
+                    break
+                room -= 1
+                blocked[a] = blocked[b] = 1
+                matched += (a, b)
+        else:
+            # u's child is pushed last, so it is searched first; either
+            # child covers the edges up to and including (u, v)
+            pending.append((len(path), v, first + 1, budget - 1))
+            pending.append((len(path), u, first + 1, budget - 1))
+        for x in matched:
+            blocked[x] = 0
     return None
-
-
-def _bits(mask: int) -> list[int]:
-    """Positions of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def cover_within(g: Graph, k: int) -> frozenset[int]:

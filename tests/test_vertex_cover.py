@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -57,8 +58,8 @@ def test_exact_cover_examples():
 
 
 def reference_exact_vertex_cover(g, k):
-    """A copy of the recursive branch-on-edge search that the bitmask search
-    replaced, kept as the reference whose covers it must return."""
+    """A copy of the recursive branch-on-edge search that the iterative
+    search replaced, kept as the reference whose covers it must return."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     taken: set[int] = set()
@@ -104,6 +105,25 @@ def test_exact_cover_matches_reference_search():
         # and a budget with room to spare, as a user's --k may give
         assert exact_vertex_cover(g, n) == reference_exact_vertex_cover(g, n), seed
     assert queries > 5000
+
+
+def test_large_star_with_centre_last():
+    # the cover vertex has the highest id, so every edge's larger end is
+    # the same vertex: the search needs one flag per vertex, no structure
+    # whose size grows with the vertex ids of each edge
+    n = 100_000
+    g = Graph.build(n, [(v, n - 1) for v in range(n - 1)])
+    tracemalloc.start()
+    try:
+        assert exact_vertex_cover(g, 0) is None
+        assert exact_vertex_cover(g, 1) == frozenset({n - 1})
+        spare = exact_vertex_cover(g, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n, peak
+    # depth first takes leaves 0..3 before the centre
+    assert spare == reference_exact_vertex_cover(g, 5) == frozenset({0, 1, 2, 3, n - 1})
 
 
 def prewt_draws():
