@@ -82,8 +82,6 @@ def cmd_solve(args) -> int:
     algo, td = _pick_algo(args, g, pre)
     started = time.perf_counter()
     stats: dict[str, int] = {"free_edges": len(g.edges) - len(pre)}
-    if args.seed is not None:
-        stats["seed"] = args.seed
     witness: WeightAssignment | None
     try:
         shortcut = isolated_edges(g)
@@ -92,7 +90,7 @@ def cmd_solve(args) -> int:
             stats["isolated_edges"] = len(shortcut)
         elif algo == "oracle":
             search = oracle.SearchStats()
-            witness = oracle.solve_exhaustive(g, pre, budget=args.budget, cutoff=args.cutoff, stats=search)
+            witness = oracle.solve_exhaustive(g, pre, cutoff=args.cutoff, stats=search)
             stats["search_nodes"] = search.nodes
         elif algo == "tw":
             if td is None:
@@ -106,7 +104,7 @@ def cmd_solve(args) -> int:
         elif algo == "vc":
             if pre:
                 raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
-            witness = vertex_cover.solve_vc(g, k=args.k, budget_override=args.budget, cutoff=args.cutoff)
+            witness = vertex_cover.solve_vc(g, k=args.k, cutoff=args.cutoff)
         else:  # prewt
             e1 = preweight.ones_only(pre)
             k = args.k
@@ -147,11 +145,14 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, _ = io.parse_graph(Path(args.graph).read_text())
+    g, pre = io.parse_graph(Path(args.graph).read_text())
     w = io.parse_weights(Path(args.weights).read_text(), g)
+    changed = [e for e in g.edges if e in pre and w[e] != pre[e]]
     conflicts = find_conflicts(g, w)
-    if conflicts:
+    if changed or conflicts:
         print("improper")
+        for u, v in changed:
+            print(f"pre-weight {u + 1} {v + 1}")
         for u, v in conflicts:
             print(f"conflict {u + 1} {v + 1}")
     else:
@@ -163,8 +164,6 @@ def cmd_kernelize(args) -> int:
     g, pre = io.parse_graph(Path(args.graph).read_text())
     if pre:
         raise ValidationError("kernelization applies to the base problem; drop the pre-weights")
-    if args.k is not None:
-        vertex_cover.cover_within(g, args.k)
     kernel = vertex_cover.kernelize(g)
     prefix = args.output or str(Path(args.graph).with_suffix("")) + ".kernel"
     Path(prefix + ".gr").write_text(io.emit_graph(kernel.graph))
@@ -235,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("graph")
     solve.add_argument("--algo", choices=["auto", "oracle", "tw", "vc", "prewt"], default="auto")
     solve.add_argument("--td", help="tree decomposition file for the tw route")
-    solve.add_argument("--budget", type=int, default=None, help="max weight-1 free edges")
     solve.add_argument("--k", type=int, default=None, help="vertex cover size for vc/prewt")
-    solve.add_argument("--seed", type=int, default=None, help="recorded in stats for reproducibility")
     solve.add_argument("--cutoff", type=int, default=oracle.DEFAULT_CUTOFF)
     solve.set_defaults(func=cmd_solve)
 
@@ -248,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     kern = sub.add_parser("kernelize", help="write the twin-class kernel and mapping")
     kern.add_argument("graph")
-    kern.add_argument("--k", type=int, default=None)
     kern.add_argument("-o", "--output", default=None, help="output prefix")
     kern.set_defaults(func=cmd_kernelize)
 

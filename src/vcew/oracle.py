@@ -127,16 +127,15 @@ def _check_capacity(free_count: int, budget: int | None, cutoff: int) -> None:
     if budget is None:
         if free_count > cutoff:
             raise CapacityError(
-                f"{free_count} free edges exceed the unbudgeted cutoff of {cutoff}; "
-                "pass a budget or raise the cutoff"
+                f"{free_count} free edges exceed the unbudgeted cutoff of {cutoff}; raise the cutoff"
             )
         return
     top = min(budget, free_count)
     work = sum(math.comb(free_count, c) for c in range(top + 1))
     if work > (1 << cutoff):
         raise CapacityError(
-            f"budgeted search would visit about {work} candidates, above the "
-            f"2^{cutoff} ceiling; narrow the budget or raise the cutoff"
+            f"budgeted search would visit about 2^{math.log2(work):.1f} candidates, "
+            f"above the 2^{cutoff} ceiling; raise the cutoff"
         )
 
 

@@ -239,24 +239,6 @@ def _assert_kernel_bounds(kernel: Kernel) -> None:
         raise ContractViolationError(f"kernel has {kernel.graph.vertex_count} vertices, above the bound {limit}")
 
 
-def solve_kernel(
-    kernel: Kernel,
-    k: int,
-    budget_override: int | None = None,
-    *,
-    cutoff: int = oracle.DEFAULT_CUTOFF,
-) -> WeightAssignment | None:
-    """Budgeted exhaustive search on the kernel graph.
-
-    k must be (an upper bound on) the true vertex cover number; a bounded
-    witness is then guaranteed to exist whenever any witness does.
-    """
-    budget = edge_budget(k)
-    if budget_override is not None:
-        budget = min(budget, budget_override)
-    return oracle.solve_exhaustive(kernel.graph, {}, budget=budget, cutoff=cutoff)
-
-
 def lift(g: Graph, kernel: Kernel, w_kernel: WeightAssignment) -> WeightAssignment:
     """Extend a proper kernel assignment to the original graph: kernel edges
     keep their weights, edges at removed vertices weigh 0."""
@@ -274,7 +256,6 @@ def lift(g: Graph, kernel: Kernel, w_kernel: WeightAssignment) -> WeightAssignme
 def solve_vc(
     g: Graph,
     k: int | None = None,
-    budget_override: int | None = None,
     *,
     cutoff: int = oracle.DEFAULT_CUTOFF,
 ) -> WeightAssignment | None:
@@ -289,7 +270,8 @@ def solve_vc(
         _, k = minimum_vertex_cover(kernel.graph)
     else:
         cover_within(g, k)
-    w_kernel = solve_kernel(kernel, k, budget_override, cutoff=cutoff)
+    # k must bound the true cover number, or the budget can hide a witness
+    w_kernel = oracle.solve_exhaustive(kernel.graph, {}, budget=edge_budget(k), cutoff=cutoff)
     if w_kernel is None:
         return None
     return lift(g, kernel, w_kernel)

@@ -493,8 +493,8 @@ def test_criterion_10_determinism(tmp_path):
     g, pre = random_graph(7, 0.4, seed=11, pre_fraction=0.25)
     inst_path = tmp_path / "det.gr"
     inst_path.write_text(io.emit_graph(g, pre))
-    run_twice(["solve", str(inst_path), "--seed", "9"])
-    run_twice(["solve", str(inst_path), "--algo", "tw", "--seed", "9"])
+    run_twice(["solve", str(inst_path)])
+    run_twice(["solve", str(inst_path), "--algo", "tw"])
     run_twice(["gen", "random", "--n", "10", "--p", "0.3", "--seed", "21"])
     planted = tmp_path / "planted.gr"
     run_twice(["gen", "planted", "--k", "2", "--classes", "40,9", "--seed", "3",

@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +198,19 @@ def test_verify_proper_and_improper(tmp_path, capsys):
     assert out.splitlines() == ["improper", "conflict 1 2"]
 
 
+def test_verify_reports_changed_pre_weights(tmp_path, capsys):
+    # colors 1, 2, 1 are proper, but edge 1 2 is pre-weighted 0
+    g = write(tmp_path, "p3.gr", "p vcew 3 2\n1 2 0\n2 3\n")
+    for certificate, lines in (
+        ("1 2 1\n2 3 1\n", ["improper", "pre-weight 1 2"]),
+        ("1 2 1\n2 3 0\n", ["improper", "pre-weight 1 2", "conflict 1 2"]),
+        ("1 2 0\n2 3 1\n", ["improper", "conflict 2 3"]),
+    ):
+        w = write(tmp_path, "p3.w", certificate)
+        code, out, _ = run_cli(capsys, "verify", g, w)
+        assert code == 0 and out.splitlines() == lines, certificate
+
+
 def test_main_reuses_one_parser(tmp_path, capsys):
     # the cached parser gives the same exit codes and stdout as a fresh one,
     # also after a call that argparse ended with SystemExit
@@ -220,6 +235,38 @@ def test_main_reuses_one_parser(tmp_path, capsys):
     assert [code for code, _ in fresh] == [2, 0, 0, 0]
     assert fresh[1] == fresh[3] and fresh[2][1] == "proper\n"
     assert cli.build_parser.cache_info().misses == 1
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand path, parser) for every parser that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaf_parsers(child, path + (name,))
+
+
+def test_readme_usage_matches_parser():
+    # every option as the README's usage block writes it: its first option string
+    parsers = dict(_leaf_parsers(cli.build_parser()))
+    expected = {
+        path: {a.option_strings[0] for a in p._actions if a.option_strings and a.dest != "help"}
+        for path, p in parsers.items()
+    }
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    usage = {}
+    for entry in re.split(r"\n(?=vcew )", block.strip()):
+        words = entry.split()[1:]
+        path = ()
+        while path not in parsers:
+            path += (words[len(path)],)
+        assert path not in usage, path
+        usage[path] = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", entry))
+    assert usage == expected
+    assert expected[("solve",)] == {"--algo", "--td", "--k", "--cutoff"}
+    assert expected[("kernelize",)] == {"-o"}
 
 
 @pytest.mark.parametrize(
@@ -261,15 +308,14 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
     "k,message",
     [("-1", "k must be nonnegative"), ("1", "no vertex cover of size <= 1")],
 )
-def test_kernelize_bad_k_exits_2(tmp_path, capsys, k, message):
+def test_solve_vc_bad_k_exits_2(tmp_path, capsys, k, message):
     path = write(tmp_path, "c3.gr", "p vcew 3 3\n1 2\n2 3\n1 3\n")
-    code, out, err = run_cli(capsys, "kernelize", path, "--k", k, "-o", str(tmp_path / "out"))
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "vc", "--k", k)
     assert code == 2 and out == "" and message in err
-    assert not (tmp_path / "out.gr").exists()
 
 
 @pytest.mark.parametrize(
-    "extra", [["--algo", "oracle"], ["--algo", "oracle", "--budget", "1"], ["--algo", "vc"], ["--algo", "prewt"]]
+    "extra", [["--algo", "oracle"], ["--algo", "vc"], ["--algo", "prewt"]]
 )
 def test_solve_negative_cutoff_exits_2(tmp_path, capsys, extra):
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
@@ -298,8 +344,7 @@ def test_kernelize_writes_files_and_stats(tmp_path, capsys):
     )
     assert code == 0
     code, out, err = run_cli(
-        capsys, "kernelize", str(tmp_path / "planted.gr"), "--k", "2",
-        "-o", str(tmp_path / "planted.kernel"),
+        capsys, "kernelize", str(tmp_path / "planted.gr"), "-o", str(tmp_path / "planted.kernel"),
     )
     assert code == 0
     stats = json.loads(err.split("stats: ", 1)[1])
@@ -395,7 +440,7 @@ def test_solve_output_byte_identical_across_processes(tmp_path):
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
     runs = [
         subprocess.run(
-            [sys.executable, "-m", "vcew.cli", "solve", path, "--seed", "5"],
+            [sys.executable, "-m", "vcew.cli", "solve", path],
             capture_output=True,
             text=True,
         )
@@ -410,17 +455,20 @@ def test_cover_number_past_recursion_limit(tmp_path):
     # Python's default recursion limit
     edges = [f"{3 * i + 1} {3 * i + 2}\n{3 * i + 2} {3 * i + 3}" for i in range(1100)]
     path = write(tmp_path, "paths.gr", "\n".join(["p vcew 3300 2200", *edges]) + "\n")
-    kernel = str(tmp_path / "paths.kernel")
+    runs = []
     for argv, code in (
         (["solve", path, "--algo", "vc", "--k", "1100"], 3),  # the kernel search is refused
         (["solve", path, "--algo", "prewt", "--k", "1100"], 3),
-        (["kernelize", path, "--k", "1100", "-o", kernel], 0),
-        (["kernelize", path, "--k", "1099", "-o", kernel], 2),
+        (["solve", path, "--algo", "vc", "--k", "1099"], 2),
     ):
         run = subprocess.run([sys.executable, "-m", "vcew.cli", *argv], capture_output=True, text=True)
         assert run.returncode == code, (argv, run.stderr[-300:])
         assert "Traceback" not in run.stderr
-    assert "no vertex cover of size <= 1099" in run.stderr
+        runs.append(run)
+    # the refusal names the candidate count by its exponent
+    refusal = runs[0].stderr.splitlines()[0]
+    assert "2^" in refusal and len(refusal.encode()) < 200
+    assert "no vertex cover of size <= 1099" in runs[2].stderr
 
 
 def test_fuzz_oracle_vs_tw(tmp_path, capsys):

@@ -21,7 +21,6 @@ from vcew.vertex_cover import (
     lift,
     maximal_matching_cover,
     minimum_vertex_cover,
-    solve_kernel,
     solve_vc,
 )
 from tests.conftest import random_small_graph
@@ -247,7 +246,7 @@ def test_lift_gives_removed_vertices_color_zero():
     g = planted_twin_graph(1, [40], seed=5, full_sig=True)
     kernel = kernelize(g)
     assert kernel.removed
-    w_kernel = solve_kernel(kernel, 1, cutoff=34)
+    w_kernel = oracle.solve_exhaustive(kernel.graph, budget=edge_budget(1), cutoff=34)
     assert w_kernel is not None
     w = lift(g, kernel, w_kernel)
     assert is_proper(g, w)
@@ -285,15 +284,6 @@ def test_cover_within():
         cover_within(c4, 1)
     with pytest.raises(ValueError, match="nonnegative"):
         cover_within(c4, -1)
-
-
-def test_solve_kernel_budget_is_a_ceiling():
-    # a witness within budget is found; an override below the needed ones count hides it
-    g = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    kernel = kernelize(g)
-    _, k = minimum_vertex_cover(g)
-    assert solve_kernel(kernel, k) is not None
-    assert solve_kernel(kernel, k, budget_override=0) is None
 
 
 def test_kernel_bound_violations_raise_contract_error():
