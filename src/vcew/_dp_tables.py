@@ -70,38 +70,44 @@ class _Layout:
         return tuple(out)
 
 
-def _introduce_vertex(lay: _Layout, keys: np.ndarray, pos: int, cap: int):
-    """Open slot `pos` and set fd = 0..cap, cd = 0; rows stay child-major."""
+def _introduce_vertex(lay: _Layout, keys: np.ndarray, pos: int, lo: int, hi: int):
+    """Open slot `pos` and set fd = lo..hi, cd = 0; rows stay child-major."""
     shift = lay.slot * pos
     low = keys & ((1 << shift) - 1)
     high = (keys >> shift) << (shift + lay.slot)
-    fds = np.arange(cap + 1, dtype=np.int64) << shift
+    fds = np.arange(lo, hi + 1, dtype=np.int64) << shift
     out = ((low | high)[:, None] | fds[None, :]).ravel()
-    return out, np.repeat(np.arange(len(keys), dtype=_ROW), cap + 1)
+    return out, np.repeat(np.arange(len(keys), dtype=_ROW), hi - lo + 1)
 
 
-def _introduce_edge(lay: _Layout, keys: np.ndarray, iu: int, iv: int, rem_u: int, rem_v: int, allow0: bool, allow1: bool):
+def _introduce_edge(
+    lay: _Layout, keys: np.ndarray, iu: int, iv: int, span_u: tuple[int, int], span_v: tuple[int, int], allow0: bool, allow1: bool
+):
     """Weight-1 and weight-0 branches of every child row, in the order
     (row 0 weight 1, row 0 weight 0, row 1 weight 1, ...).
 
-    A weight-1 row shifts cd_u and cd_v up by one, which is injective, so a
-    key can occur at most twice: once per branch.  It keeps the position of
-    its earlier occurrence and the weight-0 derivation.
+    `span_u` and `span_v` are the (need, room) bounds on fd - cd after the
+    edge; a row outside them is dropped.  A weight-1 row shifts cd_u and cd_v
+    up by one, which is injective, so a key can occur at most twice: once
+    per branch.  It keeps the position of its earlier occurrence and the
+    weight-0 derivation.
     """
     fd_u, cd_u = lay.fd(keys, iu), lay.cd(keys, iu)
     fd_v, cd_v = lay.fd(keys, iv), lay.cd(keys, iv)
     differ = fd_u != fd_v
     gap_u = fd_u - cd_u
     gap_v = fd_v - cd_v
+    (need_u, room_u), (need_v, room_v) = span_u, span_v
     count = len(keys)
     cand = np.empty(2 * count, dtype=np.int64)
     valid = np.zeros(2 * count, dtype=bool)
     if allow1:
         cand[0::2] = keys + ((1 << (lay.slot * iu + lay.bits)) + (1 << (lay.slot * iv + lay.bits)))
-        valid[0::2] = differ & (gap_u >= 1) & (gap_v >= 1) & (gap_u <= rem_u + 1) & (gap_v <= rem_v + 1)
+        valid[0::2] = (differ & (gap_u > need_u) & (gap_v > need_v)
+                       & (gap_u <= room_u + 1) & (gap_v <= room_v + 1))
     if allow0:
         cand[1::2] = keys
-        valid[1::2] = differ & (gap_u <= rem_u) & (gap_v <= rem_v)
+        valid[1::2] = differ & (gap_u >= need_u) & (gap_v >= need_v) & (gap_u <= room_u) & (gap_v <= room_v)
     picked = np.flatnonzero(valid)
     if allow0 and allow1 and len(picked) > 1:
         ck = cand[picked]
@@ -127,11 +133,11 @@ def _forget(lay: _Layout, keys: np.ndarray, pos: int):
     return closed[first], rows[first].astype(_ROW)
 
 
-def _join(lay: _Layout, k1: np.ndarray, k2: np.ndarray, rem: tuple[int, ...]):
+def _join(lay: _Layout, k1: np.ndarray, k2: np.ndarray, spans: list[tuple[int, int]]):
     """Pair every row of child 1 with the rows of child 2 that share its fd
-    fields, in (row 1, row 2) order, keep pairs whose summed cd fits under
-    fd with gap at most rem, and keep first occurrences."""
-    size = len(rem)
+    fields, in (row 1, row 2) order, keep pairs whose gap fd - (cd1 + cd2)
+    lies within each slot's (need, room) span, and keep first occurrences."""
+    size = len(spans)
     fdm = lay.fd_mask(size)
     f2 = k2 & fdm
     order2 = np.argsort(f2, kind="stable")  # a group keeps child-2 row order
@@ -147,10 +153,9 @@ def _join(lay: _Layout, k1: np.ndarray, k2: np.ndarray, rem: tuple[int, ...]):
     a = k1[r1]
     b = k2[r2]
     ok = np.ones(total, dtype=bool)
-    for i in range(size):
-        fd = lay.fd(a, i)
-        cd = lay.cd(a, i) + lay.cd(b, i)
-        ok &= (cd <= fd) & (fd - cd <= rem[i])
+    for i, (need, room) in enumerate(spans):
+        gap = lay.fd(a, i) - lay.cd(a, i) - lay.cd(b, i)
+        ok &= (gap >= need) & (gap <= room)
     rows = np.flatnonzero(ok)
     merged = a[rows] + (b[rows] & ~fdm)
     first = _first_occurrences(merged)
@@ -158,16 +163,32 @@ def _join(lay: _Layout, k1: np.ndarray, k2: np.ndarray, rem: tuple[int, ...]):
     return merged[first], r1[rows], r2[rows]
 
 
-def run(g: Graph, ntd: NiceTreeDecomposition, pre: PartialWeightAssignment, bits: int, check_invariants: bool):
-    """Bottom-up table computation.  Returns the root's solution edge ids
-    (None when the root table is empty) and the per-node state counts."""
+def run(
+    g: Graph,
+    ntd: NiceTreeDecomposition,
+    pre: PartialWeightAssignment,
+    lo: list[int],
+    hi: list[int],
+    bits: int,
+    check_invariants: bool,
+):
+    """Bottom-up table computation.  fd(v) ranges over lo[v]..hi[v].  Returns
+    the root's solution edge ids (None when the root table is empty) and the
+    per-node state counts."""
     lay = _Layout(bits)
     nodes = ntd.nodes
     keys: dict[int, np.ndarray] = {}
     src: dict[int, np.ndarray] = {}  # child row, or child-1 row at a join
     src2: dict[int, np.ndarray] = {}  # child-2 row at a join
     weight: dict[int, np.ndarray] = {}  # 1 when an introduce-edge row takes the edge
-    intro_deg: dict[int, dict[int, int]] = {}  # node -> bag vertex -> introduced incident edges
+    # node -> bag vertex -> (introduced edges pre-weighted 1, introduced edges not pre-weighted 0)
+    intro: dict[int, dict[int, tuple[int, int]]] = {}
+
+    def span(seen: dict[int, tuple[int, int]], v: int) -> tuple[int, int]:
+        """(need, room): v's weight-1 edges still to come that are forced, and that are possible."""
+        ones, open_ = seen[v]
+        return lo[v] - ones, hi[v] - open_
+
     state_counts = [0] * len(nodes)
     if check_invariants:
         edge_sets = subtree_edge_sets(ntd)
@@ -176,34 +197,35 @@ def run(g: Graph, ntd: NiceTreeDecomposition, pre: PartialWeightAssignment, bits
         node = nodes[t]
         if node.kind == LEAF:
             table = np.zeros(1, dtype=np.int64)
-            ideg: dict[int, int] = {}
+            seen: dict[int, tuple[int, int]] = {}
         elif node.kind == INTRODUCE_VERTEX:
             c = node.children[0]
-            ideg = intro_deg.pop(c)
-            ideg[node.vertex] = 0
-            table, src[t] = _introduce_vertex(lay, keys.pop(c), node.bag.index(node.vertex), g.degree(node.vertex))
+            seen = intro.pop(c)
+            x = node.vertex
+            seen[x] = (0, 0)
+            table, src[t] = _introduce_vertex(lay, keys.pop(c), node.bag.index(x), lo[x], hi[x])
         elif node.kind == INTRODUCE_EDGE:
             c = node.children[0]
-            ideg = intro_deg.pop(c)
+            seen = intro.pop(c)
             u, v = node.edge
-            ideg[u] += 1
-            ideg[v] += 1
             pw = pre.get(node.edge)
+            for x in node.edge:
+                ones, open_ = seen[x]
+                seen[x] = (ones + (pw == 1), open_ + (pw != 0))
             table, src[t], weight[t] = _introduce_edge(
                 lay, keys.pop(c), node.bag.index(u), node.bag.index(v),
-                g.degree(u) - ideg[u], g.degree(v) - ideg[v], pw != 1, pw != 0,
+                span(seen, u), span(seen, v), pw != 1, pw != 0,
             )
         elif node.kind == FORGET:
             c = node.children[0]
-            ideg = intro_deg.pop(c)
-            del ideg[node.vertex]
+            seen = intro.pop(c)
+            del seen[node.vertex]
             table, src[t] = _forget(lay, keys.pop(c), nodes[c].bag.index(node.vertex))
         else:  # JOIN
             c1, c2 = node.children
-            d1, d2 = intro_deg.pop(c1), intro_deg.pop(c2)
-            ideg = {v: d1[v] + d2[v] for v in node.bag}
-            rem = tuple(g.degree(v) - ideg[v] for v in node.bag)
-            table, src[t], src2[t] = _join(lay, keys.pop(c1), keys.pop(c2), rem)
+            s1, s2 = intro.pop(c1), intro.pop(c2)
+            seen = {x: (s1[x][0] + s2[x][0], s1[x][1] + s2[x][1]) for x in node.bag}
+            table, src[t], src2[t] = _join(lay, keys.pop(c1), keys.pop(c2), [span(seen, x) for x in node.bag])
         state_counts[t] = len(table)
         if check_invariants:
             partial[t] = _partial_solutions(node, t, src, src2, weight, partial)
@@ -211,7 +233,7 @@ def run(g: Graph, ntd: NiceTreeDecomposition, pre: PartialWeightAssignment, bits
                 if not _check_partial(g, node.bag, edge_sets[t], lay.unpack(key, len(node.bag)), h):
                     raise ContractViolationError(f"stored entry violates the partial-solution conditions at node {t}")
         keys[t] = table
-        intro_deg[t] = ideg
+        intro[t] = seen
     if len(keys[ntd.root]) == 0:
         return None, state_counts
     return _witness_ids(g, ntd, src, src2, weight), state_counts

@@ -14,20 +14,24 @@ backs and which loads with the first DP run):
 * State packing.  A node's table is an int64 array with one packed state
   per row.  Slot i, the i-th vertex of the sorted bag, holds fd in bits
   [2bi, 2bi + b) and cd in bits [2bi + b, 2bi + 2b), where
-  b = max(1, Δ.bit_length()) fits every degree.  When 2b(width + 1)
-  exceeds 63 bits run_dp raises CapacityError instead of letting a state
-  wrap.
+  b = max(1, max_v hi(v)).bit_length() fits every colour a vertex can
+  take (hi(v) = deg(v) minus v's edges pre-weighted 0; see run_dp).  When
+  2b(width + 1) exceeds 63 bits run_dp raises CapacityError instead of
+  letting a state wrap.  Key order never enters the tie-break (first
+  occurrences are kept by index, and join groups keep child-2 row order),
+  so b never changes a witness.
 * Provenance.  Each row records where it came from: the child row (child-1
   row at a join), the child-2 row at a join, and at an introduce-edge node
   whether the row takes the edge.  The witness is decoded by walking these
   index arrays down from the root row; no partial solutions are stored.
 * Tie-break.  Rows stay in order of first derivation, as a dict filled
   child row by child row would keep them.  Introduce-vertex expands each
-  child row into fd = 0..deg(v); introduce-edge emits each child row's
-  weight-1 row before its weight-0 row; join pairs rows in (child-1 row,
-  child-2 row) order.  When two derivations give the same state, the row
-  keeps the earlier position and the first derivation's provenance, except
-  at introduce-edge, where the weight-0 derivation beats the weight-1 one.
+  child row into fd = lo(v)..hi(v), the colours v's pre-weights allow
+  (see run_dp); introduce-edge emits each child row's weight-1 row before
+  its weight-0 row; join pairs rows in (child-1 row, child-2 row) order.
+  When two derivations give the same state, the row keeps the earlier
+  position and the first derivation's provenance, except at introduce-edge,
+  where the weight-0 derivation beats the weight-1 one.
   The witness therefore depends only on the decomposition and the input.
 
 A nice decomposition is checked as a tree decomposition (validate_nice calls
@@ -330,11 +334,19 @@ def run_dp(
     """Execute the table computation bottom-up and return the root entry
     plus per-node stored-state counts.
 
-    On top of the five transitions, states that cannot survive any later
-    forget are dropped eagerly: once fd(v) - cd(v) exceeds the number of
-    v-incident edges not yet introduced in the subtree, no extension can
-    close the gap.  Dead states only ever produce dead states, so the live
-    tables, the decision, and the reconstructed witness are unchanged.
+    The pre-weights bound every vertex's final colour: lo(v) = pre1(v) <=
+    fd(v) <= deg(v) - pre0(v) = hi(v), where pre1(v) and pre0(v) count v's
+    edges pre-weighted 1 and 0.  Introduce-vertex opens fd(v) = lo..hi only.
+    Introduce-edge and join also drop a row unless, for every bag vertex,
+    need(v) <= fd(v) - cd(v) <= room(v): need counts v's pre-weight-1 edges
+    not yet introduced in the subtree, and room counts v's edges not yet
+    introduced that are not pre-weighted 0.  The edges still to come add at
+    least need and at most room to cd(v), and v's forget requires fd = cd,
+    so a dropped row has no extension to the root.  Every row at a node has
+    the same edges still to come, so rows with equal keys share that fate:
+    the rows that reach the root keep their derivations, their relative
+    order and their provenance, and the decision and the reconstructed
+    witness are those of the unpruned tables.
 
     Raises CapacityError when a packed state would need more than 63 bits,
     and ContractViolationError when check_invariants finds a stored row
@@ -343,16 +355,24 @@ def run_dp(
     pre = pre or {}
     validate_nice(g, ntd)
     validate_partial(g, pre)
-    bits = max(1, g.max_degree().bit_length())  # every fd and cd fits
+    lo = [0] * g.vertex_count
+    hi = [g.degree(v) for v in range(g.vertex_count)]
+    for e, value in pre.items():
+        for v in e:
+            if value:
+                lo[v] += 1
+            else:
+                hi[v] -= 1
+    bits = max(1, max(hi, default=0)).bit_length()  # every fd and cd fits
     need = 2 * bits * (ntd.width + 1)
     if need > STATE_BITS:
         raise CapacityError(
-            f"a DP state needs {need} bits (width {ntd.width}, {bits}-bit degree fields); "
+            f"a DP state needs {need} bits (width {ntd.width}, {bits}-bit colour fields); "
             f"the packed tables hold {STATE_BITS}"
         )
     from vcew import _dp_tables  # numpy loads with the first DP run, not with the CLI
 
-    ids, state_counts = _dp_tables.run(g, ntd, pre, bits, check_invariants)
+    ids, state_counts = _dp_tables.run(g, ntd, pre, lo, hi, bits, check_invariants)
     return DPRun(ids, state_counts)
 
 

@@ -97,8 +97,10 @@ def test_capacity_refusal():
         oracle.solve_exhaustive(big)
     with pytest.raises(CapacityError):
         oracle.solve_exhaustive(big, budget=20)
-    # a narrow budget brings the work under the ceiling
-    assert oracle.solve_exhaustive(big, budget=2) is None or True
+    # a narrow budget brings the work under the ceiling, and this graph has a
+    # proper weighting with at most two weight-1 edges
+    w = oracle.solve_exhaustive(big, budget=2)
+    assert w is not None and is_proper(big, w) and sum(w.values()) <= 2
 
 
 def test_capacity_cutoff_flag():

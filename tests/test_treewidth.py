@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from vcew import _dp_tables, oracle
-from vcew.errors import ContractViolationError, ValidationError
+from vcew.errors import CapacityError, ContractViolationError, ValidationError
 from vcew.generators import random_graph
 from vcew.graph import Graph, extends, is_proper
 from vcew.treewidth import (
@@ -238,6 +238,44 @@ def test_dp_invariant_checks_pass():
         dp_solve(g, nice_for(g), check_invariants=True)
 
 
+def test_dp_invariant_checks_pass_with_preweights():
+    # The pre-weights narrow each vertex's colour range and the gap checks;
+    # every row the narrowed tables keep must still be a partial solution.
+    rng = random.Random(19)
+    k5 = Graph.build(5, list(itertools.combinations(range(5), 2)))
+    cases = [
+        (k5, {e: 1 for e in k5.edges if 0 in e}),  # vertex 0: every edge pre-weighted 1
+        (C4, {(0, 1): 1, (1, 2): 0, (2, 3): 1, (0, 3): 0}),  # fully pre-weighted, proper
+    ]
+    for _ in range(30):
+        g = random_small_graph(rng, max_n=6, p=0.55)
+        cases.append((g, {e: rng.randint(0, 1) for e in g.edges if rng.random() < 0.4}))
+        cases.append((g, {e: rng.randint(0, 1) for e in g.edges}))  # fully pre-weighted
+        if g.edges:
+            v = rng.choice([x for x in range(g.vertex_count) if g.degree(x)])
+            cases.append((g, {e: 1 if v in e else rng.randint(0, 1) for e in g.edges if v in e or rng.random() < 0.3}))
+    for g, pre in cases:
+        w = dp_solve(g, nice_for(g), pre, check_invariants=True)
+        w_oracle = oracle.solve_exhaustive(g, pre)
+        assert (w is None) == (w_oracle is None), (g.edges, pre)
+        if w is not None:
+            assert is_proper(g, w) and extends(w, pre)
+
+
+def test_dp_field_width_follows_preweights():
+    # K8 plus the pendant edge (0, 8): vertex 0 has degree 8, so 4-bit fields
+    # over 8 slots need 64 bits.  Pre-weighting the pendant 0 caps vertex 0's
+    # colour at 7, and 3-bit fields need 48.  The answer is no: the eight
+    # clique vertices need eight distinct colours in 0..7, so one has colour
+    # 7, adjacent to all the others by weight 1, and one has colour 0.
+    g = Graph.build(9, list(itertools.combinations(range(8), 2)) + [(0, 8)])
+    ntd = nice_for(g)
+    assert ntd.width == 7
+    with pytest.raises(CapacityError, match="64 bits"):
+        run_dp(g, ntd)
+    assert run_dp(g, ntd, {(0, 8): 0}).solution_edge_ids is None
+
+
 def test_state_counts_within_bound():
     rng = random.Random(17)
     for _ in range(40):
@@ -365,3 +403,56 @@ def test_dp_witnesses_match_golden():
         g, pre = random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35)
         ids = run_dp(g, nice_for(g), pre).solution_edge_ids
         assert (None if ids is None else tuple(sorted(ids))) == expected, seed
+
+
+# (states_stored, max_states) of the same 40 runs: a change to the pruning
+# moves these, while the witnesses above must stay the same.
+GOLDEN_GNP_COUNTS = [
+    (41, 6),
+    (7060, 910),
+    (7927, 1160),
+    (347, 60),
+    (27728, 4290),
+    (272, 28),
+    (729, 64),
+    (23462, 5574),
+    (13509, 1560),
+    (12488, 4176),
+    (79, 12),
+    (8805, 1242),
+    (2389, 177),
+    (9911, 2016),
+    (274526, 44160),
+    (1010, 207),
+    (1235, 192),
+    (480, 30),
+    (638, 55),
+    (27404, 1680),
+    (358, 48),
+    (229, 32),
+    (6296, 1488),
+    (79832, 10272),
+    (672, 56),
+    (127, 16),
+    (834, 105),
+    (41, 6),
+    (238936, 42960),
+    (1133027, 135616),
+    (146, 18),
+    (5530, 1152),
+    (26231, 1976),
+    (20850, 2800),
+    (41594, 6500),
+    (3186, 342),
+    (64, 6),
+    (783, 68),
+    (81148, 12825),
+    (8267, 1440),
+]
+
+
+def test_dp_state_counts_match_golden():
+    for seed, expected in enumerate(GOLDEN_GNP_COUNTS):
+        g, pre = random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35)
+        run = run_dp(g, nice_for(g), pre)
+        assert (run.states_stored, run.max_states) == expected, seed
