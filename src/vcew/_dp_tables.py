@@ -25,6 +25,15 @@ from vcew.treewidth import (
 )
 
 _ROW = np.int32  # provenance row indices
+_CHUNK = 1 << 14  # child rows, or join pairs, a transition works on at once
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """Positions where a run of equal values begins in a sorted, nonempty array."""
+    head = np.empty(len(ordered), dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    return np.flatnonzero(head)
 
 
 def _first_occurrences(keys: np.ndarray) -> np.ndarray:
@@ -38,11 +47,7 @@ def _first_occurrences(keys: np.ndarray) -> np.ndarray:
     if len(keys) < 2:
         return np.arange(len(keys))
     order = np.argsort(keys)
-    ordered = keys[order]
-    head = np.empty(len(keys), dtype=bool)
-    head[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    return np.sort(np.minimum.reduceat(order, np.flatnonzero(head)))
+    return np.sort(np.minimum.reduceat(order, _run_starts(keys[order])))
 
 
 class _Layout:
@@ -53,11 +58,17 @@ class _Layout:
         self.slot = 2 * bits
         self.mask = (1 << bits) - 1
 
+    def fd_shift(self, i: int) -> int:
+        return self.slot * i
+
+    def cd_shift(self, i: int) -> int:
+        return self.slot * i + self.bits
+
     def fd(self, keys: np.ndarray, i: int) -> np.ndarray:
-        return (keys >> (self.slot * i)) & self.mask
+        return (keys >> self.fd_shift(i)) & self.mask
 
     def cd(self, keys: np.ndarray, i: int) -> np.ndarray:
-        return (keys >> (self.slot * i + self.bits)) & self.mask
+        return (keys >> self.cd_shift(i)) & self.mask
 
     def fd_mask(self, size: int) -> int:
         return sum(self.mask << (self.slot * i) for i in range(size))
@@ -80,6 +91,12 @@ def _introduce_vertex(lay: _Layout, keys: np.ndarray, pos: int, lo: int, hi: int
     return out, np.repeat(np.arange(len(keys), dtype=_ROW), hi - lo + 1)
 
 
+def _field_dtype(bits: int) -> np.dtype:
+    """The narrowest signed integer type that holds a field (below 2^bits)
+    and fd - cd - need - 1, which is above -2^(bits + 1)."""
+    return np.min_scalar_type(-(2 << bits))
+
+
 def _introduce_edge(
     lay: _Layout, keys: np.ndarray, iu: int, iv: int, span_u: tuple[int, int], span_v: tuple[int, int], allow0: bool, allow1: bool
 ):
@@ -87,80 +104,158 @@ def _introduce_edge(
     (row 0 weight 1, row 0 weight 0, row 1 weight 1, ...).
 
     `span_u` and `span_v` are the (need, room) bounds on fd - cd after the
-    edge; a row outside them is dropped.  A weight-1 row shifts cd_u and cd_v
-    up by one, which is injective, so a key can occur at most twice: once
-    per branch.  It keeps the position of its earlier occurrence and the
-    weight-0 derivation.
+    edge; a row outside them is dropped.  The fields are read in chunks of
+    child rows into narrow integers, and candidate keys are built only for
+    the rows a branch keeps.  A weight-1 row shifts cd_u and cd_v up by one,
+    which is injective, so a key can occur at most twice: once per branch.
+    It keeps the position of its earlier occurrence and the weight-0
+    derivation.
     """
-    fd_u, cd_u = lay.fd(keys, iu), lay.cd(keys, iu)
-    fd_v, cd_v = lay.fd(keys, iv), lay.cd(keys, iv)
-    differ = fd_u != fd_v
-    gap_u = fd_u - cd_u
-    gap_v = fd_v - cd_v
-    (need_u, room_u), (need_v, room_v) = span_u, span_v
-    count = len(keys)
-    cand = np.empty(2 * count, dtype=np.int64)
-    valid = np.zeros(2 * count, dtype=bool)
-    if allow1:
-        cand[0::2] = keys + ((1 << (lay.slot * iu + lay.bits)) + (1 << (lay.slot * iv + lay.bits)))
-        valid[0::2] = (differ & (gap_u > need_u) & (gap_v > need_v)
-                       & (gap_u <= room_u + 1) & (gap_v <= room_v + 1))
-    if allow0:
-        cand[1::2] = keys
-        valid[1::2] = differ & (gap_u >= need_u) & (gap_v >= need_v) & (gap_u <= room_u) & (gap_v <= room_v)
-    picked = np.flatnonzero(valid)
-    if allow0 and allow1 and len(picked) > 1:
-        ck = cand[picked]
-        order = np.argsort(ck)
-        pair = np.flatnonzero(ck[order[1:]] == ck[order[:-1]])
-        a, b = order[pair], order[pair + 1]
-        # the pair keeps its earlier position and the weight-0 (odd) candidate
-        winner = np.where(picked[a] & 1, picked[a], picked[b])
-        keep = np.ones(len(picked), dtype=bool)
-        keep[np.maximum(a, b)] = False
-        picked[np.minimum(a, b)] = winner
-        picked = picked[keep]
-    return cand[picked], (picked >> 1).astype(_ROW), (1 - (picked & 1)).astype(np.int8)
+    dtype = _field_dtype(lay.bits)
+    unsigned = np.dtype(f"u{dtype.itemsize}")
+    shifts = np.array([[lay.fd_shift(iu)], [lay.fd_shift(iv)], [lay.cd_shift(iu)], [lay.cd_shift(iv)]])
+    # need <= gap <= room as one unsigned comparison: a gap below need wraps above room - need
+    need = np.array([[span_u[0]], [span_v[0]]], dtype=dtype)
+    width = np.array([[span_u[1] - span_u[0]], [span_v[1] - span_v[0]]], dtype=unsigned)
+    step = (1 << lay.cd_shift(iu)) + (1 << lay.cd_shift(iv))
+    parts = []
+    for start in range(0, len(keys), _CHUNK):
+        chunk = keys[start:start + _CHUNK]
+        fields = (chunk >> shifts).astype(dtype) & lay.mask  # rows fd_u, fd_v, cd_u, cd_v
+        gap = fields[:2] - fields[2:] - need
+        valid = np.zeros((len(chunk), 2), dtype=bool)  # row-major: (row 0 weight 1, row 0 weight 0, ...)
+        if allow1:  # weight 1 raises cd, so the gap after the edge is one less
+            ok = (gap - 1).view(unsigned) <= width
+            np.logical_and(ok[0], ok[1], out=valid[:, 0])
+        if allow0:
+            ok = gap.view(unsigned) <= width
+            np.logical_and(ok[0], ok[1], out=valid[:, 1])
+        valid &= (fields[0] != fields[1])[:, None]
+        picked = np.flatnonzero(valid)  # 2 * row + (1 - weight)
+        rows = picked >> 1
+        taken = 1 - (picked & 1)
+        parts.append((chunk[rows] + step * taken, (rows + start).astype(_ROW), taken.astype(np.int8)))
+    cand, src, taken = _concat(parts, (np.int64, _ROW, np.int8))
+    if allow0 and allow1 and len(cand) > 1:
+        ordered = np.sort(cand)  # a value sort is cheaper than argsort, and most tables have no pair
+        pair = np.flatnonzero(ordered[1:] == ordered[:-1])
+        del ordered
+        if len(pair):
+            order = np.argsort(cand)  # the same sorted values as `ordered`
+            a, b = order[pair], order[pair + 1]
+            del order
+            # the pair keeps its earlier position and the weight-0 derivation
+            earlier = np.minimum(a, b)
+            src[earlier] = np.where(taken[a] == 0, src[a], src[b])
+            taken[earlier] = 0
+            keep = np.ones(len(cand), dtype=bool)
+            keep[np.maximum(a, b)] = False
+            cand, src, taken = cand[keep], src[keep], taken[keep]
+    return cand, src, taken
 
 
 def _forget(lay: _Layout, keys: np.ndarray, pos: int):
-    """Keep rows with fd == cd at `pos`, close the slot, keep first occurrences."""
-    rows = np.flatnonzero(lay.fd(keys, pos) == lay.cd(keys, pos))
-    kept = keys[rows]
+    """Close the slot at `pos` and keep first occurrences.  Every row here has
+    fd == cd at `pos`: need and room are both 0 once v's edges are in."""
     shift = lay.slot * pos
-    closed = (kept & ((1 << shift) - 1)) | ((kept >> (shift + lay.slot)) << shift)
+    closed = (keys & ((1 << shift) - 1)) | ((keys >> (shift + lay.slot)) << shift)
     first = _first_occurrences(closed)
-    return closed[first], rows[first].astype(_ROW)
+    return closed[first], first.astype(_ROW)
 
 
 def _join(lay: _Layout, k1: np.ndarray, k2: np.ndarray, spans: list[tuple[int, int]]):
     """Pair every row of child 1 with the rows of child 2 that share its fd
     fields, in (row 1, row 2) order, keep pairs whose gap fd - (cd1 + cd2)
-    lies within each slot's (need, room) span, and keep first occurrences."""
-    size = len(spans)
-    fdm = lay.fd_mask(size)
-    f2 = k2 & fdm
-    order2 = np.argsort(f2, kind="stable")  # a group keeps child-2 row order
-    sorted2 = f2[order2]
-    f1 = k1 & fdm
-    lo = np.searchsorted(sorted2, f1, side="left")
-    hi = np.searchsorted(sorted2, f1, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    r1 = np.repeat(np.arange(len(k1), dtype=_ROW), counts)
-    starts = np.cumsum(counts) - counts
-    r2 = order2[np.arange(total) - np.repeat(starts - lo, counts)].astype(_ROW)
-    a = k1[r1]
-    b = k2[r2]
-    ok = np.ones(total, dtype=bool)
-    for i, (need, room) in enumerate(spans):
-        gap = lay.fd(a, i) - lay.cd(a, i) - lay.cd(b, i)
-        ok &= (gap >= need) & (gap <= room)
-    rows = np.flatnonzero(ok)
-    merged = a[rows] + (b[rows] & ~fdm)
+    lies within each slot's (need, room) span, and keep first occurrences.
+
+    A tight slot (need == room) fixes cd1 = fd - need - cd2, so child 2 is
+    keyed on its fd fields and that cd1 for each tight slot, and child 1
+    probes with its fd and tight cd fields; a child-2 row whose cd1 would be
+    negative matches nothing.  Only the loose slots are checked on the
+    matched pairs.  Child-1 rows are probed in chunks and their pairs
+    expanded in blocks of at most _CHUNK pairs, so apart from child 2's
+    sorted keys no temporary grows with a child table or with the pairs a
+    join drops.
+    """
+    if len(k1) == 0 or len(k2) == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=_ROW), np.zeros(0, dtype=_ROW)
+    fdm = lay.fd_mask(len(spans))
+    tight = [i for i, (need, room) in enumerate(spans) if need == room]
+    loose = [i for i, (need, room) in enumerate(spans) if need != room]
+    key2 = k2 & fdm
+    if tight:
+        fd_at, cd_at, need = _columns(lay, spans, tight)
+        for start in range(0, len(k2), _CHUNK):
+            chunk = k2[start:start + _CHUNK]
+            wanted = ((chunk >> fd_at) & lay.mask) - ((chunk >> cd_at) & lay.mask) - need  # cd1 per tight slot
+            out = key2[start:start + _CHUNK]
+            out |= (wanted << cd_at).sum(axis=0)  # the fields do not overlap
+            out[(wanted < 0).any(axis=0)] = -1  # probes are nonnegative
+    order2 = np.argsort(key2, kind="stable")  # equal keys keep child-2 row order
+    key2 = key2[order2]
+    starts = _run_starts(key2)  # sorted position of each distinct key
+    distinct = key2[starts]
+    del key2
+    sizes = np.append(starts[1:], len(k2)) - starts
+    keymask = fdm | sum(lay.mask << lay.cd_shift(i) for i in tight)
+    if loose:
+        fd_at, cd_at, need = _columns(lay, spans, loose)
+        # need <= gap <= room as one unsigned comparison, as in _introduce_edge
+        width = np.array([[spans[i][1] - spans[i][0]] for i in loose], dtype=np.uint64)
+    parts = []
+    for start in range(0, len(k1), _CHUNK):
+        probe = k1[start:start + _CHUNK] & keymask
+        run = np.searchsorted(distinct, probe)
+        hit = distinct.take(run, mode="clip") == probe
+        for r1, at in _pairs(sizes.take(run, mode="clip") * hit, starts.take(run, mode="clip"), start):
+            r2 = order2[at].astype(_ROW)
+            x, y = k1[r1], k2[r2]
+            if loose:
+                gap = ((x >> fd_at) & lay.mask) - ((x >> cd_at) & lay.mask) - ((y >> cd_at) & lay.mask) - need
+                rows = np.flatnonzero((gap.view(np.uint64) <= width).all(axis=0))
+                r1, r2, x, y = r1[rows], r2[rows], x[rows], y[rows]
+            parts.append((x + (y & ~fdm), r1, r2))
+    merged, r1, r2 = _concat(parts, (np.int64, _ROW, _ROW))
     first = _first_occurrences(merged)
-    rows = rows[first]
-    return merged[first], r1[rows], r2[rows]
+    return merged[first], r1[first], r2[first]
+
+
+def _columns(lay: _Layout, spans: list[tuple[int, int]], slots: list[int]):
+    """fd and cd bit offsets and needs of `slots` as columns, to broadcast over rows."""
+    fd_at = np.array([[lay.fd_shift(i)] for i in slots])
+    return fd_at, fd_at + lay.bits, np.array([[spans[i][0]] for i in slots])
+
+
+def _pairs(counts: np.ndarray, lo: np.ndarray, start: int):
+    """(child-1 rows, sorted child-2 positions) in blocks of at most _CHUNK
+    pairs, in order: chunk row r, child-1 row start + r, is paired with
+    positions lo[r] .. lo[r] + counts[r] - 1.  A block boundary can fall
+    inside one row's run."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    offset = lo - (ends - counts)  # pair p of row r sits at position offset[r] + p
+    rows = np.arange(start, start + len(counts), dtype=_ROW)
+    if total <= _CHUNK:
+        if total:
+            yield np.repeat(rows, counts), np.repeat(offset, counts) + np.arange(total)
+        return
+    for p in range(0, total, _CHUNK):
+        q = min(p + _CHUNK, total)
+        a = int(np.searchsorted(ends, p, side="right"))
+        b = int(np.searchsorted(ends, q - 1, side="right")) + 1
+        rep = counts[a:b].copy()
+        rep[0] -= p - (ends[a] - counts[a])
+        rep[-1] -= ends[b - 1] - q
+        yield np.repeat(rows[a:b], rep), np.repeat(offset[a:b], rep) + np.arange(p, q)
+
+
+def _concat(parts: list[tuple[np.ndarray, ...]], dtypes: tuple) -> list[np.ndarray]:
+    """Join per-chunk arrays column by column; a single chunk is not copied."""
+    if len(parts) == 1:
+        return list(parts[0])
+    if not parts:
+        return [np.zeros(0, dtype=d) for d in dtypes]
+    return [np.concatenate(col) for col in zip(*parts)]
 
 
 def run(
@@ -220,7 +315,10 @@ def run(
             c = node.children[0]
             seen = intro.pop(c)
             del seen[node.vertex]
-            table, src[t] = _forget(lay, keys.pop(c), nodes[c].bag.index(node.vertex))
+            child, pos = keys.pop(c), nodes[c].bag.index(node.vertex)
+            if check_invariants and np.any(lay.fd(child, pos) != lay.cd(child, pos)):
+                raise ContractViolationError(f"a row reaching forget node {t} has fd != cd for vertex {node.vertex}")
+            table, src[t] = _forget(lay, child, pos)
         else:  # JOIN
             c1, c2 = node.children
             s1, s2 = intro.pop(c1), intro.pop(c2)

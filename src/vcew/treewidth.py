@@ -29,10 +29,23 @@ backs and which loads with the first DP run):
   child row into fd = lo(v)..hi(v), the colours v's pre-weights allow
   (see run_dp); introduce-edge emits each child row's weight-1 row before
   its weight-0 row; join pairs rows in (child-1 row, child-2 row) order.
+  Join matches a pair on the fd fields and, for each tight bag vertex (no
+  free edge left to introduce, so need(v) == room(v)), also on cd: child 2
+  is keyed on fd - need - cd2 there, the cd1 a partner must have, and only
+  the other slots are checked on the matched pairs.  Matching on more
+  fields keeps a subset of the fd-matched pairs in the same order, so the
+  rows and their provenance are those of matching on fd and filtering.
   When two derivations give the same state, the row keeps the earlier
   position and the first derivation's provenance, except at introduce-edge,
   where the weight-0 derivation beats the weight-1 one.
   The witness therefore depends only on the decomposition and the input.
+* Chunks.  Introduce-edge reads its child rows, and join probes its child-1
+  rows and expands their pairs, in chunks of a fixed number of rows or
+  pairs, and the first-occurrence pass then runs once over what the chunks
+  kept.  Besides join's sorted keys and row order for child 2, a
+  transition's temporaries are bounded by the chunk size and by the rows it
+  keeps, not by the larger child table or by the pairs a join drops.
+  Chunking never changes a row or its order.
 
 A nice decomposition is checked as a tree decomposition (validate_nice calls
 validate_decomposition) plus the local rule of each node kind.
@@ -348,9 +361,15 @@ def run_dp(
     order and their provenance, and the decision and the reconstructed
     witness are those of the unpruned tables.
 
+    The transitions work on fixed-size chunks of child rows and join pairs
+    (see the module docstring), so their temporaries grow with the rows
+    they keep, not with the largest child table.  Under check_invariants every
+    row reaching a forget node must have fd == cd at the forgotten vertex.
+
     Raises CapacityError when a packed state would need more than 63 bits,
     and ContractViolationError when check_invariants finds a stored row
-    whose decoded partial solution fails check_partial_solution.
+    whose decoded partial solution fails check_partial_solution, or a row
+    reaching a forget node with fd != cd.
     """
     pre = pre or {}
     validate_nice(g, ntd)

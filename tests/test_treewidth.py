@@ -2,6 +2,13 @@ import itertools
 import random
 from dataclasses import replace
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from vcew import _dp_tables, oracle
@@ -456,3 +463,215 @@ def test_dp_state_counts_match_golden():
         g, pre = random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35)
         run = run_dp(g, nice_for(g), pre)
         assert (run.states_stored, run.max_states) == expected, seed
+
+
+def naive_introduce_edge(lay, keys, iu, iv, span_u, span_v, allow0, allow1):
+    """Reference introduce-edge: both branches of every row as full arrays, then filter."""
+    fd_u, cd_u = lay.fd(keys, iu), lay.cd(keys, iu)
+    fd_v, cd_v = lay.fd(keys, iv), lay.cd(keys, iv)
+    differ = fd_u != fd_v
+    gap_u, gap_v = fd_u - cd_u, fd_v - cd_v
+    (need_u, room_u), (need_v, room_v) = span_u, span_v
+    cand = np.empty(2 * len(keys), dtype=np.int64)
+    valid = np.zeros(2 * len(keys), dtype=bool)
+    if allow1:
+        cand[0::2] = keys + ((1 << (lay.slot * iu + lay.bits)) + (1 << (lay.slot * iv + lay.bits)))
+        valid[0::2] = (differ & (gap_u > need_u) & (gap_v > need_v)
+                       & (gap_u <= room_u + 1) & (gap_v <= room_v + 1))
+    if allow0:
+        cand[1::2] = keys
+        valid[1::2] = differ & (gap_u >= need_u) & (gap_v >= need_v) & (gap_u <= room_u) & (gap_v <= room_v)
+    picked = np.flatnonzero(valid)
+    if allow0 and allow1 and len(picked) > 1:
+        ck = cand[picked]
+        order = np.argsort(ck)
+        pair = np.flatnonzero(ck[order[1:]] == ck[order[:-1]])
+        a, b = order[pair], order[pair + 1]
+        winner = np.where(picked[a] & 1, picked[a], picked[b])
+        keep = np.ones(len(picked), dtype=bool)
+        keep[np.maximum(a, b)] = False
+        picked[np.minimum(a, b)] = winner
+        picked = picked[keep]
+    return cand[picked], (picked >> 1).astype(np.int32), (1 - (picked & 1)).astype(np.int8)
+
+
+def naive_join(lay, k1, k2, spans):
+    """Reference join: every fd-matching (child-1, child-2) pair, then filter."""
+    fdm = lay.fd_mask(len(spans))
+    f2 = k2 & fdm
+    order2 = np.argsort(f2, kind="stable")
+    sorted2 = f2[order2]
+    f1 = k1 & fdm
+    lo = np.searchsorted(sorted2, f1, side="left")
+    counts = np.searchsorted(sorted2, f1, side="right") - lo
+    total = int(counts.sum())
+    r1 = np.repeat(np.arange(len(k1), dtype=np.int32), counts)
+    starts = np.cumsum(counts) - counts
+    r2 = order2[np.arange(total) - np.repeat(starts - lo, counts)].astype(np.int32)
+    a, b = k1[r1], k2[r2]
+    ok = np.ones(total, dtype=bool)
+    for i, (need, room) in enumerate(spans):
+        gap = lay.fd(a, i) - lay.cd(a, i) - lay.cd(b, i)
+        ok &= (gap >= need) & (gap <= room)
+    rows = np.flatnonzero(ok)
+    merged = a[rows] + (b[rows] & ~fdm)
+    first = _dp_tables._first_occurrences(merged)
+    rows = rows[first]
+    return merged[first], r1[rows], r2[rows]
+
+
+def random_table(rng, lay, size, rows, fd_values):
+    """Distinct packed keys over `size` slots; fd drawn from `fd_values`, cd from 0..mask."""
+    fields = [rng.choice(fd_values, (rows, size)), rng.integers(0, lay.mask + 1, (rows, size))]
+    keys = sum((fields[0][:, i] << lay.fd_shift(i)) | (fields[1][:, i] << lay.cd_shift(i)) for i in range(size))
+    keys = np.unique(np.asarray(keys, dtype=np.int64))
+    return keys[rng.permutation(len(keys))]  # tables are not sorted
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def random_spans(rng, size, mask, kind):
+    spans = []
+    for _ in range(size):
+        need = int(rng.integers(0, mask + 1))
+        tight = kind == "tight" or (kind == "mixed" and rng.random() < 0.5)
+        spans.append((need, need if tight else int(rng.integers(need, mask + 1))))
+    return spans
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 5])
+@pytest.mark.parametrize("kind", ["tight", "loose", "mixed"])
+def test_join_matches_naive(monkeypatch, kind, chunk):
+    if chunk:
+        monkeypatch.setattr(_dp_tables, "_CHUNK", chunk)
+    rng = np.random.default_rng(["tight", "loose", "mixed"].index(kind))
+    for trial in range(60):
+        bits = int(rng.integers(1, 5))
+        size = int(rng.integers(1, 4))
+        lay = _dp_tables._Layout(bits)
+        # few fd values make long runs of matching child-2 rows
+        fd_values = rng.integers(0, lay.mask + 1, int(rng.integers(1, 3)))
+        k1 = random_table(rng, lay, size, int(rng.integers(0, 40)), fd_values)
+        k2 = random_table(rng, lay, size, int(rng.integers(0, 40)), fd_values)
+        spans = random_spans(rng, size, lay.mask, kind)
+        assert_same_arrays(_dp_tables._join(lay, k1, k2, spans), naive_join(lay, k1, k2, spans))
+
+
+def test_join_empty_children():
+    lay = _dp_tables._Layout(2)
+    rng = np.random.default_rng(7)
+    table = random_table(rng, lay, 2, 20, [0, 1, 2, 3])
+    empty = np.zeros(0, dtype=np.int64)
+    for k1, k2 in ((empty, table), (table, empty), (empty, empty)):
+        for spans in ([(0, 0), (1, 1)], [(0, 3), (0, 2)]):
+            got = _dp_tables._join(lay, k1, k2, spans)
+            assert all(len(a) == 0 for a in got)
+            assert_same_arrays(got, naive_join(lay, k1, k2, spans))
+
+
+def test_join_chunk_boundary_inside_one_rows_matches(monkeypatch):
+    # every child-1 row matches all 12 child-2 rows; 5-pair blocks end inside
+    # a row's run, 1-row chunks hold one child-1 row each
+    lay = _dp_tables._Layout(3)
+
+    def key(cd0, cd1):
+        return (2 << lay.fd_shift(0)) | (cd0 << lay.cd_shift(0)) | (7 << lay.fd_shift(1)) | (cd1 << lay.cd_shift(1))
+
+    k1 = np.array([key(1, 0), key(0, 0), key(2, 0)], dtype=np.int64)
+    k2 = np.array([key(c, j) for j in (2, 0, 3, 1) for c in (0, 2, 1)], dtype=np.int64)
+    for spans in ([(0, 2), (0, 7)], [(0, 2), (4, 4)]):
+        want = naive_join(lay, k1, k2, spans)
+        assert len(want[0]) > 1
+        for chunk in (1, 2, 5):
+            monkeypatch.setattr(_dp_tables, "_CHUNK", chunk)
+            assert_same_arrays(_dp_tables._join(lay, k1, k2, spans), want)
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7])
+@pytest.mark.parametrize("allow0,allow1", [(True, True), (True, False), (False, True), (False, False)])
+def test_introduce_edge_matches_naive(monkeypatch, allow0, allow1, chunk):
+    if chunk:
+        monkeypatch.setattr(_dp_tables, "_CHUNK", chunk)
+    rng = np.random.default_rng(2 * allow0 + allow1)
+    for trial in range(80):
+        bits = int(rng.integers(1, 8))
+        size = int(rng.integers(2, 4))
+        lay = _dp_tables._Layout(bits)
+        keys = random_table(rng, lay, size, int(rng.integers(0, 60)), np.arange(lay.mask + 1))
+        iu, iv = sorted(rng.choice(size, 2, replace=False).tolist())
+        span_u, span_v = random_spans(rng, 2, lay.mask, "mixed")
+        args = (lay, keys, iu, iv, span_u, span_v, allow0, allow1)
+        assert_same_arrays(_dp_tables._introduce_edge(*args), naive_introduce_edge(*args))
+
+
+def test_introduce_edge_keeps_weight0_on_collision(monkeypatch):
+    # row 0's weight-1 branch and row 1's weight-0 branch give the same key:
+    # it keeps row 0's position and row 1's weight-0 derivation, also when
+    # the two rows fall in different chunks
+    lay = _dp_tables._Layout(3)
+    base = (3 << lay.fd_shift(0)) | (1 << lay.fd_shift(1))
+    step = (1 << lay.cd_shift(0)) | (1 << lay.cd_shift(1))
+    keys = np.array([base, base + step, base + 2 * step], dtype=np.int64)
+    # row 2 has cd_v > fd_v and row 1 no room for weight 1 at v
+    want = (np.array([base + step, base], dtype=np.int64), np.array([1, 0], dtype=np.int32),
+            np.array([0, 0], dtype=np.int8))
+    for chunk in (None, 1, 2):
+        if chunk:
+            monkeypatch.setattr(_dp_tables, "_CHUNK", chunk)
+        got = _dp_tables._introduce_edge(lay, keys, 0, 1, (0, 3), (0, 1), True, True)
+        assert_same_arrays(got, want)
+        assert_same_arrays(got, naive_introduce_edge(lay, keys, 0, 1, (0, 3), (0, 1), True, True))
+
+
+def test_dp_tables_match_under_small_chunks(monkeypatch):
+    # whole runs with chunks of 3 rows or pairs: same witnesses and counts
+    cases = [random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35) for seed in range(12)]
+    want = [run_dp(g, nice_for(g), pre) for g, pre in cases]
+    monkeypatch.setattr(_dp_tables, "_CHUNK", 3)
+    for (g, pre), run in zip(cases, want):
+        got = run_dp(g, nice_for(g), pre)
+        assert (got.solution_edge_ids, got.state_counts) == (run.solution_edge_ids, run.state_counts)
+
+
+def test_forget_checks_fd_equals_cd_under_invariants(monkeypatch):
+    # colour ranges wider than the degrees leave rows with fd > cd at a
+    # forget; with the partial-solution check switched off, the forget's own
+    # check must still catch them
+    monkeypatch.setattr(_dp_tables, "_check_partial", lambda *args: True)
+    ntd = nice_for(P3)
+    _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], 2, False)
+    with pytest.raises(ContractViolationError, match="fd != cd"):
+        _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], 2, True)
+
+
+_SEED_481 = """
+import json, resource, sys
+from vcew.graph import Graph
+from vcew.treewidth import compute_decomposition, make_nice, run_dp
+n, edges = json.loads(sys.argv[1])
+g = Graph.build(n, [tuple(e) for e in edges])
+run = run_dp(g, make_nice(compute_decomposition(g), g))
+print(json.dumps([run.solution_edge_ids is not None, run.max_states, run.states_stored,
+                  resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+def test_dp_memory_on_largest_sweep_graph():
+    # The seed-481 graph of the criterion-1 random corpus (9 vertices, 28
+    # edges, width 6) has the largest DP tables of that sweep: 7.3M rows.
+    # Its transitions used to allocate 912 MB; a fresh process must now stay
+    # below 600 MB (ru_maxrss is in KiB on Linux).
+    from tests.test_acceptance import _random_corpus_n9
+
+    g = _random_corpus_n9()[481]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _SEED_481, json.dumps([g.vertex_count, g.edges])],
+                          env=env, capture_output=True, text=True, check=True)
+    decided, max_states, stored, maxrss_kib = json.loads(proc.stdout)
+    assert (decided, max_states, stored) == (True, 7_322_210, 20_494_857)
+    assert maxrss_kib < 600 * 1024, f"ru_maxrss {maxrss_kib // 1024} MiB"
