@@ -84,10 +84,13 @@ class _Layout:
 def _introduce_vertex(lay: _Layout, keys: np.ndarray, pos: int, lo: int, hi: int):
     """Open slot `pos` and set fd = lo..hi, cd = 0; rows stay child-major."""
     shift = lay.slot * pos
-    low = keys & ((1 << shift) - 1)
-    high = (keys >> shift) << (shift + lay.slot)
+    # widened = high << (shift + slot) | low, as high << shift times
+    # (2^slot - 1) plus the key, in place on one child-sized temporary
+    widened = keys & -(1 << shift)
+    widened *= (1 << lay.slot) - 1
+    widened += keys
     fds = np.arange(lo, hi + 1, dtype=np.int64) << shift
-    out = ((low | high)[:, None] | fds[None, :]).ravel()
+    out = (widened[:, None] | fds[None, :]).ravel()
     return out, np.repeat(np.arange(len(keys), dtype=_ROW), hi - lo + 1)
 
 

@@ -3,13 +3,17 @@
  * kernels share the search tree, its order (ascending weight-1 count with
  * lexicographic ties; weight 0 before weight 1), the pruning rules (a bound
  * exceeded, an equal-color settled edge) and what counts as a node, so both
- * return the same witnesses, counts and node counts.  They differ in
- * bookkeeping only: this file keeps a settle pointer into sorder and a
- * conflict counter, pruning on entry to a node and unsettling on the way
- * back; the Python kernel tests each child against a per-position settle
- * table before entering it.  There is no Python API: vcew/_search_c.py fills
- * a Search record through ctypes and calls the three traversals at the end of
- * this file.  README.md ("Install") says how to build it.
+ * return the same witnesses, counts and node counts.  solve_ones has the same
+ * two phases: a binary walk capped at maxc weight-1 edges decides, and only
+ * when it finds a proper completion do the popcount passes run to pick the
+ * witness; its node count is the walk's plus the passes'.  Both walks follow
+ * a run of weight-0 children in a loop and recurse only on weight 1.  The
+ * kernels differ in bookkeeping only: this file keeps a settle pointer into
+ * sorder and a conflict counter, pruning on entry to a node and unsettling on
+ * the way back; the Python kernel tests each child against a per-position
+ * settle table before entering it.  There is no Python API: vcew/_search_c.py
+ * fills a Search record through ctypes and calls the three traversals at the
+ * end of this file.  README.md ("Install") says how to build it.
  */
 
 /* One prepared instance (the first eleven fields, filled by the caller) and
@@ -41,11 +45,16 @@ static void settle(Search *s, int p)
     }
 }
 
-/* Settled endpoint colors are frozen, so re-comparing reverses exactly. */
-static void unsettle(Search *s, int old)
+/* Unsettle the edges that settle at position k or later, leaving those
+ * settled once the positions below k are decided.  Settled endpoint colors
+ * are frozen, so re-comparing reverses exactly. */
+static void unsettle(Search *s, int k)
 {
-    while (s->ptr > old) {
-        int j = s->sorder[--s->ptr];
+    while (s->ptr > 0) {
+        int j = s->sorder[s->ptr - 1];
+        if (s->skey[j] < k)
+            break;
+        s->ptr--;
         if (s->colors[s->eu[j]] == s->colors[s->ev[j]])
             s->sconf--;
     }
@@ -64,20 +73,18 @@ static void bump_down(Search *s, int v)
         s->over--;
 }
 
-/* Give free edge p weight 1 and settle the edges it closes; returns the old
- * settle pointer for untake. */
-static int take(Search *s, int p)
+/* Give free edge p weight 1 and settle the edges it closes. */
+static void take(Search *s, int p)
 {
-    int old = s->ptr;
     bump_up(s, s->fu[p]);
     bump_up(s, s->fv[p]);
     settle(s, p);
-    return old;
 }
 
-static void untake(Search *s, int p, int old)
+/* Undo take(s, p) and unsettle back to the edges settled before position k. */
+static void untake(Search *s, int p, int k)
 {
-    unsettle(s, old);
+    unsettle(s, k);
     bump_down(s, s->fv[p]);
     bump_down(s, s->fu[p]);
 }
@@ -106,40 +113,67 @@ static int combo(Search *s, int first, int remaining, int *chosen)
         return 1;
     }
     for (int p = first; p <= s->f - remaining; p++) {
-        int old = take(s, p);
+        take(s, p);
         *chosen = p;
         if (combo(s, p + 1, remaining - 1, chosen + 1))
             return 1;
-        untake(s, p, old);
+        untake(s, p, first);
     }
     return 0;
 }
 
-static long long walk(Search *s, int d, int early)
+/* Proper completions below a node that passed, whose positions below d are
+ * decided and settled, with at most `remaining` more weight-1 edges; with
+ * `early` it stops at the first one.  Like the Python kernel it follows the
+ * run of weight-0 children in a loop, then tries the run's weight-1 children
+ * deepest first, which is the weight-0-first order, and recurses only into
+ * those: the depth stays at most the cap plus one.  It returns with the
+ * state it was entered with. */
+static long long walk(Search *s, int d, int remaining, int early)
+{
+    long long total = 0;
+    int q;
+    for (q = d; q < s->f; q++) {  /* the weight-0 child at q */
+        s->nodes++;
+        settle(s, q);
+        if (s->sconf)
+            break;
+    }
+    if (q == s->f) {  /* every position decided: a proper completion */
+        total = 1;
+        q = s->f - 1;
+    }
+    /* the weight-1 children at q, q - 1, ..., d */
+    for (int p = q; p >= d && remaining && !(early && total); p--) {
+        unsettle(s, p);
+        s->nodes++;
+        take(s, p);
+        if (!s->sconf && !s->over)
+            total += p + 1 == s->f ? 1 : walk(s, p + 1, remaining - 1, early);
+        untake(s, p, p);
+    }
+    unsettle(s, d);
+    return total;
+}
+
+/* The walk from the root with at most cap weight-1 edges. */
+static long long walk_root(Search *s, int cap, int early)
 {
     s->nodes++;
     if (s->sconf || s->over)
         return 0;
-    if (d == s->f)
-        return 1;
-    int old = s->ptr;
-    settle(s, d);
-    long long total = walk(s, d + 1, early);
-    unsettle(s, old);
-    if (early && total)
-        return total;
-    old = take(s, d);
-    total += walk(s, d + 1, early);
-    untake(s, d, old);
-    return total;
+    return walk(s, 0, cap, early);
 }
 
 /* First proper assignment with at most maxc weight-1 free edges, by ascending
  * count, ties lexicographic.  Writes the chosen free positions to chosen
- * (room for f) and returns how many, or -1 when there is none. */
+ * (room for f) and returns how many, or -1 when there is none.  The capped
+ * walk decides first, so a no-instance runs no combination pass. */
 int solve_ones(Search *s, int maxc, int *chosen)
 {
     start(s);
+    if (!walk_root(s, maxc, 1))
+        return -1;
     for (int c = 0; c <= maxc && c <= s->f; c++)
         if (combo(s, 0, c, chosen))
             return c;
@@ -150,12 +184,12 @@ int solve_ones(Search *s, int maxc, int *chosen)
 long long count_all(Search *s)
 {
     start(s);
-    return walk(s, 0, 0);
+    return walk_root(s, s->f, 0);
 }
 
 /* Whether some proper completion respects the per-vertex color bounds. */
 int exists_proper(Search *s)
 {
     start(s);
-    return walk(s, 0, 1) > 0;
+    return walk_root(s, s->f, 1) > 0;
 }

@@ -23,36 +23,57 @@ being counted, when
 
 Two traversal modes:
 
+* binary mode (``_walk``): the 0/1 tree over free positions in order,
+  weight 0 before weight 1, with at most ``cap`` weight-1 free edges on a
+  path (a weight-1 child is not visited once the cap is used up).
+  count_all and exists_proper walk it with cap F; exists_proper stops at
+  the first proper completion.
 * combination mode (solve_ones): candidates with exactly c weight-1 free
   edges, in lexicographic order of the chosen position tuples, for
   c = 0, 1, ..., maxc.  The first proper candidate is returned, which makes
   witnesses deterministic.
-* binary mode (count_all / exists_proper): full 0/1 tree over free edges,
-  weight 0 before weight 1, used where enumeration order does not matter.
+
+solve_ones runs in two phases.  It first decides: a binary walk capped at
+min(maxc, F) weight-1 edges, stopped at the first proper completion.  When
+there is none, it returns None at once; this replaces one combination pass
+per popcount level, each of which starts again from the root.  Otherwise it
+runs the combination passes, whose first hit is the witness.  Its node
+count is the walk's plus the passes'.
 
 Settle table
 ------------
 ``skey[j]`` is the largest free position incident to edge j's endpoints (-1
 when there is none), so edge j is settled exactly when the last decided free
-position reaches skey[j].  ``_settle_table`` groups the edges by skey once
-per call: ``at[p]`` holds the endpoint pairs of the edges that settle when
-position p is decided.  solve_ones also lists the endpoints of every edge
-in settle order (``su``/``sv``) with ``end[p + 1]``, the index of the first
-edge still unsettled once p is decided, so the table stays O(m).  Settled
-colors are frozen, so a node only checks the group its own decision
-settles, and nothing but the two color bumps is undone on the way back.
+position reaches skey[j].  ``_settle_table`` lists the endpoint pairs of the
+edges once per call, in settle order (``pairs``), with ``end[p]``, the index
+of the first edge that settles at position p or later, and ``at[p]``, the
+slice of the edges that settle when p is decided; the edges settled at the
+root come before ``end[0]``.  The table is O(m).  Settled colors are frozen,
+so a node only checks the group its own decision settles, and nothing but
+the two color bumps is undone on the way back.
 
 Child-side pruning
 ------------------
 Each child is counted, then tested inline; a child that fails (a bound
 exceeded, or an equal-color pair in the group it settles) is counted but
 not entered.  Node counts are therefore those of a walk that enters every
-child and tests it on entry, which is how _search.c counts them.  In
-combination mode, a position skipped by one sibling stays 0 in every later
-sibling, so a conflict in ``at[p]`` under the parent's colors prunes all
-later siblings: they are counted in one step.  The last level (one weight-1
-edge left to place) checks the edges from ``end[p + 1]`` on in the loop
-instead of calling down to a leaf.
+child and tests it on entry, which is how _search.c counts them.
+
+The binary walk follows a run of weight-0 children in a loop: a weight-0
+decision changes no color, so the run goes on until a group has an
+equal-color pair or every position is decided.  It then tries the weight-1
+children of the run deepest first, which is the weight-0-first order, and
+recurses only into those, so its depth is at most cap + 1.
+
+In combination mode, a position skipped by one sibling stays 0 in every
+later sibling, so a conflict in ``at[p]`` under the parent's colors prunes
+all later siblings; a call adds its counted children to the node count once,
+on return.  The last level (one weight-1 edge left to place) checks
+``pairs[end[p]:]``, every edge still unsettled, in the loop instead of
+calling down to a leaf.
+
+When no vertex can exceed its bound, even with every free edge at 1 (no
+bounds, as from oracle.solve_exhaustive), both modes skip the bound tests.
 """
 
 from __future__ import annotations
@@ -61,19 +82,15 @@ from itertools import accumulate
 
 
 def _settle_table(inst):
-    """The root group (edges with skey -1) and ``at`` (see above)."""
+    """``pairs``, ``end`` and ``at`` (see above)."""
     eu, ev, skey = inst.eu, inst.ev, inst.skey
-    groups = [[] for _ in range(len(inst.fu) + 1)]
-    for j in inst.sorder:
-        groups[skey[j] + 1].append((eu[j], ev[j]))
-    return tuple(groups[0]), [tuple(group) for group in groups[1:]]
-
-
-def _root_ok(inst, colors, root) -> bool:
-    bounds = inst.bounds
-    if any(colors[v] > bounds[v] for v in range(inst.n)):
-        return False
-    return all(colors[u] != colors[v] for u, v in root)
+    f = len(inst.fu)
+    pairs = tuple((eu[j], ev[j]) for j in inst.sorder)
+    sizes = [0] * (f + 1)
+    for k in skey:
+        sizes[k + 1] += 1
+    end = list(accumulate(sizes))
+    return pairs, end, [pairs[end[p]:end[p + 1]] for p in range(f)]
 
 
 def solve_ones(inst, maxc):
@@ -82,15 +99,21 @@ def solve_ones(inst, maxc):
     Returns (chosen_positions | None, nodes_visited).  Positions index the
     free-edge list; enumeration is by ascending popcount, ties lexicographic.
     """
+    pairs, end, at = _settle_table(inst)
+    cap = min(maxc, len(inst.fu))
+    found, nodes = _walk(inst, pairs[:end[0]], at, cap, True)
+    if not found:
+        return None, nodes
+    chosen, more = _combinations(inst, pairs, end, at, cap)
+    return chosen, nodes + more
+
+
+def _combinations(inst, pairs, end, at, cap):
+    """Combination mode below a root that passed: (positions | None, nodes)."""
     fu, fv, bounds = inst.fu, inst.fv, inst.bounds
     f = len(fu)
     colors = list(inst.colors)
-    root, at = _settle_table(inst)
-    su = [inst.eu[j] for j in inst.sorder]
-    sv = [inst.ev[j] for j in inst.sorder]
-    m = len(su)
-    end = list(accumulate(map(len, at), initial=len(root)))
-    root_ok = _root_ok(inst, colors, root)
+    unbounded = _unbounded(inst)
     chosen: list[int] = []  # filled deepest first on success
     nodes = 0
 
@@ -100,100 +123,133 @@ def solve_ones(inst, maxc):
         nonlocal nodes
         last = f - remaining
         for p in range(start, last + 1):
-            nodes += 1
             u = fu[p]
             v = fv[p]
             cu = colors[u] + 1
             cv = colors[v] + 1
-            if cu <= bounds[u] and cv <= bounds[v]:
+            if unbounded or (cu <= bounds[u] and cv <= bounds[v]):
                 colors[u] = cu
                 colors[v] = cv
-                for a, b in at[p]:
-                    if colors[a] == colors[b]:
-                        break
-                else:
-                    if remaining == 1:
-                        for i in range(end[p + 1], m):
-                            if colors[su[i]] == colors[sv[i]]:
-                                break
-                        else:
-                            chosen.append(p)
-                            return True
-                    elif place(p + 1, remaining - 1):
+                if remaining == 1:
+                    for a, b in pairs[end[p]:]:
+                        if colors[a] == colors[b]:
+                            break
+                    else:
+                        nodes += p - start + 1
                         chosen.append(p)
                         return True
+                else:
+                    for a, b in at[p]:
+                        if colors[a] == colors[b]:
+                            break
+                    else:
+                        if place(p + 1, remaining - 1):
+                            nodes += p - start + 1
+                            chosen.append(p)
+                            return True
                 colors[u] = cu - 1
                 colors[v] = cv - 1
             for a, b in at[p]:
                 if colors[a] == colors[b]:
-                    nodes += last - p
+                    nodes += last - start + 1
                     return False
+        nodes += last - start + 1
         return False
 
-    for c in range(min(maxc, f) + 1):
+    for c in range(cap + 1):
         nodes += 1
-        if not root_ok:
-            continue
         if c == 0:
-            if all(colors[a] != colors[b] for group in at for a, b in group):
+            for a, b in pairs[end[0]:]:
+                if colors[a] == colors[b]:
+                    break
+            else:
                 return [], nodes
         elif place(0, c):
             return chosen[::-1], nodes
     return None, nodes
 
 
+def _unbounded(inst) -> bool:
+    """Whether no vertex can exceed its bound, even with every free edge at 1."""
+    reach = list(inst.colors)
+    for u, v in zip(inst.fu, inst.fv):
+        reach[u] += 1
+        reach[v] += 1
+    return all(r <= b for r, b in zip(reach, inst.bounds))
+
+
 def count_all(inst):
     """Number of proper assignments over all 2^F completions."""
-    return _binary_walk(inst, early=False)
+    pairs, end, at = _settle_table(inst)
+    return _walk(inst, pairs[:end[0]], at, len(inst.fu), False)
 
 
 def exists_proper(inst):
     """Whether some proper completion respects the per-vertex color bounds."""
-    count, nodes = _binary_walk(inst, early=True)
+    pairs, end, at = _settle_table(inst)
+    count, nodes = _walk(inst, pairs[:end[0]], at, len(inst.fu), True)
     return count > 0, nodes
 
 
-def _binary_walk(inst, early):
+def _walk(inst, root, at, cap, early):
+    """(proper completions, nodes) of the binary walk with at most `cap`
+    weight-1 free edges; with `early` it stops at the first completion."""
     fu, fv, bounds = inst.fu, inst.fv, inst.bounds
     f = len(fu)
+    last = f - 1
     colors = list(inst.colors)
-    root, at = _settle_table(inst)
-    if not _root_ok(inst, colors, root):
+    if any(c > b for c, b in zip(colors, bounds)) or any(colors[u] == colors[v] for u, v in root):
         return 0, 1
-    if f == 0:
-        return 1, 1
+    unbounded = _unbounded(inst)
     nodes = 1
 
-    def walk(d: int) -> int:
+    def walk(d: int, remaining: int) -> int:
         # Proper completions below a passed node whose positions below d are
-        # decided: the weight-0 child, then the weight-1 child.
+        # decided, with at most `remaining` more weight-1 edges.
         nonlocal nodes
-        leaf = d + 1 == f
-        pairs = at[d]
-        nodes += 1
-        for a, b in pairs:
-            if colors[a] == colors[b]:
-                total = 0
-                break
-        else:
-            total = 1 if leaf else walk(d + 1)
-            if early and total:
-                return total
-        nodes += 1
-        u = fu[d]
-        v = fv[d]
-        cu = colors[u] + 1
-        cv = colors[v] + 1
-        if cu <= bounds[u] and cv <= bounds[v]:
-            colors[u] = cu
-            colors[v] = cv
-            for a, b in pairs:
+        q = d  # the weight-0 run: the weight-0 children at d..q-1 pass
+        while q < f:
+            for a, b in at[q]:
                 if colors[a] == colors[b]:
                     break
             else:
-                total += 1 if leaf else walk(d + 1)
-            colors[u] = cu - 1
-            colors[v] = cv - 1
+                q += 1
+                continue
+            break
+        if q < f:  # the weight-0 child at q fails
+            nodes += q - d + 1
+            total = 0
+        elif early:
+            nodes += f - d
+            return 1
+        else:
+            nodes += f - d
+            total = 1
+            q = last
+        if not remaining:
+            return total
+        # the weight-1 children at q, q-1, ..., d; an early stop at p uncounts p-1..d
+        nodes += q - d + 1
+        p = q + 1
+        while p > d:
+            p -= 1
+            u = fu[p]
+            v = fv[p]
+            cu = colors[u] + 1
+            cv = colors[v] + 1
+            if unbounded or (cu <= bounds[u] and cv <= bounds[v]):
+                colors[u] = cu
+                colors[v] = cv
+                for a, b in at[p]:
+                    if colors[a] == colors[b]:
+                        break
+                else:
+                    total += 1 if p == last else walk(p + 1, remaining - 1)
+                colors[u] = cu - 1
+                colors[v] = cv - 1
+                if early and total:
+                    nodes -= p - d
+                    return total
         return total
 
-    return walk(0), nodes
+    return walk(0, cap), nodes

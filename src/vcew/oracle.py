@@ -2,7 +2,11 @@
 
 Enumeration is over the free (not pre-weighted) edges, by ascending count of
 weight-1 edges with lexicographic tie-breaking over the canonical edge order,
-so witnesses are deterministic.  The inner loop has one C source,
+so witnesses are deterministic.  A search decides first, with a depth-first
+walk (weight 0 before weight 1, at most the budget of weight-1 edges) that
+stops at the first proper completion; only when there is one do the
+popcount passes run to pick the witness, so a no-instance is one walk
+instead of one pass per popcount level.  The inner loop has one C source,
 ``_search.c``, built by ``python setup.py build_ext --inplace`` (or by a
 plain ``cc -O2 -std=c99 -shared -fPIC``) into a shared library next to this
 module.  The backend follows the presence of that library: when it is there,

@@ -7,6 +7,7 @@ import pytest
 from vcew import _search_py, oracle
 from vcew.errors import CapacityError
 from vcew.graph import Graph, extends, is_proper
+from tests import reference_solve_ones
 from tests.conftest import brute_force_solve, random_small_graph
 
 C3 = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
@@ -175,10 +176,13 @@ def _seeded_instances(graphs):
     return out
 
 
-# Recorded with the kernel that kept its search state in a _State object,
-# before the settle-table rewrite: the rewrite must visit the same nodes.
-ATLAS_SOLVE_ONES = (82_973, "5b6d1c7524c2d2ad")
-SEEDED_SOLVE_ONES = (7_594, "c20f1630bbbb698e")
+# The value digests were recorded with the kernel that kept its search state
+# in a _State object, before the settle-table rewrite; the counting walks
+# visit the same nodes as that kernel did.  solve_ones node totals are
+# those of the capped walk plus the combination passes (82,973 and 7,594
+# with the passes alone).
+ATLAS_SOLVE_ONES = (71_896, "5b6d1c7524c2d2ad")
+SEEDED_SOLVE_ONES = (6_249, "c20f1630bbbb698e")
 SEEDED_COUNT_ALL = (9_183, "381ec6962abdb6f8")
 SEEDED_EXISTS_PROPER = (5_148, "2bca59b6c4e7abaf")
 
@@ -214,12 +218,12 @@ DEGENERATE = [
 ]
 # (solve_ones, count_all, exists_proper), each as (value, nodes)
 DEGENERATE_EXPECTED = {
-    "no vertices": (([], 1), (1, 1), (True, 1)),
-    "no free edges, proper": (([], 1), (1, 1), (True, 1)),
+    "no vertices": (([], 2), (1, 1), (True, 1)),
+    "no free edges, proper": (([], 2), (1, 1), (True, 1)),
     "no free edges, improper": ((None, 1), (0, 1), (False, 1)),
-    "maxc 0, ones needed": ((None, 1), (4, 23), (True, 7)),
-    "root conflict from pre-weights": ((None, 3), (0, 1), (False, 1)),
-    "start color above its bound": ((None, 2), (0, 1), (False, 1)),
+    "maxc 0, ones needed": ((None, 4), (4, 23), (True, 7)),
+    "root conflict from pre-weights": ((None, 1), (0, 1), (False, 1)),
+    "start color above its bound": ((None, 1), (0, 1), (False, 1)),
     "start color at its bound": ((None, 3), (0, 3), (False, 3)),
 }
 
@@ -233,7 +237,8 @@ def test_degenerate_instances(name, g, pre, bound, maxc):
 
 def test_budgeted_search_on_many_free_edges_stays_linear():
     # A path with 3000 free edges and one weight-1 edge allowed: the kernel's
-    # per-call tables must stay O(m), where f * m is 9 million here.
+    # per-call tables must stay O(m), where f * m is 9 million here.  The
+    # capped walk decides "no" after 7 nodes, so no combination pass runs.
     f = 3000
     inst = oracle._prepare(Graph.build(f + 1, [(i, i + 1) for i in range(f)]), {}, None)
     tracemalloc.start()
@@ -242,8 +247,73 @@ def test_budgeted_search_on_many_free_edges_stays_linear():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == (None, f + 2)
+    assert got == (None, 7)
     assert peak < 2_000_000
+
+
+def _disjoint_paths(count, tail):
+    """`count` disjoint paths a-b-c-d with a-b free and b-c, c-d pre-weighted 1
+    (proper with a-b at 0), and with `tail`, a last path x-y-z-w with x-y
+    pre-weighted 0, y-z free and z-w pre-weighted 1, proper only with y-z at 1."""
+    edges, pre = [], {}
+    for a in range(0, 4 * count + 4 * tail, 4):
+        edges += [(a, a + 1), (a + 1, a + 2), (a + 2, a + 3)]
+        pre[(a + 2, a + 3)] = 1
+        pre[(a + 1, a + 2)] = 1
+    if tail:
+        del pre[(a + 1, a + 2)]
+        pre[(a, a + 1)] = 0
+    return oracle._prepare(Graph.build(4 * (count + tail), edges), pre, None)
+
+
+@pytest.mark.parametrize("tail", [False, True], ids=["all zero", "last edge one"])
+def test_deep_walk_stays_shallow_and_linear(tail):
+    # 3000 free edges at maxc 1: the walk decides along a weight-0 run of 3000
+    # positions in a loop, not a recursion, and with the tail the combination
+    # pass places its one weight-1 edge on each of the 3001 positions.
+    count = 3000
+    inst = _disjoint_paths(count, tail)
+    tracemalloc.start()
+    try:
+        got = _search_py.solve_ones(inst, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    f = len(inst.free)
+    assert got == (([f - 1], 2 * f + 4) if tail else ([], f + 2))
+    assert peak < 250 * inst.m
+    assert _search_py.count_all(inst) == (1, 2 * f + 1)
+    assert _search_py.exists_proper(inst) == (True, f + 1 + tail)
+
+
+K7 = Graph.build(7, [(u, v) for u in range(7) for v in range(u + 1, 7)])
+K7_NODES = 483_711  # the capped walk alone; the popcount passes visited 1,289,487
+
+
+def test_k7_decided_by_the_walk():
+    assert _search_py.solve_ones(oracle._prepare(K7, {}, None), 21) == (None, K7_NODES)
+
+
+def test_k7_compiled(compiled_kernel):
+    assert compiled_kernel.solve_ones(oracle._prepare(K7, {}, None), 21) == (None, K7_NODES)
+
+
+def _assert_same_choice(inst, budgets):
+    for maxc in budgets:
+        assert _search_py.solve_ones(inst, maxc)[0] == reference_solve_ones.solve_ones(inst, maxc)[0]
+
+
+def test_same_witnesses_as_the_popcount_passes(atlas):
+    # Against a verbatim copy of the kernel that enumerated popcount levels
+    # only: every atlas graph unbudgeted, and seeded pre-weights and bounds at
+    # budgets 0, c* - 1, c* and f, where c* is the fewest weight-1 edges.
+    for g in atlas:
+        _assert_same_choice(oracle._prepare(g, {}, None), [len(g.edges)])
+    for inst in _seeded_instances(atlas):
+        free = len(inst.free)
+        best = reference_solve_ones.solve_ones(inst, free)[0]
+        budgets = {0, free} if best is None else {0, max(len(best) - 1, 0), len(best), free}
+        _assert_same_choice(inst, budgets)
 
 
 def _assert_kernels_agree(compiled, inst, budgets):
@@ -269,3 +339,5 @@ def test_backends_agree(compiled_kernel, atlas):
         _assert_kernels_agree(compiled_kernel, inst, {free, free // 2, 0})
     for _, g, pre, bound, maxc in DEGENERATE:
         _assert_kernels_agree(compiled_kernel, oracle._prepare(g, pre, bound), {maxc})
+    for tail in (False, True):
+        _assert_kernels_agree(compiled_kernel, _disjoint_paths(3000, tail), {0, 1})

@@ -608,6 +608,30 @@ def test_introduce_edge_matches_naive(monkeypatch, allow0, allow1, chunk):
         assert_same_arrays(_dp_tables._introduce_edge(*args), naive_introduce_edge(*args))
 
 
+def naive_introduce_vertex(lay, keys, pos, lo, hi):
+    """Reference introduce-vertex: low and high parts as separate arrays."""
+    shift = lay.slot * pos
+    low = keys & ((1 << shift) - 1)
+    high = (keys >> shift) << (shift + lay.slot)
+    fds = np.arange(lo, hi + 1, dtype=np.int64) << shift
+    out = ((low | high)[:, None] | fds[None, :]).ravel()
+    return out, np.repeat(np.arange(len(keys), dtype=_dp_tables._ROW), hi - lo + 1)
+
+
+def test_introduce_vertex_matches_naive():
+    rng = np.random.default_rng(11)
+    for trial in range(80):
+        bits = int(rng.integers(1, 8))
+        size = int(rng.integers(0, 4))
+        lay = _dp_tables._Layout(bits)
+        keys = random_table(rng, lay, size, int(rng.integers(0, 60)), np.arange(lay.mask + 1))
+        pos = int(rng.integers(0, size + 1))
+        lo = int(rng.integers(0, lay.mask + 1))
+        hi = int(rng.integers(lo, lay.mask + 1))
+        args = (lay, keys, pos, lo, hi)
+        assert_same_arrays(_dp_tables._introduce_vertex(*args), naive_introduce_vertex(*args))
+
+
 def test_introduce_edge_keeps_weight0_on_collision(monkeypatch):
     # row 0's weight-1 branch and row 1's weight-0 branch give the same key:
     # it keeps row 0's position and row 1's weight-0 derivation, also when
