@@ -95,23 +95,18 @@ def cmd_solve(args) -> int:
         elif algo == "tw":
             if td is None:
                 td = treewidth.compute_decomposition(g)
-            ntd = treewidth.make_nice(td, g)
-            run = treewidth.run_dp(g, ntd, pre)
+            run = treewidth.run_dp(g, td, pre)
             witness = None
             if run.solution_edge_ids is not None:
                 witness = from_subgraph(g, (g.edges[i] for i in run.solution_edge_ids))
-            stats.update(width=ntd.width, dp_nodes=len(ntd.nodes), states_stored=run.states_stored, max_states=run.max_states)
+            stats.update(width=td.width(), dp_nodes=len(run.state_counts), states_stored=run.states_stored, max_states=run.max_states)
         elif algo == "vc":
             if pre:
                 raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
-            witness = vertex_cover.solve_vc(g, k=args.k, cutoff=args.cutoff)
+            witness = vertex_cover.solve_vc(g, cutoff=args.cutoff)
         else:  # prewt
             e1 = preweight.ones_only(pre)
-            k = args.k
-            if k is None:
-                _, k = vertex_cover.minimum_vertex_cover(g)
-            else:
-                vertex_cover.cover_within(g, k)
+            _, k = vertex_cover.minimum_vertex_cover(g)
             red = preweight.apply_reduction(g, e1, k)
             if red.deletions:
                 sys.stderr.write(preweight.deletion_log_text(red))
@@ -203,14 +198,25 @@ def cmd_gen(args) -> int:
             args.n, args.p, args.seed, pre_fraction=args.pre, pre_ones_only=args.pre_ones
         )
     elif args.kind == "planted":
-        sizes = [int(tok) for tok in args.classes.split(",") if tok]
+        if args.k < (0 if args.full_sig else 1):
+            raise ValueError("--k must be at least 1, or 0 with --full-sig")
+        try:
+            sizes = [int(tok) for tok in args.classes.split(",") if tok]
+        except ValueError:
+            sizes = None
+        if sizes is None or min(sizes, default=0) < 0:
+            raise ValueError(f"--classes takes comma-separated nonnegative sizes, not {args.classes!r}")
         g = generators.planted_twin_graph(
             args.k, sizes, args.seed, cover_edge_p=args.cover_p, full_sig=args.full_sig
         )
         pre = {}
     elif args.gadget == "suspended":
+        if args.paths < 0:
+            raise ValueError("--paths must be nonnegative")
         g, pre = generators.suspended_host(args.paths), {}
     elif args.gadget == "type-a":
+        if args.headroom < 0:
+            raise ValueError("--headroom must be nonnegative")
         g, pre = generators.type_a_host(args.k, args.headroom), {}
     else:  # type-b
         host = generators.pinned_chain_host(args.k, args.n_scale)
@@ -234,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("graph")
     solve.add_argument("--algo", choices=["auto", "oracle", "tw", "vc", "prewt"], default="auto")
     solve.add_argument("--td", help="tree decomposition file for the tw route")
-    solve.add_argument("--k", type=int, default=None, help="vertex cover size for vc/prewt")
     solve.add_argument("--cutoff", type=int, default=oracle.DEFAULT_CUTOFF)
     solve.set_defaults(func=cmd_solve)
 

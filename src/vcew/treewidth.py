@@ -47,8 +47,9 @@ backs and which loads with the first DP run):
   keeps, not by the larger child table or by the pairs a join drops.
   Chunking never changes a row or its order.
 
-A nice decomposition is checked as a tree decomposition (validate_nice calls
-validate_decomposition) plus the local rule of each node kind.
+run_dp checks its tree decomposition once, in make_nice, and trusts
+make_nice's output.  validate_nice checks a nice decomposition as a tree
+decomposition (via validate_decomposition) plus each node kind's rule.
 """
 
 from __future__ import annotations
@@ -339,13 +340,13 @@ def subtree_edge_sets(ntd: NiceTreeDecomposition) -> list[frozenset[Edge]]:
 
 def run_dp(
     g: Graph,
-    ntd: NiceTreeDecomposition,
+    td: TreeDecomposition,
     pre: PartialWeightAssignment | None = None,
     *,
     check_invariants: bool = False,
 ) -> DPRun:
-    """Execute the table computation bottom-up and return the root entry
-    plus per-node stored-state counts.
+    """Execute the table computation bottom-up over make_nice(td, g) and
+    return the root entry plus per-node stored-state counts.
 
     The pre-weights bound every vertex's final colour: lo(v) = pre1(v) <=
     fd(v) <= deg(v) - pre0(v) = hi(v), where pre1(v) and pre0(v) count v's
@@ -366,13 +367,14 @@ def run_dp(
     they keep, not with the largest child table.  Under check_invariants every
     row reaching a forget node must have fd == cd at the forgotten vertex.
 
-    Raises CapacityError when a packed state would need more than 63 bits,
-    and ContractViolationError when check_invariants finds a stored row
-    whose decoded partial solution fails check_partial_solution, or a row
+    Raises ValidationError when make_nice rejects td (its one check),
+    CapacityError when a packed state would need more than 63 bits, and
+    ContractViolationError when check_invariants finds a stored row whose
+    decoded partial solution fails check_partial_solution, or a row
     reaching a forget node with fd != cd.
     """
     pre = pre or {}
-    validate_nice(g, ntd)
+    ntd = make_nice(td, g)
     validate_partial(g, pre)
     lo = [0] * g.vertex_count
     hi = [g.degree(v) for v in range(g.vertex_count)]
@@ -397,13 +399,13 @@ def run_dp(
 
 def dp_solve(
     g: Graph,
-    ntd: NiceTreeDecomposition,
+    td: TreeDecomposition,
     pre: PartialWeightAssignment | None = None,
     *,
     check_invariants: bool = False,
 ) -> WeightAssignment | None:
-    """A proper assignment extending pre, reconstructed from the root entry."""
-    run = run_dp(g, ntd, pre, check_invariants=check_invariants)
+    """A proper assignment extending pre, reconstructed from run_dp's root entry."""
+    run = run_dp(g, td, pre, check_invariants=check_invariants)
     if run.solution_edge_ids is None:
         return None
     return from_subgraph(g, (g.edges[i] for i in run.solution_edge_ids))

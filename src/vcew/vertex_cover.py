@@ -253,24 +253,14 @@ def lift(g: Graph, kernel: Kernel, w_kernel: WeightAssignment) -> WeightAssignme
     return w
 
 
-def solve_vc(
-    g: Graph,
-    k: int | None = None,
-    *,
-    cutoff: int = oracle.DEFAULT_CUTOFF,
-) -> WeightAssignment | None:
+def solve_vc(g: Graph, *, cutoff: int = oracle.DEFAULT_CUTOFF) -> WeightAssignment | None:
     """Full pipeline: kernelize, search the kernel, lift any witness back.
 
-    A supplied k is verified against an exact cover computation before the
-    budget formula trusts it; otherwise the minimum is found by iterative
-    deepening on the kernel.
+    k is the kernel's cover number: by the color bound a yes-instance has a
+    witness within the budget k(8k^2+8k), which a larger k only widens.
     """
     kernel = kernelize(g)
-    if k is None:
-        _, k = minimum_vertex_cover(kernel.graph)
-    else:
-        cover_within(g, k)
-    # k must bound the true cover number, or the budget can hide a witness
+    _, k = minimum_vertex_cover(kernel.graph)
     w_kernel = oracle.solve_exhaustive(kernel.graph, {}, budget=edge_budget(k), cutoff=cutoff)
     if w_kernel is None:
         return None

@@ -38,6 +38,7 @@ from vcew.treewidth import (
     make_nice,
     run_dp,
     subtree_edge_sets,
+    validate_nice,
 )
 from vcew.vertex_cover import (
     class_cap,
@@ -95,10 +96,10 @@ def dp_sweep(atlas):
     bound_violations = []
     runs = 0
     for idx, g in enumerate(atlas):
-        ntd = make_nice(compute_decomposition(g), g)
-        bound = (g.max_degree() + 1) ** (2 * (ntd.width + 1))
+        td = compute_decomposition(g)
+        bound = (g.max_degree() + 1) ** (2 * (td.width() + 1))
         for pre in _seeded_preweightings(g, seed=idx):
-            run = run_dp(g, ntd, pre)
+            run = run_dp(g, td, pre)
             runs += 1
             if run.max_states > bound:
                 bound_violations.append(idx)
@@ -113,10 +114,10 @@ def dp_sweep(atlas):
                 if not (is_proper(g, w) and extends(w, pre)):
                     mismatches.append(idx)
     for seed, g in enumerate(_random_corpus_n9()):
-        ntd = make_nice(compute_decomposition(g), g)
-        bound = (g.max_degree() + 1) ** (2 * (ntd.width + 1))
+        td = compute_decomposition(g)
+        bound = (g.max_degree() + 1) ** (2 * (td.width() + 1))
         for pre in _seeded_preweightings(g, seed=10_000 + seed, draws=1):
-            run = run_dp(g, ntd, pre)
+            run = run_dp(g, td, pre)
             runs += 1
             if run.max_states > bound:
                 bound_violations.append(("rand", seed))
@@ -137,6 +138,15 @@ def test_criterion_01_oracle_dp_equivalence(dp_sweep):
     started = time.time()
     assert dp_sweep["mismatches"] == []
     _report("1 oracle-dp-equivalence", f"{dp_sweep['runs']} runs", started)
+
+
+def test_criterion_01_nice_decompositions_validate(atlas):
+    # run_dp trusts make_nice's output; check that output on the whole
+    # criterion-1 corpus instead
+    corpus = atlas + _random_corpus_n9()
+    for g in corpus:
+        validate_nice(g, make_nice(compute_decomposition(g), g))
+    assert len(corpus) == 996 + 500
 
 
 @pytest.fixture(scope="module")

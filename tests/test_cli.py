@@ -97,7 +97,7 @@ def test_solve_dp_state_past_63_bits_exits_3(tmp_path, capsys):
 
 def test_solve_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
     # every C4 edge at weight 1 gives all four vertices color 2
-    monkeypatch.setattr(treewidth, "run_dp", lambda g, ntd, pre: treewidth.DPRun(frozenset(range(4)), [1]))
+    monkeypatch.setattr(treewidth, "run_dp", lambda g, td, pre: treewidth.DPRun(frozenset(range(4)), [1]))
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
     code, out, err = run_cli(capsys, "solve", path, "--algo", "tw")
     assert code == 4 and out == ""
@@ -265,7 +265,7 @@ def test_readme_usage_matches_parser():
         assert path not in usage, path
         usage[path] = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", entry))
     assert usage == expected
-    assert expected[("solve",)] == {"--algo", "--td", "--k", "--cutoff"}
+    assert expected[("solve",)] == {"--algo", "--td", "--cutoff"}
     assert expected[("kernelize",)] == {"-o"}
 
 
@@ -304,14 +304,13 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
     assert err.count("vcew: ") == 1 and err.startswith("vcew: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "k,message",
-    [("-1", "k must be nonnegative"), ("1", "no vertex cover of size <= 1")],
-)
-def test_solve_vc_bad_k_exits_2(tmp_path, capsys, k, message):
-    path = write(tmp_path, "c3.gr", "p vcew 3 3\n1 2\n2 3\n1 3\n")
-    code, out, err = run_cli(capsys, "solve", path, "--algo", "vc", "--k", k)
-    assert code == 2 and out == "" and message in err
+def test_solve_k_option_is_gone(tmp_path, capsys):
+    # the vc and prewt routes compute the cover number themselves
+    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", path, "--k", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --k 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -322,13 +321,6 @@ def test_solve_negative_cutoff_exits_2(tmp_path, capsys, extra):
     code, out, err = run_cli(capsys, "solve", path, *extra, "--cutoff", "-1")
     assert code == 2 and out == ""
     assert err == "vcew: cutoff must be nonnegative\n"
-
-
-def test_solve_prewt_k_below_cover_number_exits_2(tmp_path, capsys):
-    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2 1\n2 3\n3 4\n1 4\n")
-    code, out, err = run_cli(capsys, "solve", path, "--algo", "prewt", "--k", "1")
-    assert code == 2 and out == ""
-    assert err == "vcew: graph has no vertex cover of size <= 1\n"
 
 
 def test_verify_incomplete_exits_2(tmp_path, capsys):
@@ -434,6 +426,28 @@ def test_gen_planted_class_size_honored(capsys):
     out = run_cli(capsys, "gen", "planted", "--k", "1", "--classes", "6", "--seed", "2", "--full-sig")[1]
     g, _ = io.parse_graph(out)
     assert g.vertex_count == 7 and len(g.edges) == 6
+    # with --full-sig an empty cover is allowed: the classes are isolated vertices
+    out = run_cli(capsys, "gen", "planted", "--k", "0", "--classes", "3", "--seed", "1", "--full-sig")[1]
+    assert out == "p vcew 3 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["planted", "--k", "0", "--classes", "3", "--seed", "1"], "--k"),
+        (["planted", "--k", "-1", "--classes", "3", "--seed", "1"], "--k"),
+        (["planted", "--k", "2", "--classes", "3,x", "--seed", "1"], "--classes"),
+        (["planted", "--k", "2", "--classes", "3,-1", "--seed", "1"], "--classes"),
+        (["gadget", "type-a", "--k", "2", "--headroom", "-2"], "--headroom"),
+        (["gadget", "suspended", "--paths", "-1"], "--paths"),
+    ],
+    ids=["planted-k-0", "planted-k-negative", "classes-not-integer", "classes-negative",
+         "headroom-negative", "paths-negative"],
+)
+def test_gen_bad_option_exits_2(capsys, argv, option):
+    code, out, err = run_cli(capsys, "gen", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"vcew: {option} ") and err.count("\n") == 1
 
 
 def test_solve_output_byte_identical_across_processes(tmp_path):
@@ -448,27 +462,6 @@ def test_solve_output_byte_identical_across_processes(tmp_path):
     ]
     assert runs[0].returncode == runs[1].returncode == 0
     assert runs[0].stdout == runs[1].stdout
-
-
-def test_cover_number_past_recursion_limit(tmp_path):
-    # 1,100 disjoint paths on 3 vertices: cover number 1,100, deeper than
-    # Python's default recursion limit
-    edges = [f"{3 * i + 1} {3 * i + 2}\n{3 * i + 2} {3 * i + 3}" for i in range(1100)]
-    path = write(tmp_path, "paths.gr", "\n".join(["p vcew 3300 2200", *edges]) + "\n")
-    runs = []
-    for argv, code in (
-        (["solve", path, "--algo", "vc", "--k", "1100"], 3),  # the kernel search is refused
-        (["solve", path, "--algo", "prewt", "--k", "1100"], 3),
-        (["solve", path, "--algo", "vc", "--k", "1099"], 2),
-    ):
-        run = subprocess.run([sys.executable, "-m", "vcew.cli", *argv], capture_output=True, text=True)
-        assert run.returncode == code, (argv, run.stderr[-300:])
-        assert "Traceback" not in run.stderr
-        runs.append(run)
-    # the refusal names the candidate count by its exponent
-    refusal = runs[0].stderr.splitlines()[0]
-    assert "2^" in refusal and len(refusal.encode()) < 200
-    assert "no vertex cover of size <= 1099" in runs[2].stderr
 
 
 def test_fuzz_oracle_vs_tw(tmp_path, capsys):
@@ -498,3 +491,23 @@ def test_solve_with_provided_td(tmp_path, capsys):
     code, out_auto, _ = run_cli(capsys, "solve", graph_path, "--algo", "tw")
     assert code == 0
     assert io.parse_result(out_td).status == io.parse_result(out_auto).status
+
+
+@pytest.mark.parametrize("with_td,checks", [(False, 1), (True, 2)], ids=["computed-td", "td-file"])
+def test_solve_tw_checks_decomposition_once(tmp_path, capsys, monkeypatch, with_td, checks):
+    # make_nice checks the decomposition and a --td file is checked once on
+    # reading; the nice decomposition make_nice builds is not checked again
+    from vcew.treewidth import compute_decomposition
+
+    text = "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n"
+    graph_path = write(tmp_path, "c4.gr", text)
+    td_path = write(tmp_path, "c4.td", io.emit_td(compute_decomposition(io.parse_graph(text)[0])))
+    calls = {"validate_decomposition": 0, "validate_nice": 0}
+    for name in calls:
+        def counted(*args, _name=name, _check=getattr(treewidth, name)):
+            calls[_name] += 1
+            return _check(*args)
+        monkeypatch.setattr(treewidth, name, counted)
+    code, out, _ = run_cli(capsys, "solve", graph_path, "--algo", "tw", *(["--td", td_path] if with_td else []))
+    assert code == 0 and io.parse_result(out).status == "yes"
+    assert calls == {"validate_decomposition": checks, "validate_nice": 0}

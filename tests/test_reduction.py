@@ -419,7 +419,7 @@ def test_solve_reduced_agrees_with_unrestricted_dp():
     # width tiny even though H has hundreds of vertices); the DP witnesses
     # are pinned to UNRESTRICTED_DP_WITNESSES, recorded from the
     # dict-of-tuples engine the packed one replaced
-    from vcew.treewidth import compute_decomposition, make_nice, run_dp
+    from vcew.treewidth import compute_decomposition, run_dp
 
     cases = [
         make_inst(2, [(0, 1)], [[2], [3]]),
@@ -430,8 +430,7 @@ def test_solve_reduced_agrees_with_unrestricted_dp():
     ]
     for inst, expected in zip(cases, UNRESTRICTED_DP_WITNESSES, strict=True):
         red = build_reduction(inst, small_chain_scale(inst))
-        ntd = make_nice(compute_decomposition(red.graph), red.graph)
-        ids = run_dp(red.graph, ntd).solution_edge_ids
+        ids = run_dp(red.graph, compute_decomposition(red.graph)).solution_edge_ids
         assert (None if ids is None else tuple(sorted(ids))) == expected
         unrestricted = ids is not None
         forced = solve_reduced(red) is not None

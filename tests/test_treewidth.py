@@ -132,20 +132,20 @@ def test_make_nice_rejects_invalid():
 
 
 def test_dp_examples():
-    assert dp_solve(P3, nice_for(P3)) == {(0, 1): 1, (1, 2): 1}
-    assert dp_solve(C3, nice_for(C3)) is None
+    assert dp_solve(P3, compute_decomposition(P3)) == {(0, 1): 1, (1, 2): 1}
+    assert dp_solve(C3, compute_decomposition(C3)) is None
     pre = {(0, 1): 1}
-    w = dp_solve(C4, nice_for(C4), pre)
+    w = dp_solve(C4, compute_decomposition(C4), pre)
     w_oracle = oracle.solve_exhaustive(C4, pre)
     assert (w is None) == (w_oracle is None)
     assert w is not None and extends(w, pre)
 
 
-def test_dp_rejects_invalid_ntd():
-    ntd = nice_for(P3)
-    broken = NiceTreeDecomposition(nodes=ntd.nodes[:-1], root=ntd.root - 1, width=ntd.width)
-    with pytest.raises(ValidationError):
-        dp_solve(P3, broken)
+def test_dp_rejects_invalid_td():
+    uncovered = TreeDecomposition(bags=(frozenset({0, 1}), frozenset({2})), parent=(-1, 0), root=0)
+    for solve in (run_dp, dp_solve):
+        with pytest.raises(ValidationError):
+            solve(P3, uncovered)
 
 
 IV, IE = INTRODUCE_VERTEX, INTRODUCE_EDGE
@@ -221,17 +221,15 @@ def test_validate_nice_rejects_malformed(g, ntd):
     validate_nice(K2, K2_NICE)  # the decomposition the edits start from is valid
     with pytest.raises(ValidationError):
         validate_nice(g, ntd)
-    with pytest.raises(ValidationError):
-        run_dp(g, ntd)
 
 
 def test_dp_matches_oracle_with_preweights():
     rng = random.Random(9)
     for _ in range(120):
         g = random_small_graph(rng, max_n=7)
-        ntd = nice_for(g)
+        td = compute_decomposition(g)
         pre = {e: rng.randint(0, 1) for e in g.edges if rng.random() < 0.35}
-        w_dp = dp_solve(g, ntd, pre)
+        w_dp = dp_solve(g, td, pre)
         w_or = oracle.solve_exhaustive(g, pre)
         assert (w_dp is None) == (w_or is None)
         if w_dp is not None:
@@ -242,7 +240,7 @@ def test_dp_invariant_checks_pass():
     rng = random.Random(13)
     for _ in range(25):
         g = random_small_graph(rng, max_n=6)
-        dp_solve(g, nice_for(g), check_invariants=True)
+        dp_solve(g, compute_decomposition(g), check_invariants=True)
 
 
 def test_dp_invariant_checks_pass_with_preweights():
@@ -262,7 +260,7 @@ def test_dp_invariant_checks_pass_with_preweights():
             v = rng.choice([x for x in range(g.vertex_count) if g.degree(x)])
             cases.append((g, {e: 1 if v in e else rng.randint(0, 1) for e in g.edges if v in e or rng.random() < 0.3}))
     for g, pre in cases:
-        w = dp_solve(g, nice_for(g), pre, check_invariants=True)
+        w = dp_solve(g, compute_decomposition(g), pre, check_invariants=True)
         w_oracle = oracle.solve_exhaustive(g, pre)
         assert (w is None) == (w_oracle is None), (g.edges, pre)
         if w is not None:
@@ -276,20 +274,20 @@ def test_dp_field_width_follows_preweights():
     # clique vertices need eight distinct colours in 0..7, so one has colour
     # 7, adjacent to all the others by weight 1, and one has colour 0.
     g = Graph.build(9, list(itertools.combinations(range(8), 2)) + [(0, 8)])
-    ntd = nice_for(g)
-    assert ntd.width == 7
+    td = compute_decomposition(g)
+    assert td.width() == 7
     with pytest.raises(CapacityError, match="64 bits"):
-        run_dp(g, ntd)
-    assert run_dp(g, ntd, {(0, 8): 0}).solution_edge_ids is None
+        run_dp(g, td)
+    assert run_dp(g, td, {(0, 8): 0}).solution_edge_ids is None
 
 
 def test_state_counts_within_bound():
     rng = random.Random(17)
     for _ in range(40):
         g = random_small_graph(rng, max_n=7)
-        ntd = nice_for(g)
-        run = run_dp(g, ntd)
-        bound = (g.max_degree() + 1) ** (2 * (ntd.width + 1))
+        td = compute_decomposition(g)
+        run = run_dp(g, td)
+        bound = (g.max_degree() + 1) ** (2 * (td.width() + 1))
         assert run.max_states <= bound
 
 
@@ -332,7 +330,7 @@ def test_check_partial_solution_rejects_foreign_edges():
 def test_dp_invariant_failure_is_a_contract_violation(monkeypatch):
     monkeypatch.setattr(_dp_tables, "_check_partial", lambda *args: False)
     with pytest.raises(ContractViolationError):
-        run_dp(P3, nice_for(P3), check_invariants=True)
+        run_dp(P3, compute_decomposition(P3), check_invariants=True)
 
 
 def test_dp_degenerate_cases_match_brute_force():
@@ -351,7 +349,7 @@ def test_dp_degenerate_cases_match_brute_force():
         (C4, {(0, 1): 1, (2, 3): 0}),
     ]
     for g, pre in cases:
-        w = dp_solve(g, nice_for(g), pre, check_invariants=True)
+        w = dp_solve(g, compute_decomposition(g), pre, check_invariants=True)
         first, _ = brute_force_solve(g, pre)
         assert (w is None) == (first is None), (g.edges, pre)
         if w is not None:
@@ -408,7 +406,7 @@ GOLDEN_GNP_WITNESSES = [
 def test_dp_witnesses_match_golden():
     for seed, expected in enumerate(GOLDEN_GNP_WITNESSES):
         g, pre = random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35)
-        ids = run_dp(g, nice_for(g), pre).solution_edge_ids
+        ids = run_dp(g, compute_decomposition(g), pre).solution_edge_ids
         assert (None if ids is None else tuple(sorted(ids))) == expected, seed
 
 
@@ -461,7 +459,7 @@ GOLDEN_GNP_COUNTS = [
 def test_dp_state_counts_match_golden():
     for seed, expected in enumerate(GOLDEN_GNP_COUNTS):
         g, pre = random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35)
-        run = run_dp(g, nice_for(g), pre)
+        run = run_dp(g, compute_decomposition(g), pre)
         assert (run.states_stored, run.max_states) == expected, seed
 
 
@@ -654,10 +652,10 @@ def test_introduce_edge_keeps_weight0_on_collision(monkeypatch):
 def test_dp_tables_match_under_small_chunks(monkeypatch):
     # whole runs with chunks of 3 rows or pairs: same witnesses and counts
     cases = [random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35) for seed in range(12)]
-    want = [run_dp(g, nice_for(g), pre) for g, pre in cases]
+    want = [run_dp(g, compute_decomposition(g), pre) for g, pre in cases]
     monkeypatch.setattr(_dp_tables, "_CHUNK", 3)
     for (g, pre), run in zip(cases, want):
-        got = run_dp(g, nice_for(g), pre)
+        got = run_dp(g, compute_decomposition(g), pre)
         assert (got.solution_edge_ids, got.state_counts) == (run.solution_edge_ids, run.state_counts)
 
 
@@ -675,10 +673,10 @@ def test_forget_checks_fd_equals_cd_under_invariants(monkeypatch):
 _SEED_481 = """
 import json, resource, sys
 from vcew.graph import Graph
-from vcew.treewidth import compute_decomposition, make_nice, run_dp
+from vcew.treewidth import compute_decomposition, run_dp
 n, edges = json.loads(sys.argv[1])
 g = Graph.build(n, [tuple(e) for e in edges])
-run = run_dp(g, make_nice(compute_decomposition(g), g))
+run = run_dp(g, compute_decomposition(g))
 print(json.dumps([run.solution_edge_ids is not None, run.max_states, run.states_stored,
                   resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
 """

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from vcew import oracle
+from vcew import oracle, preweight
 from vcew.errors import CapacityError, ContractViolationError
 from vcew.generators import planted_twin_graph, random_graph
 from vcew.graph import Graph, induced_colors, is_proper
@@ -101,7 +101,7 @@ def test_exact_cover_matches_reference_search():
             queries += 1
             if want is not None:
                 break
-        # and a budget with room to spare, as a user's --k may give
+        # and a budget with room to spare above the cover number
         assert exact_vertex_cover(g, n) == reference_exact_vertex_cover(g, n), seed
     assert queries > 5000
 
@@ -269,12 +269,6 @@ def test_pipeline_matches_oracle_small():
             assert is_proper(g, a)
 
 
-def test_pipeline_rejects_wrong_k():
-    c3 = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ValueError):
-        solve_vc(c3, k=1)
-
-
 def test_cover_within():
     c4 = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     for k in (2, 3):
@@ -284,6 +278,22 @@ def test_cover_within():
         cover_within(c4, 1)
     with pytest.raises(ValueError, match="nonnegative"):
         cover_within(c4, -1)
+
+
+def test_cover_number_past_recursion_limit():
+    # 1,100 disjoint paths on 3 vertices: cover number 1,100, deeper than
+    # Python's default recursion limit
+    g = Graph.build(3300, [e for i in range(1100) for e in ((3 * i, 3 * i + 1), (3 * i + 1, 3 * i + 2))])
+    cover = exact_vertex_cover(g, 1100)
+    assert cover is not None and len(cover) == 1100 and is_cover(g, cover)
+    assert exact_vertex_cover(g, 1099) is None
+    with pytest.raises(ValueError, match="no vertex cover of size <= 1099"):
+        cover_within(g, 1099)
+    # the budgeted search is refused, and the refusal names the candidate
+    # count by its exponent
+    with pytest.raises(CapacityError) as exc:
+        preweight.solve_prewt(g, set(), 1100)
+    assert "2^" in str(exc.value) and len(str(exc.value).encode()) < 200
 
 
 def test_kernel_bound_violations_raise_contract_error():
