@@ -26,10 +26,8 @@ from vcew.errors import (
 from vcew.graph import (
     Graph,
     PartialWeightAssignment,
-    WeightAssignment,
     extends,
     find_conflicts,
-    from_subgraph,
     induced_colors,
     is_proper,
     isolated_edges,
@@ -82,37 +80,25 @@ def cmd_solve(args) -> int:
     algo, td = _pick_algo(args, g, pre)
     started = time.perf_counter()
     stats: dict[str, int] = {"free_edges": len(g.edges) - len(pre)}
-    witness: WeightAssignment | None
     try:
-        shortcut = isolated_edges(g)
-        if shortcut:
+        if shortcut := isolated_edges(g):
             witness = None
             stats["isolated_edges"] = len(shortcut)
         elif algo == "oracle":
-            search = oracle.SearchStats()
-            witness = oracle.solve_exhaustive(g, pre, cutoff=args.cutoff, stats=search)
-            stats["search_nodes"] = search.nodes
+            witness = oracle.solve_exhaustive(g, pre, cutoff=args.cutoff, stats=stats)
         elif algo == "tw":
-            if td is None:
-                td = treewidth.compute_decomposition(g)
-            run = treewidth.run_dp(g, td, pre)
-            witness = None
-            if run.solution_edge_ids is not None:
-                witness = from_subgraph(g, (g.edges[i] for i in run.solution_edge_ids))
-            stats.update(width=td.width(), dp_nodes=len(run.state_counts), states_stored=run.states_stored, max_states=run.max_states)
+            witness = treewidth.dp_solve(g, td or treewidth.compute_decomposition(g), pre, stats=stats)
         elif algo == "vc":
             if pre:
                 raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
-            witness = vertex_cover.solve_vc(g, cutoff=args.cutoff)
+            witness = vertex_cover.solve_vc(g, cutoff=args.cutoff, stats=stats)
         else:  # prewt
             e1 = preweight.ones_only(pre)
             _, k = vertex_cover.minimum_vertex_cover(g)
             red = preweight.apply_reduction(g, e1, k)
-            if red.deletions:
-                sys.stderr.write(preweight.deletion_log_text(red))
-            witness = preweight.solve_prewt(g, e1, k, cutoff=args.cutoff)
-            stats["k"] = k
+            sys.stderr.write(preweight.deletion_log_text(red))
             stats["rule_deletions"] = len(red.deletions)
+            witness = preweight.solve_prewt(g, e1, k, cutoff=args.cutoff, stats=stats)
     except CapacityError as exc:
         _err(str(exc))
         _emit(io.ResultRecord(status="unknown", algorithm=algo, verified=False))
@@ -127,15 +113,14 @@ def cmd_solve(args) -> int:
         verified = False
     if not verified:
         raise ContractViolationError(f"{algo} produced a witness that failed re-verification")
-    record = io.ResultRecord(
+    _emit(io.ResultRecord(
         status="yes",
         algorithm=algo,
         verified=True,
         witness=io.witness_from_assignment(g, witness),
         colors=tuple(induced_colors(g, witness)),
         stats=stats,
-    )
-    _emit(record)
+    ))
     return EXIT_OK
 
 
@@ -192,33 +177,41 @@ def cmd_reduce_lc(args) -> int:
     return EXIT_OK
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
 def cmd_gen(args) -> int:
+    # `0 <= x <= 1` is also false for nan
     if args.kind == "random":
+        _require(args.n >= 0, "--n must be nonnegative")
+        _require(0 <= args.p <= 1, f"--p must lie in [0, 1], not {args.p}")
+        _require(0 <= args.pre <= 1, f"--pre must lie in [0, 1], not {args.pre}")
         g, pre = generators.random_graph(
             args.n, args.p, args.seed, pre_fraction=args.pre, pre_ones_only=args.pre_ones
         )
     elif args.kind == "planted":
-        if args.k < (0 if args.full_sig else 1):
-            raise ValueError("--k must be at least 1, or 0 with --full-sig")
+        _require(args.k >= (0 if args.full_sig else 1), "--k must be at least 1, or 0 with --full-sig")
         try:
             sizes = [int(tok) for tok in args.classes.split(",") if tok]
         except ValueError:
-            sizes = None
-        if sizes is None or min(sizes, default=0) < 0:
-            raise ValueError(f"--classes takes comma-separated nonnegative sizes, not {args.classes!r}")
+            sizes = [-1]  # fails the check below
+        _require(min(sizes, default=0) >= 0, f"--classes takes comma-separated nonnegative sizes, not {args.classes!r}")
+        _require(0 <= args.cover_p <= 1, f"--cover-p must lie in [0, 1], not {args.cover_p}")
         g = generators.planted_twin_graph(
             args.k, sizes, args.seed, cover_edge_p=args.cover_p, full_sig=args.full_sig
         )
         pre = {}
     elif args.gadget == "suspended":
-        if args.paths < 0:
-            raise ValueError("--paths must be nonnegative")
+        _require(args.paths >= 0, "--paths must be nonnegative")
         g, pre = generators.suspended_host(args.paths), {}
     elif args.gadget == "type-a":
-        if args.headroom < 0:
-            raise ValueError("--headroom must be nonnegative")
+        _require(args.k >= 2, "--k must be at least 2 for a type-A gadget")
+        _require(args.headroom >= 0, "--headroom must be nonnegative")
         g, pre = generators.type_a_host(args.k, args.headroom), {}
     else:  # type-b
+        _require(2 <= args.k < args.n_scale, "--k must be at least 2 and below --N for a type-B gadget")
         host = generators.pinned_chain_host(args.k, args.n_scale)
         g, pre = host.graph, host.pre
     text = io.emit_graph(g, pre)

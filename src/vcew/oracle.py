@@ -54,13 +54,6 @@ def backend() -> str:
     return "python" if _kernel is _search_py else "compiled"
 
 
-class SearchStats:
-    """Counters from the last oracle call on this problem instance."""
-
-    def __init__(self) -> None:
-        self.nodes = 0
-
-
 @dataclass(frozen=True)
 class SearchInstance:
     """A graph and pre-weighting prepared for the search kernels.
@@ -149,10 +142,11 @@ def solve_exhaustive(
     budget: int | None = None,
     *,
     cutoff: int = DEFAULT_CUTOFF,
-    stats: SearchStats | None = None,
+    stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
     """A proper assignment extending pre using at most `budget` weight-1 free
-    edges, or None.  The first hit in enumeration order is returned."""
+    edges, or None.  The first hit in enumeration order is returned;
+    `stats` gets `search_nodes`."""
     pre = pre or {}
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
@@ -162,7 +156,7 @@ def solve_exhaustive(
     maxc = len(free) if budget is None else budget
     chosen, nodes = _kernel.solve_ones(inst, maxc)
     if stats is not None:
-        stats.nodes = nodes
+        stats["search_nodes"] = nodes
     if chosen is None:
         return None
     ones = {free[p] for p in chosen}

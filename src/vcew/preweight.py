@@ -115,16 +115,20 @@ def solve_prewt(
     k: int,
     *,
     cutoff: int = oracle.DEFAULT_CUTOFF,
+    stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
     """Reduce, run the budgeted search over the unweighted edges of H*, and
-    extend any witness back by weighting the deleted edges 0."""
+    extend any witness back by weighting the deleted edges 0; `stats` gets
+    `k` and `search_nodes`."""
     e1set = frozenset(edge_key(u, v) for u, v in e1)
     bad = [e for e in e1set if e not in g.edge_index]
     if bad:
         raise ValueError(f"pre-weighted edge {bad[0]} not in the graph")
     red = apply_reduction(g, e1set, k)
     pre = {e: 1 for e in e1set}
-    w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), cutoff=cutoff)
+    if stats is not None:
+        stats["k"] = k
+    w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), cutoff=cutoff, stats=stats)
     if w_star is None:
         return None
     w: WeightAssignment = {e: 0 for e in g.edges}

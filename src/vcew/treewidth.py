@@ -403,9 +403,14 @@ def dp_solve(
     pre: PartialWeightAssignment | None = None,
     *,
     check_invariants: bool = False,
+    stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
-    """A proper assignment extending pre, reconstructed from run_dp's root entry."""
+    """A proper assignment extending pre, reconstructed from run_dp's root
+    entry; `stats` gets `width`, `dp_nodes`, `states_stored`, `max_states`."""
     run = run_dp(g, td, pre, check_invariants=check_invariants)
+    if stats is not None:
+        stats.update(width=td.width(), dp_nodes=len(run.state_counts))
+        stats.update(states_stored=run.states_stored, max_states=run.max_states)
     if run.solution_edge_ids is None:
         return None
     return from_subgraph(g, (g.edges[i] for i in run.solution_edge_ids))

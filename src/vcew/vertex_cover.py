@@ -253,15 +253,18 @@ def lift(g: Graph, kernel: Kernel, w_kernel: WeightAssignment) -> WeightAssignme
     return w
 
 
-def solve_vc(g: Graph, *, cutoff: int = oracle.DEFAULT_CUTOFF) -> WeightAssignment | None:
+def solve_vc(g: Graph, *, cutoff: int = oracle.DEFAULT_CUTOFF, stats: dict[str, int] | None = None) -> WeightAssignment | None:
     """Full pipeline: kernelize, search the kernel, lift any witness back.
 
     k is the kernel's cover number: by the color bound a yes-instance has a
     witness within the budget k(8k^2+8k), which a larger k only widens.
+    `stats` gets `k`, `kernel_vertices`, `kernel_edges` and `search_nodes`.
     """
     kernel = kernelize(g)
     _, k = minimum_vertex_cover(kernel.graph)
-    w_kernel = oracle.solve_exhaustive(kernel.graph, {}, budget=edge_budget(k), cutoff=cutoff)
+    if stats is not None:
+        stats.update(k=k, kernel_vertices=kernel.graph.vertex_count, kernel_edges=len(kernel.graph.edges))
+    w_kernel = oracle.solve_exhaustive(kernel.graph, {}, budget=edge_budget(k), cutoff=cutoff, stats=stats)
     if w_kernel is None:
         return None
     return lift(g, kernel, w_kernel)

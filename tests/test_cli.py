@@ -97,7 +97,7 @@ def test_solve_dp_state_past_63_bits_exits_3(tmp_path, capsys):
 
 def test_solve_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
     # every C4 edge at weight 1 gives all four vertices color 2
-    monkeypatch.setattr(treewidth, "run_dp", lambda g, td, pre: treewidth.DPRun(frozenset(range(4)), [1]))
+    monkeypatch.setattr(treewidth, "run_dp", lambda g, td, pre, **_: treewidth.DPRun(frozenset(range(4)), [1]))
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
     code, out, err = run_cli(capsys, "solve", path, "--algo", "tw")
     assert code == 4 and out == ""
@@ -440,14 +440,53 @@ def test_gen_planted_class_size_honored(capsys):
         (["planted", "--k", "2", "--classes", "3,-1", "--seed", "1"], "--classes"),
         (["gadget", "type-a", "--k", "2", "--headroom", "-2"], "--headroom"),
         (["gadget", "suspended", "--paths", "-1"], "--paths"),
+        (["gadget", "type-a", "--k", "0"], "--k"),
+        (["gadget", "type-b", "--k", "1", "--N", "5"], "--k"),
+        (["gadget", "type-b", "--k", "5", "--N", "5"], "--k"),
+        (["random", "--n", "-1", "--seed", "1"], "--n"),
+        (["random", "--n", "4", "--p", "2", "--seed", "1"], "--p"),
+        (["random", "--n", "4", "--p", "-1", "--seed", "1"], "--p"),
+        (["random", "--n", "4", "--p", "nan", "--seed", "1"], "--p"),
+        (["random", "--n", "4", "--pre", "1.5", "--seed", "1"], "--pre"),
+        (["planted", "--k", "2", "--classes", "3", "--seed", "1", "--cover-p", "7"], "--cover-p"),
     ],
     ids=["planted-k-0", "planted-k-negative", "classes-not-integer", "classes-negative",
-         "headroom-negative", "paths-negative"],
+         "headroom-negative", "paths-negative", "type-a-k-0", "type-b-k-1", "type-b-k-not-below-N",
+         "random-n-negative", "p-above-1", "p-negative", "p-nan", "pre-above-1", "cover-p-above-1"],
 )
 def test_gen_bad_option_exits_2(capsys, argv, option):
     code, out, err = run_cli(capsys, "gen", *argv)
     assert code == 2 and out == ""
     assert err.startswith(f"vcew: {option} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "algo,text,counters,digest",
+    [
+        ("oracle", "p vcew 5 6\n1 2\n2 3\n3 4\n4 5\n1 5\n2 4 1\n", {"search_nodes": 10},
+         "bd2df2c83f8fa597dfaa4311e87f8a5e392f4290736f39ab90f3185d7d1c79c2"),
+        ("tw", "p vcew 6 8\n1 2 0\n2 3\n3 4\n4 5\n5 6\n1 6\n2 5 1\n3 6\n",
+         {"width": 3, "dp_nodes": 26, "states_stored": 246, "max_states": 48},
+         "0741192e617eede74bb2b70e6ffc026c9879a2dd0f76a0b1894c70912da671ce"),
+        # gen planted --k 2 --classes 3,2,4 --seed 1 --cover-p 1
+        ("vc", "p vcew 11 14\n1 2\n1 6\n1 7\n1 8\n1 9\n1 10\n1 11\n2 3\n2 4\n2 5\n2 8\n2 9\n2 10\n2 11\n",
+         {"k": 2, "kernel_vertices": 11, "kernel_edges": 14, "search_nodes": 64},
+         "c2022c5ec8cd8eee74bde9dea85414580dad0b8604913c8bfbf54b86428e39aa"),
+        # a 40-leaf star whose odd leaf edges are pre-weighted 1
+        ("prewt", "p vcew 41 40\n" + "".join(f"1 {i + 1}{' 1' if i % 2 else ''}\n" for i in range(1, 41)),
+         {"k": 1, "rule_deletions": 3, "search_nodes": 19},
+         "fe637e900fd64b1da826d5a8e301b8d2dfb4b88009423f062a34e85ef428b2d0"),
+    ],
+    ids=["oracle", "tw", "vc", "prewt"],
+)
+def test_solve_route_stats_and_stdout(tmp_path, capsys, algo, text, counters, digest):
+    # every route reports its own counters on stderr; the stdout bytes are pinned
+    g, pre = io.parse_graph(text)
+    code, out, err = run_cli(capsys, "solve", write(tmp_path, "g.gr", text), "--algo", algo)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+    stats = json.loads(err.split("stats: ", 1)[1])
+    assert stats.pop("elapsed_ms") >= 0
+    assert stats == {"free_edges": len(g.edges) - len(pre), **counters}
 
 
 def test_solve_output_byte_identical_across_processes(tmp_path):
