@@ -85,28 +85,30 @@ def cmd_solve(args) -> int:
             witness = None
             stats["isolated_edges"] = len(shortcut)
         elif algo == "oracle":
-            witness = oracle.solve_exhaustive(g, pre, cutoff=args.cutoff, stats=stats)
+            witness = oracle.solve_exhaustive(g, pre, stats=stats)
         elif algo == "tw":
             witness = treewidth.dp_solve(g, td or treewidth.compute_decomposition(g), pre, stats=stats)
         elif algo == "vc":
             if pre:
                 raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
-            witness = vertex_cover.solve_vc(g, cutoff=args.cutoff, stats=stats)
+            witness = vertex_cover.solve_vc(g, stats=stats)
         else:  # prewt
             e1 = preweight.ones_only(pre)
             _, k = vertex_cover.minimum_vertex_cover(g)
             red = preweight.apply_reduction(g, e1, k)
             sys.stderr.write(preweight.deletion_log_text(red))
             stats["rule_deletions"] = len(red.deletions)
-            witness = preweight.solve_prewt(g, e1, k, cutoff=args.cutoff, stats=stats)
+            witness = preweight.solve_prewt(g, e1, k, stats=stats)
     except CapacityError as exc:
         _err(str(exc))
-        _emit(io.ResultRecord(status="unknown", algorithm=algo, verified=False))
-        return EXIT_CAPACITY
+        status = "unknown"
+    else:
+        status = "no" if witness is None else "yes"
+    # a refusal reports the counters its route filled in before refusing
     stats["elapsed_ms"] = int((time.perf_counter() - started) * 1000)
-    if witness is None:
-        _emit(io.ResultRecord(status="no", algorithm=algo, verified=True, stats=stats))
-        return EXIT_OK
+    if status != "yes":
+        _emit(io.ResultRecord(status=status, algorithm=algo, verified=status == "no", stats=stats))
+        return EXIT_CAPACITY if status == "unknown" else EXIT_OK
     try:
         verified = is_proper(g, witness) and extends(witness, pre)
     except ValidationError:  # not a total {0, 1} map of the edges
@@ -233,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("graph")
     solve.add_argument("--algo", choices=["auto", "oracle", "tw", "vc", "prewt"], default="auto")
     solve.add_argument("--td", help="tree decomposition file for the tw route")
-    solve.add_argument("--cutoff", type=int, default=oracle.DEFAULT_CUTOFF)
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a weight certificate")

@@ -31,7 +31,7 @@ from vcew.graph import (
     validate_partial,
 )
 
-DEFAULT_CUTOFF = 30
+CUTOFF = 30  # the search ceiling: at most 2^CUTOFF candidates
 NO_BOUND = 1 << 60
 
 
@@ -118,21 +118,16 @@ def _prepare(g: Graph, pre: PartialWeightAssignment, bounds) -> SearchInstance:
     )
 
 
-def _check_capacity(free_count: int, budget: int | None, cutoff: int) -> None:
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    if budget is None:
-        if free_count > cutoff:
-            raise CapacityError(
-                f"{free_count} free edges exceed the unbudgeted cutoff of {cutoff}; raise the cutoff"
-            )
-        return
-    top = min(budget, free_count)
-    work = sum(math.comb(free_count, c) for c in range(top + 1))
-    if work > (1 << cutoff):
+def _check_capacity(free_count: int, budget: int | None) -> None:
+    """Refuse a search over more than 2^CUTOFF candidates: 2^F for F free
+    edges, or the sum of C(F, c) over c <= budget when budget < F."""
+    if budget is None or budget >= free_count:
+        work = 1 << free_count
+    else:
+        work = sum(math.comb(free_count, c) for c in range(budget + 1))
+    if work > 1 << CUTOFF:
         raise CapacityError(
-            f"budgeted search would visit about 2^{math.log2(work):.1f} candidates, "
-            f"above the 2^{cutoff} ceiling; raise the cutoff"
+            f"search would visit about 2^{math.log2(work):.1f} candidates, above the 2^{CUTOFF} ceiling"
         )
 
 
@@ -141,7 +136,6 @@ def solve_exhaustive(
     pre: PartialWeightAssignment | None = None,
     budget: int | None = None,
     *,
-    cutoff: int = DEFAULT_CUTOFF,
     stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
     """A proper assignment extending pre using at most `budget` weight-1 free
@@ -152,7 +146,7 @@ def solve_exhaustive(
         raise ValueError("budget must be nonnegative")
     inst = _prepare(g, pre, None)
     free = inst.free
-    _check_capacity(len(free), budget, cutoff)
+    _check_capacity(len(free), budget)
     maxc = len(free) if budget is None else budget
     chosen, nodes = _kernel.solve_ones(inst, maxc)
     if stats is not None:
@@ -166,33 +160,22 @@ def solve_exhaustive(
     return w
 
 
-def count_proper(
-    g: Graph,
-    pre: PartialWeightAssignment | None = None,
-    *,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> int:
+def count_proper(g: Graph, pre: PartialWeightAssignment | None = None) -> int:
     """Number of proper total assignments extending pre."""
     pre = pre or {}
     inst = _prepare(g, pre, None)
-    _check_capacity(len(inst.free), None, cutoff)
+    _check_capacity(len(inst.free), None)
     count, _ = _kernel.count_all(inst)
     return count
 
 
-def exists_with_color_bound(
-    g: Graph,
-    pre: PartialWeightAssignment | None,
-    bound,
-    *,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> bool:
+def exists_with_color_bound(g: Graph, pre: PartialWeightAssignment | None, bound) -> bool:
     """Whether some proper extension keeps colors(v) <= bound(v) everywhere.
 
     `bound` is a scalar, a vertex->bound mapping, or a per-vertex sequence.
     """
     pre = pre or {}
     inst = _prepare(g, pre, bound)
-    _check_capacity(len(inst.free), None, cutoff)
+    _check_capacity(len(inst.free), None)
     found, _ = _kernel.exists_proper(inst)
     return found

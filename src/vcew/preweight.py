@@ -114,7 +114,6 @@ def solve_prewt(
     e1: Iterable[Edge],
     k: int,
     *,
-    cutoff: int = oracle.DEFAULT_CUTOFF,
     stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
     """Reduce, run the budgeted search over the unweighted edges of H*, and
@@ -128,7 +127,7 @@ def solve_prewt(
     pre = {e: 1 for e in e1set}
     if stats is not None:
         stats["k"] = k
-    w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), cutoff=cutoff, stats=stats)
+    w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), stats=stats)
     if w_star is None:
         return None
     w: WeightAssignment = {e: 0 for e in g.edges}

@@ -412,16 +412,12 @@ def forced_preweights(red: AnnotatedReduction) -> dict[Edge, int]:
     return {e: forced[tag] for e, tag in zip(red.graph.edges, _edge_tags(red)) if tag in forced}
 
 
-def solve_reduced(
-    red: AnnotatedReduction,
-    *,
-    cutoff: int = oracle.DEFAULT_CUTOFF,
-) -> WeightAssignment | None:
+def solve_reduced(red: AnnotatedReduction) -> WeightAssignment | None:
     """Decide the reduced instance by fixing all forced weights and running
     the oracle over the residue: instance edges, pendant edges, and the
     triangle third edges (left free because weight 1 there is a witness
     convention, not a forced value)."""
-    return oracle.solve_exhaustive(red.graph, forced_preweights(red), cutoff=cutoff)
+    return oracle.solve_exhaustive(red.graph, forced_preweights(red))
 
 
 def verify_fvs_bound(red: AnnotatedReduction) -> bool:

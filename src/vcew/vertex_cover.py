@@ -253,7 +253,7 @@ def lift(g: Graph, kernel: Kernel, w_kernel: WeightAssignment) -> WeightAssignme
     return w
 
 
-def solve_vc(g: Graph, *, cutoff: int = oracle.DEFAULT_CUTOFF, stats: dict[str, int] | None = None) -> WeightAssignment | None:
+def solve_vc(g: Graph, *, stats: dict[str, int] | None = None) -> WeightAssignment | None:
     """Full pipeline: kernelize, search the kernel, lift any witness back.
 
     k is the kernel's cover number: by the color bound a yes-instance has a
@@ -264,7 +264,7 @@ def solve_vc(g: Graph, *, cutoff: int = oracle.DEFAULT_CUTOFF, stats: dict[str, 
     _, k = minimum_vertex_cover(kernel.graph)
     if stats is not None:
         stats.update(k=k, kernel_vertices=kernel.graph.vertex_count, kernel_edges=len(kernel.graph.edges))
-    w_kernel = oracle.solve_exhaustive(kernel.graph, {}, budget=edge_budget(k), cutoff=cutoff, stats=stats)
+    w_kernel = oracle.solve_exhaustive(kernel.graph, {}, budget=edge_budget(k), stats=stats)
     if w_kernel is None:
         return None
     return lift(g, kernel, w_kernel)

@@ -73,6 +73,16 @@ def test_solve_capacity_exits_3(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", path, "--algo", "oracle")
     assert code == 3
     assert io.parse_result(out).status == "unknown"
+    # the 40-leaf star: the vc route finds k = 1 and a 35-vertex kernel, and
+    # only then refuses its budgeted search; the refusal reports those counters
+    path = write(tmp_path, "star.gr", "p vcew 41 40\n" + "".join(f"1 {v}\n" for v in range(2, 42)))
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "vc")
+    assert code == 3
+    assert out == '{"status":"unknown","algorithm":"vc","verified":false,"stats":{}}\n'
+    assert err.startswith("vcew: search would visit about 2^32.8 candidates, above the 2^30 ceiling\n")
+    stats = json.loads(err.split("stats: ", 1)[1])
+    assert stats.pop("elapsed_ms") >= 0
+    assert stats == {"free_edges": 40, "k": 1, "kernel_vertices": 35, "kernel_edges": 34}
 
 
 def test_solve_vertex_cover_past_k_max_exits_3(tmp_path, capsys):
@@ -178,6 +188,11 @@ def test_auto_routing(tmp_path, capsys):
     assert io.parse_result(run_cli(capsys, "solve", ones)[1]).algorithm == "prewt"
     small = write(tmp_path, "small.gr", "p vcew 3 2\n1 2\n2 3\n")
     assert io.parse_result(run_cli(capsys, "solve", small)[1]).algorithm == "oracle"
+    # past 24 free edges: C30 has width 2 and degree 2, a 30-leaf star degree 30
+    cycle = write(tmp_path, "c30.gr", "p vcew 30 30\n" + "".join(f"{i} {i % 30 + 1}\n" for i in range(1, 31)))
+    assert io.parse_result(run_cli(capsys, "solve", cycle)[1]).algorithm == "tw"
+    star = write(tmp_path, "star.gr", "p vcew 31 30\n" + "".join(f"1 {v}\n" for v in range(2, 32)))
+    assert io.parse_result(run_cli(capsys, "solve", star)[1]).algorithm == "vc"
 
 
 def test_vc_rejects_preweighted(tmp_path, capsys):
@@ -265,7 +280,7 @@ def test_readme_usage_matches_parser():
         assert path not in usage, path
         usage[path] = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", entry))
     assert usage == expected
-    assert expected[("solve",)] == {"--algo", "--td", "--cutoff"}
+    assert expected[("solve",)] == {"--algo", "--td"}
     assert expected[("kernelize",)] == {"-o"}
 
 
@@ -305,22 +320,14 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
 
 
 def test_solve_k_option_is_gone(tmp_path, capsys):
-    # the vc and prewt routes compute the cover number themselves
+    # the vc and prewt routes compute the cover number themselves, and the
+    # search ceiling is the oracle's own constant
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["solve", path, "--k", "1"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --k 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "extra", [["--algo", "oracle"], ["--algo", "vc"], ["--algo", "prewt"]]
-)
-def test_solve_negative_cutoff_exits_2(tmp_path, capsys, extra):
-    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
-    code, out, err = run_cli(capsys, "solve", path, *extra, "--cutoff", "-1")
-    assert code == 2 and out == ""
-    assert err == "vcew: cutoff must be nonnegative\n"
+    for option, value in (("--k", "1"), ("--cutoff", "32")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", path, option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
 
 
 def test_verify_incomplete_exits_2(tmp_path, capsys):
@@ -418,8 +425,15 @@ def test_gen_deterministic(tmp_path, capsys):
 
 
 def test_gen_gadget_type_a_edge_count(capsys):
-    out = run_cli(capsys, "gen", "gadget", "type-a", "--k", "3")[1]
-    assert out.splitlines()[0] == "p vcew 11 11"
+    # the header of every gadget command's output
+    for argv, header in (
+        (["type-a", "--k", "3"], "p vcew 11 11"),
+        (["type-a", "--k", "3", "--headroom", "2"], "p vcew 13 13"),
+        (["suspended", "--paths", "3"], "p vcew 7 6"),
+        (["type-b", "--k", "3", "--N", "5"], "p vcew 30 29"),
+    ):
+        code, out, _ = run_cli(capsys, "gen", "gadget", *argv)
+        assert code == 0 and out.splitlines()[0] == header, argv
 
 
 def test_gen_planted_class_size_honored(capsys):

@@ -104,28 +104,39 @@ def test_capacity_refusal():
     assert w is not None and is_proper(big, w) and sum(w.values()) <= 2
 
 
-def test_capacity_cutoff_flag():
-    star = Graph.build(33, [(0, v) for v in range(1, 33)])  # 32 free edges
-    with pytest.raises(CapacityError):
-        oracle.solve_exhaustive(star)
-    # raising the cutoff lets the run proceed; the witness needs only 2 ones
-    w = oracle.solve_exhaustive(star, cutoff=32)
-    assert w is not None and sum(w.values()) == 2 and is_proper(star, w)
+def test_capacity_cutoff_flag(monkeypatch):
+    def star(leaves):
+        return Graph.build(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
 
+    def refused(free_count, budget):
+        try:
+            oracle._check_capacity(free_count, budget)
+        except CapacityError:
+            return True
+        return False
 
-@pytest.mark.parametrize(
-    "search",
-    [
-        lambda: oracle.solve_exhaustive(C4, cutoff=-1),
-        lambda: oracle.solve_exhaustive(C4, budget=1, cutoff=-1),
-        lambda: oracle.count_proper(C4, cutoff=-1),
-        lambda: oracle.exists_with_color_bound(C4, None, 3, cutoff=-1),
-    ],
-    ids=["solve_exhaustive", "solve_exhaustive_budget", "count_proper", "exists_with_color_bound"],
-)
-def test_negative_cutoff_is_a_value_error(search):
-    with pytest.raises(ValueError, match="cutoff must be nonnegative"):
-        search()
+    # one rule: refuse above 2^CUTOFF candidates, so 30 free edges run and 31
+    # refuse; a budget of at least F counts all 2^F candidates, as unbudgeted
+    assert oracle.CUTOFF == 30
+    for free_count in range(40):
+        for budget in (free_count, free_count + 3):
+            assert refused(free_count, budget) == refused(free_count, None) == (free_count > 30)
+    w = oracle.solve_exhaustive(star(30))
+    assert w is not None and sum(w.values()) == 2 and is_proper(star(30), w)
+    assert oracle.solve_exhaustive(star(30), budget=30) == w
+    message = r"^search would visit about 2\^31\.0 candidates, above the 2\^30 ceiling$"
+    for search in (
+        lambda: oracle.solve_exhaustive(star(31)),
+        lambda: oracle.solve_exhaustive(star(31), budget=31),
+        lambda: oracle.count_proper(star(31)),
+        lambda: oracle.exists_with_color_bound(star(31), None, 3),
+    ):
+        with pytest.raises(CapacityError, match=message):
+            search()
+    # a higher ceiling lets the run proceed; the witness needs only 2 ones
+    monkeypatch.setattr(oracle, "CUTOFF", 32)
+    w = oracle.solve_exhaustive(star(32))
+    assert w is not None and sum(w.values()) == 2 and is_proper(star(32), w)
 
 
 def test_exists_with_color_bound():

@@ -240,13 +240,15 @@ def test_lift_rejects_improper():
         lift(g, kernel, {e: 0 for e in kernel.graph.edges})
 
 
-def test_lift_gives_removed_vertices_color_zero():
+def test_lift_gives_removed_vertices_color_zero(monkeypatch):
     # k=1 cap is 33: 40 twins force a real truncation; the kernel still has
-    # 34 free edges, so the budgeted search needs one extra cutoff bit
+    # 34 free edges, so the budgeted search needs a ceiling above 2^30 (the
+    # 40-edge original needs 2^40)
     g = planted_twin_graph(1, [40], seed=5, full_sig=True)
+    monkeypatch.setattr(oracle, "CUTOFF", len(g.edges))
     kernel = kernelize(g)
     assert kernel.removed
-    w_kernel = oracle.solve_exhaustive(kernel.graph, budget=edge_budget(1), cutoff=34)
+    w_kernel = oracle.solve_exhaustive(kernel.graph, budget=edge_budget(1))
     assert w_kernel is not None
     w = lift(g, kernel, w_kernel)
     assert is_proper(g, w)
@@ -254,8 +256,8 @@ def test_lift_gives_removed_vertices_color_zero():
     for v in kernel.removed:
         assert colors[v] == 0
         assert all(colors[u] != 0 for u in g.neighbors(v))
-    # decision survives truncation: the original solves too (raised cutoff)
-    assert oracle.solve_exhaustive(g, cutoff=len(g.edges)) is not None
+    # decision survives truncation: the original solves too
+    assert oracle.solve_exhaustive(g) is not None
 
 
 def test_pipeline_matches_oracle_small():
