@@ -8,41 +8,38 @@
  * when it finds a proper completion do the popcount passes run to pick the
  * witness; its node count is the walk's plus the passes'.  Both walks follow
  * a run of weight-0 children in a loop and recurse only on weight 1.  The
- * kernels differ in bookkeeping only: this file keeps a settle pointer into
- * sorder and a conflict counter, pruning on entry to a node and unsettling on
- * the way back; the Python kernel tests each child against a per-position
- * settle table before entering it.  There is no Python API: vcew/_search_c.py
+ * kernels read the same settle table, built by oracle._prepare, and differ
+ * in bookkeeping only: this file keeps a settle pointer into it and a conflict
+ * counter, pruning on entry to a node and unsettling on the way back; the
+ * Python kernel tests each child against the group of edges its decision
+ * settles before entering it.  There is no Python API: vcew/_search_c.py
  * fills a Search record through ctypes and calls the three traversals at the
  * end of this file.  README.md ("Install") says how to build it.
  */
 
-/* One prepared instance (the first eleven fields, filled by the caller) and
+/* One prepared instance (the first ten fields, filled by the caller) and
  * the incremental search state.  colors is working storage: it holds the
  * start colors on entry and is changed by the walk. */
 typedef struct {
     int n, m, f;              /* vertices, edges, free edges */
-    const int *eu, *ev;       /* edge j joins eu[j] and ev[j] */
+    const int *pu, *pv;       /* the q-th edge to settle joins pu[q] and pv[q] */
     const int *fu, *fv;       /* free position p joins fu[p] and fv[p] */
-    const int *sorder;        /* edges in settle order */
-    const int *skey;          /* last free position touching edge j's endpoints */
+    const int *end;           /* end[p]: first edge settling at position p or later */
     long long *colors;
     const long long *bounds;  /* per-vertex color ceiling */
-    int ptr;                  /* settled prefix of sorder */
+    int ptr;                  /* edges settled: the first ptr of pu, pv */
     int sconf;                /* settled edges with equal endpoint colors */
     int over;                 /* vertices above their bound */
     long long nodes;          /* search nodes visited */
 } Search;
 
+/* Settle the edges whose last free position is at most p; p = -1 settles
+ * those with none. */
 static void settle(Search *s, int p)
 {
-    while (s->ptr < s->m) {
-        int j = s->sorder[s->ptr];
-        if (s->skey[j] > p)
-            break;
-        if (s->colors[s->eu[j]] == s->colors[s->ev[j]])
+    for (; s->ptr < s->end[p + 1]; s->ptr++)
+        if (s->colors[s->pu[s->ptr]] == s->colors[s->pv[s->ptr]])
             s->sconf++;
-        s->ptr++;
-    }
 }
 
 /* Unsettle the edges that settle at position k or later, leaving those
@@ -50,12 +47,9 @@ static void settle(Search *s, int p)
  * are frozen, so re-comparing reverses exactly. */
 static void unsettle(Search *s, int k)
 {
-    while (s->ptr > 0) {
-        int j = s->sorder[s->ptr - 1];
-        if (s->skey[j] < k)
-            break;
+    while (s->ptr > s->end[k]) {
         s->ptr--;
-        if (s->colors[s->eu[j]] == s->colors[s->ev[j]])
+        if (s->colors[s->pu[s->ptr]] == s->colors[s->pv[s->ptr]])
             s->sconf--;
     }
 }
@@ -105,11 +99,9 @@ static int combo(Search *s, int first, int remaining, int *chosen)
     if (s->sconf || s->over)
         return 0;
     if (remaining == 0) {
-        for (int q = s->ptr; q < s->m; q++) {
-            int j = s->sorder[q];
-            if (s->colors[s->eu[j]] == s->colors[s->ev[j]])
+        for (int q = s->ptr; q < s->m; q++)
+            if (s->colors[s->pu[q]] == s->colors[s->pv[q]])
                 return 0;
-        }
         return 1;
     }
     for (int p = first; p <= s->f - remaining; p++) {

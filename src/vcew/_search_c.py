@@ -18,8 +18,8 @@ class _Search(ctypes.Structure):
     # Field for field the Search record of _search.c.
     _fields_ = [
         ("n", ctypes.c_int), ("m", ctypes.c_int), ("f", ctypes.c_int),
-        ("eu", _INTS), ("ev", _INTS), ("fu", _INTS), ("fv", _INTS),
-        ("sorder", _INTS), ("skey", _INTS), ("colors", _LONGS), ("bounds", _LONGS),
+        ("pu", _INTS), ("pv", _INTS), ("fu", _INTS), ("fv", _INTS),
+        ("end", _INTS), ("colors", _LONGS), ("bounds", _LONGS),
         ("ptr", ctypes.c_int), ("sconf", ctypes.c_int), ("over", ctypes.c_int),
         ("nodes", ctypes.c_longlong),
     ]
@@ -38,10 +38,11 @@ def _record(inst) -> _Search:
 
     The record holds references to the arrays, so they live as long as it does.
     """
+    pairs = inst.pairs
     return _Search(
-        inst.n, inst.m, len(inst.fu),
-        _ints(inst.eu), _ints(inst.ev), _ints(inst.fu), _ints(inst.fv),
-        _ints(inst.sorder), _ints(inst.skey), _longs(inst.colors), _longs(inst.bounds),
+        inst.n, len(pairs), len(inst.fu),
+        _ints([u for u, _ in pairs]), _ints([v for _, v in pairs]), _ints(inst.fu), _ints(inst.fv),
+        _ints(inst.end), _longs(inst.colors), _longs(inst.bounds),
     )
 
 

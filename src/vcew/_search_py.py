@@ -42,15 +42,14 @@ count is the walk's plus the passes'.
 
 Settle table
 ------------
-``skey[j]`` is the largest free position incident to edge j's endpoints (-1
-when there is none), so edge j is settled exactly when the last decided free
-position reaches skey[j].  ``_settle_table`` lists the endpoint pairs of the
-edges once per call, in settle order (``pairs``), with ``end[p]``, the index
-of the first edge that settles at position p or later, and ``at[p]``, the
-slice of the edges that settle when p is decided; the edges settled at the
-root come before ``end[0]``.  The table is O(m).  Settled colors are frozen,
-so a node only checks the group its own decision settles, and nothing but
-the two color bumps is undone on the way back.
+``oracle._prepare`` lists the graph's edges in settle order, ``pairs``,
+with ``end[p]``, the index of the first edge that settles at position p or
+later: the last free position touching either endpoint is then decided
+and the edge's endpoint colors can no longer change.  The edges settled at
+the root come before ``end[0]``, and ``at[p]``, sliced once per call, is
+the group that settles when p is decided.  The table is O(m).  Settled
+colors are frozen, so a node only checks the group its own decision
+settles, and nothing but the two color bumps is undone on the way back.
 
 Child-side pruning
 ------------------
@@ -78,19 +77,11 @@ bounds, as from oracle.solve_exhaustive), both modes skip the bound tests.
 
 from __future__ import annotations
 
-from itertools import accumulate
 
-
-def _settle_table(inst):
-    """``pairs``, ``end`` and ``at`` (see above)."""
-    eu, ev, skey = inst.eu, inst.ev, inst.skey
-    f = len(inst.fu)
-    pairs = tuple((eu[j], ev[j]) for j in inst.sorder)
-    sizes = [0] * (f + 1)
-    for k in skey:
-        sizes[k + 1] += 1
-    end = list(accumulate(sizes))
-    return pairs, end, [pairs[end[p]:end[p + 1]] for p in range(f)]
+def _groups(inst):
+    """``at`` (see above): the edges that settle at each free position."""
+    pairs, end = inst.pairs, inst.end
+    return [pairs[end[p]:end[p + 1]] for p in range(len(inst.fu))]
 
 
 def solve_ones(inst, maxc):
@@ -99,18 +90,18 @@ def solve_ones(inst, maxc):
     Returns (chosen_positions | None, nodes_visited).  Positions index the
     free-edge list; enumeration is by ascending popcount, ties lexicographic.
     """
-    pairs, end, at = _settle_table(inst)
+    at = _groups(inst)
     cap = min(maxc, len(inst.fu))
-    found, nodes = _walk(inst, pairs[:end[0]], at, cap, True)
+    found, nodes = _walk(inst, at, cap, True)
     if not found:
         return None, nodes
-    chosen, more = _combinations(inst, pairs, end, at, cap)
+    chosen, more = _combinations(inst, at, cap)
     return chosen, nodes + more
 
 
-def _combinations(inst, pairs, end, at, cap):
+def _combinations(inst, at, cap):
     """Combination mode below a root that passed: (positions | None, nodes)."""
-    fu, fv, bounds = inst.fu, inst.fv, inst.bounds
+    fu, fv, bounds, pairs, end = inst.fu, inst.fv, inst.bounds, inst.pairs, inst.end
     f = len(fu)
     colors = list(inst.colors)
     unbounded = _unbounded(inst)
@@ -180,24 +171,23 @@ def _unbounded(inst) -> bool:
 
 def count_all(inst):
     """Number of proper assignments over all 2^F completions."""
-    pairs, end, at = _settle_table(inst)
-    return _walk(inst, pairs[:end[0]], at, len(inst.fu), False)
+    return _walk(inst, _groups(inst), len(inst.fu), False)
 
 
 def exists_proper(inst):
     """Whether some proper completion respects the per-vertex color bounds."""
-    pairs, end, at = _settle_table(inst)
-    count, nodes = _walk(inst, pairs[:end[0]], at, len(inst.fu), True)
+    count, nodes = _walk(inst, _groups(inst), len(inst.fu), True)
     return count > 0, nodes
 
 
-def _walk(inst, root, at, cap, early):
+def _walk(inst, at, cap, early):
     """(proper completions, nodes) of the binary walk with at most `cap`
     weight-1 free edges; with `early` it stops at the first completion."""
     fu, fv, bounds = inst.fu, inst.fv, inst.bounds
     f = len(fu)
     last = f - 1
     colors = list(inst.colors)
+    root = inst.pairs[:inst.end[0]]
     if any(c > b for c, b in zip(colors, bounds)) or any(colors[u] == colors[v] for u, v in root):
         return 0, 1
     unbounded = _unbounded(inst)

@@ -78,6 +78,10 @@ def _pick_algo(args, g: Graph, pre: PartialWeightAssignment) -> tuple[str, treew
 def cmd_solve(args) -> int:
     g, pre = io.parse_graph(Path(args.graph).read_text())
     algo, td = _pick_algo(args, g, pre)
+    # a forced route rejects the wrong variant whatever the graph
+    if algo == "vc" and pre:
+        raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
+    e1 = preweight.ones_only(pre) if algo == "prewt" else None
     started = time.perf_counter()
     stats: dict[str, int] = {"free_edges": len(g.edges) - len(pre)}
     try:
@@ -89,11 +93,8 @@ def cmd_solve(args) -> int:
         elif algo == "tw":
             witness = treewidth.dp_solve(g, td or treewidth.compute_decomposition(g), pre, stats=stats)
         elif algo == "vc":
-            if pre:
-                raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
             witness = vertex_cover.solve_vc(g, stats=stats)
         else:  # prewt
-            e1 = preweight.ones_only(pre)
             _, k = vertex_cover.minimum_vertex_cover(g)
             red = preweight.apply_reduction(g, e1, k)
             sys.stderr.write(preweight.deletion_log_text(red))
@@ -165,6 +166,7 @@ def cmd_kernelize(args) -> int:
 
 
 def cmd_reduce_lc(args) -> int:
+    _require(args.n_scale is None or args.n_scale >= 1, "--N must be at least 1")
     inst = io.parse_listcoloring(Path(args.instance).read_text())
     normalized = normalize_instance(inst)
     red = reduction.build_reduction(normalized.instance, args.n_scale)

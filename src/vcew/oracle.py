@@ -19,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
+from itertools import accumulate
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from vcew import _search_py
 from vcew.errors import CapacityError
 from vcew.graph import (
+    Edge,
     Graph,
     PartialWeightAssignment,
     WeightAssignment,
@@ -58,17 +60,19 @@ def backend() -> str:
 class SearchInstance:
     """A graph and pre-weighting prepared for the search kernels.
 
-    Edges are indexed as in ``g.edges``; free positions index ``free``.
+    Free positions index ``free``.  An edge settles (its end colors are
+    final) once the last free position at either endpoint is decided.
+    ``pairs`` holds the graph's edges ordered by that position, ties in
+    canonical order, and ``end[p]`` (p = 0..F) indexes the first edge that
+    settles at p or later, so ``pairs[:end[0]]`` settle at the root and
+    ``end[F] == len(pairs)``.
     """
 
     n: int
-    m: int
-    eu: tuple[int, ...]  # edge j joins eu[j] and ev[j]
-    ev: tuple[int, ...]
     fu: tuple[int, ...]  # free position p joins fu[p] and fv[p]
     fv: tuple[int, ...]
-    sorder: tuple[int, ...]  # edges in settle order
-    skey: tuple[int, ...]  # last free position touching edge j's endpoints, -1 if none
+    pairs: tuple[Edge, ...]  # the edges of g in settle order
+    end: tuple[int, ...]  # settle group boundaries in pairs, F + 1 of them
     colors: tuple[int, ...]  # start colors from the weight-1 pre-weights
     bounds: tuple[int, ...]  # per-vertex color ceiling
     free: tuple[int, ...]  # free position -> edge index
@@ -77,26 +81,25 @@ class SearchInstance:
 def _prepare(g: Graph, pre: PartialWeightAssignment, bounds) -> SearchInstance:
     validate_partial(g, pre)
     n = g.vertex_count
-    m = len(g.edges)
-    eu = [e[0] for e in g.edges]
-    ev = [e[1] for e in g.edges]
+    edges = g.edges
     colors = [0] * n
     free: list[int] = []
-    for i, e in enumerate(g.edges):
+    for i, e in enumerate(edges):
         value = pre.get(e)
         if value is None:
             free.append(i)
         elif value:
             colors[e[0]] += 1
             colors[e[1]] += 1
-    fu = [eu[i] for i in free]
-    fv = [ev[i] for i in free]
-    vmax = [-1] * n
-    for p in range(len(free)):
-        vmax[fu[p]] = p
-        vmax[fv[p]] = p
-    skey = [max(vmax[eu[j]], vmax[ev[j]]) for j in range(m)]
-    sorder = sorted(range(m), key=lambda j: (skey[j], j))
+    last = [-1] * n  # the last free position at each vertex
+    for p, i in enumerate(free):
+        u, v = edges[i]
+        last[u] = last[v] = p
+    key = [max(last[u], last[v]) for u, v in edges]  # where each edge settles, -1 at the root
+    pairs = tuple(edges[j] for j in sorted(range(len(edges)), key=key.__getitem__))
+    sizes = [0] * (len(free) + 1)
+    for k in key:
+        sizes[k + 1] += 1
     if bounds is None:
         blist = [NO_BOUND] * n
     elif isinstance(bounds, int):
@@ -113,8 +116,8 @@ def _prepare(g: Graph, pre: PartialWeightAssignment, bounds) -> SearchInstance:
     # silently); colors lie in [0, n), so no answer changes.
     blist = [max(-1, min(b, NO_BOUND)) for b in blist]
     return SearchInstance(
-        n, m, tuple(eu), tuple(ev), tuple(fu), tuple(fv), tuple(sorder), tuple(skey),
-        tuple(colors), tuple(blist), tuple(free),
+        n, tuple(edges[i][0] for i in free), tuple(edges[i][1] for i in free), pairs,
+        tuple(accumulate(sizes)), tuple(colors), tuple(blist), tuple(free),
     )
 
 

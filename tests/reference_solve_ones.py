@@ -3,17 +3,23 @@ kernel decided with a capped walk first, kept verbatim as the reference of
 the differential tests in test_oracle.py: the two-phase kernel must choose
 the same positions.  "see above" refers to the kernel's module docstring
 as it was then, which described ``at`` as a list of per-position groups.
+Only ``_settle_table`` is new: it derives the groups from the graph's edges
+and the free positions, not from the settle table the instance carries, so
+a wrong settle order in ``oracle._prepare`` still fails the comparison.
 """
 
 from itertools import accumulate
 
 
 def _settle_table(inst):
-    """The root group (edges with skey -1) and ``at`` (see above)."""
-    eu, ev, skey = inst.eu, inst.ev, inst.skey
+    """The root group (edges with no free position at either endpoint) and
+    ``at`` (see above), each group in canonical edge order."""
+    last = [-1] * inst.n  # the last free position at each vertex
+    for p, (u, v) in enumerate(zip(inst.fu, inst.fv)):
+        last[u] = last[v] = p
     groups = [[] for _ in range(len(inst.fu) + 1)]
-    for j in inst.sorder:
-        groups[skey[j] + 1].append((eu[j], ev[j]))
+    for u, v in sorted(inst.pairs):  # the graph's edges in canonical order
+        groups[max(last[u], last[v]) + 1].append((u, v))
     return tuple(groups[0]), [tuple(group) for group in groups[1:]]
 
 
@@ -34,8 +40,8 @@ def solve_ones(inst, maxc):
     f = len(fu)
     colors = list(inst.colors)
     root, at = _settle_table(inst)
-    su = [inst.eu[j] for j in inst.sorder]
-    sv = [inst.ev[j] for j in inst.sorder]
+    su = [u for group in (root, *at) for u, _ in group]
+    sv = [v for group in (root, *at) for _, v in group]
     m = len(su)
     end = list(accumulate(map(len, at), initial=len(root)))
     root_ok = _root_ok(inst, colors, root)

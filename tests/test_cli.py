@@ -201,6 +201,26 @@ def test_vc_rejects_preweighted(tmp_path, capsys):
     assert code == 2
 
 
+VC_VARIANT = "vcew: the vertex-cover pipeline handles the base problem only\n"
+PREWT_VARIANT = "vcew: pre-weights of 0 are outside the all-ones pipeline; use the treewidth solver\n"
+
+
+@pytest.mark.parametrize(
+    "algo,text,message",
+    [
+        ("vc", "p vcew 2 1\n1 2 0\n", VC_VARIANT),
+        ("vc", "p vcew 2 1\n1 2 1\n", VC_VARIANT),
+        ("prewt", "p vcew 2 1\n1 2 0\n", PREWT_VARIANT),
+        ("prewt", "p vcew 3 2\n1 2 0\n2 3\n", PREWT_VARIANT),
+    ],
+    ids=["vc-isolated-zero", "vc-isolated-one", "prewt-isolated-zero", "prewt-zero"],
+)
+def test_forced_route_rejects_its_wrong_variant(tmp_path, capsys, algo, text, message):
+    # checked before the isolated-edge shortcut, which would answer no
+    path = write(tmp_path, "g.gr", text)
+    assert run_cli(capsys, "solve", path, "--algo", algo) == (2, "", message)
+
+
 def test_verify_proper_and_improper(tmp_path, capsys):
     g = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
     w = write(tmp_path, "c4.w", "1 2 1\n2 3 1\n3 4 0\n1 4 0\n")
@@ -374,6 +394,15 @@ def test_reduce_lc(tmp_path, capsys):
     assert sha256(tmp_path / "red.dot") == "8b4896b5c0a40224a71593512bdd68ab0aafea0d0f3a5f014fd0b1aa93cb7dfe"
     # override below the largest disallowed color is rejected
     assert run_cli(capsys, "reduce-lc", inst, "--N", "2")[0] == 2
+
+
+@pytest.mark.parametrize("scale", ["0", "-5"])
+def test_reduce_lc_nonpositive_scale_exits_2(tmp_path, capsys, scale):
+    # one vertex whose list allows every color: no chain, so nothing else checks N
+    inst = write(tmp_path, "one.lc", "p lc 1 0\nl 1 2\n")
+    code, out, err = run_cli(capsys, "reduce-lc", inst, "--N", scale, "-o", str(tmp_path / "red"))
+    assert (code, out, err) == (2, "", "vcew: --N must be at least 1\n")
+    assert not (tmp_path / "red.gr").exists()
 
 
 def test_reduce_lc_z_degree_mismatch_exits_4(tmp_path, capsys, monkeypatch):

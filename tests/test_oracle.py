@@ -246,6 +246,34 @@ def test_degenerate_instances(name, g, pre, bound, maxc):
     assert got == DEGENERATE_EXPECTED[name]
 
 
+def _assert_settle_table(g, inst):
+    # Recomputed from the graph and the free edges: an edge settles at the
+    # last free position at either endpoint, or at the root when there is none.
+    f = len(inst.free)
+    assert inst.fu == tuple(g.edges[i][0] for i in inst.free)
+    assert inst.fv == tuple(g.edges[i][1] for i in inst.free)
+    last = [-1] * g.vertex_count
+    for p, i in enumerate(inst.free):
+        for v in g.edges[i]:
+            last[v] = p
+    pairs, end = inst.pairs, inst.end
+    assert sorted(pairs) == list(g.edges)
+    assert len(end) == f + 1 and end[-1] == len(g.edges)
+    assert all(a <= b for a, b in zip(end, end[1:]))
+    groups = [pairs[:end[0]]] + [pairs[end[p]:end[p + 1]] for p in range(f)]
+    for u, v in g.edges:
+        assert (u, v) in groups[max(last[u], last[v]) + 1]
+    for group in groups:
+        assert list(group) == sorted(group)
+
+
+def test_settle_table_matches_the_graph(atlas):
+    for g, inst in zip(atlas, _seeded_instances(atlas), strict=True):
+        _assert_settle_table(g, inst)
+    for _, g, pre, bound, _ in DEGENERATE:
+        _assert_settle_table(g, oracle._prepare(g, pre, bound))
+
+
 def test_budgeted_search_on_many_free_edges_stays_linear():
     # A path with 3000 free edges and one weight-1 edge allowed: the kernel's
     # per-call tables must stay O(m), where f * m is 9 million here.  The
@@ -292,7 +320,7 @@ def test_deep_walk_stays_shallow_and_linear(tail):
         tracemalloc.stop()
     f = len(inst.free)
     assert got == (([f - 1], 2 * f + 4) if tail else ([], f + 2))
-    assert peak < 250 * inst.m
+    assert peak < 250 * len(inst.pairs)
     assert _search_py.count_all(inst) == (1, 2 * f + 1)
     assert _search_py.exists_proper(inst) == (True, f + 1 + tail)
 
