@@ -1,25 +1,17 @@
 /*
- * Compiled twin of vcew/_search_py.py, which documents the algorithm.  The two
- * kernels share the search tree, its order (ascending weight-1 count with
- * lexicographic ties; weight 0 before weight 1), the pruning rules (a bound
- * exceeded, an equal-color settled edge) and what counts as a node, so both
- * return the same witnesses, counts and node counts.  solve_ones has the same
- * two phases: a binary walk capped at maxc weight-1 edges decides, and only
- * when it finds a proper completion do the popcount passes run to pick the
- * witness; its node count is the walk's plus the passes'.  Both walks follow
- * a run of weight-0 children in a loop and recurse only on weight 1.  The
- * kernels read the same settle table, built by oracle._prepare, and differ
- * in bookkeeping only: this file keeps a settle pointer into it and a conflict
- * counter, pruning on entry to a node and unsettling on the way back; the
- * Python kernel tests each child against the group of edges its decision
- * settles before entering it.  There is no Python API: vcew/_search_c.py
- * fills a Search record through ctypes and calls the three traversals at the
- * end of this file.  README.md ("Install") says how to build it.
+ * Compiled search kernel: the line-for-line twin of vcew/_search_py.py, whose
+ * docstring describes the search tree, its order, its pruning and its node
+ * count for both kernels.  walk_root and walk are _walk and its nested walk,
+ * place is the nested place of _combinations, and conflict, take and untake
+ * are the group tests and color bumps those loops make inline.  Beyond the
+ * prepared instance the record holds only the colors along the search path
+ * and the node count.  There is no Python API: vcew/_search_c.py fills a
+ * Search record through ctypes and calls the three entry points at the end
+ * of this file.  README.md ("Install") says how to build it.
  */
 
-/* One prepared instance (the first ten fields, filled by the caller) and
- * the incremental search state.  colors is working storage: it holds the
- * start colors on entry and is changed by the walk. */
+/* One prepared instance, filled by the caller.  colors holds the start
+ * colors on entry and is changed by the search. */
 typedef struct {
     int n, m, f;              /* vertices, edges, free edges */
     const int *pu, *pv;       /* the q-th edge to settle joins pu[q] and pv[q] */
@@ -27,161 +19,137 @@ typedef struct {
     const int *end;           /* end[p]: first edge settling at position p or later */
     long long *colors;
     const long long *bounds;  /* per-vertex color ceiling */
-    int ptr;                  /* edges settled: the first ptr of pu, pv */
-    int sconf;                /* settled edges with equal endpoint colors */
-    int over;                 /* vertices above their bound */
     long long nodes;          /* search nodes visited */
 } Search;
 
-/* Settle the edges whose last free position is at most p; p = -1 settles
- * those with none. */
-static void settle(Search *s, int p)
+/* sizeof(Search), which vcew/_search_c.py checks against its mirror. */
+int search_record_size(void)
 {
-    for (; s->ptr < s->end[p + 1]; s->ptr++)
-        if (s->colors[s->pu[s->ptr]] == s->colors[s->pv[s->ptr]])
-            s->sconf++;
+    return (int)sizeof(Search);
 }
 
-/* Unsettle the edges that settle at position k or later, leaving those
- * settled once the positions below k are decided.  Settled endpoint colors
- * are frozen, so re-comparing reverses exactly. */
-static void unsettle(Search *s, int k)
+/* Whether some edge of pairs[lo:hi] has equal endpoint colors. */
+static int conflict(const Search *s, int lo, int hi)
 {
-    while (s->ptr > s->end[k]) {
-        s->ptr--;
-        if (s->colors[s->pu[s->ptr]] == s->colors[s->pv[s->ptr]])
-            s->sconf--;
-    }
-}
-
-static void bump_up(Search *s, int v)
-{
-    if (s->colors[v] == s->bounds[v])
-        s->over++;
-    s->colors[v]++;
-}
-
-static void bump_down(Search *s, int v)
-{
-    if (--s->colors[v] == s->bounds[v])
-        s->over--;
-}
-
-/* Give free edge p weight 1 and settle the edges it closes. */
-static void take(Search *s, int p)
-{
-    bump_up(s, s->fu[p]);
-    bump_up(s, s->fv[p]);
-    settle(s, p);
-}
-
-/* Undo take(s, p) and unsettle back to the edges settled before position k. */
-static void untake(Search *s, int p, int k)
-{
-    unsettle(s, k);
-    bump_down(s, s->fv[p]);
-    bump_down(s, s->fu[p]);
-}
-
-static void start(Search *s)
-{
-    s->ptr = s->sconf = s->over = 0;
-    s->nodes = 0;
-    for (int v = 0; v < s->n; v++)
-        if (s->colors[v] > s->bounds[v])
-            s->over++;
-    settle(s, -1);
-}
-
-static int combo(Search *s, int first, int remaining, int *chosen)
-{
-    s->nodes++;
-    if (s->sconf || s->over)
-        return 0;
-    if (remaining == 0) {
-        for (int q = s->ptr; q < s->m; q++)
-            if (s->colors[s->pu[q]] == s->colors[s->pv[q]])
-                return 0;
-        return 1;
-    }
-    for (int p = first; p <= s->f - remaining; p++) {
-        take(s, p);
-        *chosen = p;
-        if (combo(s, p + 1, remaining - 1, chosen + 1))
+    for (int q = lo; q < hi; q++)
+        if (s->colors[s->pu[q]] == s->colors[s->pv[q]])
             return 1;
-        untake(s, p, first);
-    }
     return 0;
 }
 
-/* Proper completions below a node that passed, whose positions below d are
- * decided and settled, with at most `remaining` more weight-1 edges; with
- * `early` it stops at the first one.  Like the Python kernel it follows the
- * run of weight-0 children in a loop, then tries the run's weight-1 children
- * deepest first, which is the weight-0-first order, and recurses only into
- * those: the depth stays at most the cap plus one.  It returns with the
- * state it was entered with. */
-static long long walk(Search *s, int d, int remaining, int early)
+/* Give free edge p weight 1; returns 0, changing nothing, when an endpoint
+ * would pass its bound. */
+static int take(Search *s, int p)
 {
-    long long total = 0;
-    int q;
-    for (q = d; q < s->f; q++) {  /* the weight-0 child at q */
-        s->nodes++;
-        settle(s, q);
-        if (s->sconf)
+    int u = s->fu[p], v = s->fv[p];
+    if (s->colors[u] >= s->bounds[u] || s->colors[v] >= s->bounds[v])
+        return 0;
+    s->colors[u]++;
+    s->colors[v]++;
+    return 1;
+}
+
+/* Undo take(s, p). */
+static void untake(Search *s, int p)
+{
+    s->colors[s->fu[p]]--;
+    s->colors[s->fv[p]]--;
+}
+
+/* Children of a passed node whose free positions below start are decided and
+ * which has `remaining` weight-1 edges left to place; on success the chosen
+ * positions are written from chosen on, shallowest first. */
+static int place(Search *s, int start, int remaining, int *chosen)
+{
+    int last = s->f - remaining;
+    for (int p = start; p <= last; p++) {
+        if (take(s, p)) {
+            if (remaining == 1 ? !conflict(s, s->end[p], s->m)
+                    : !conflict(s, s->end[p], s->end[p + 1]) && place(s, p + 1, remaining - 1, chosen + 1)) {
+                s->nodes += p - start + 1;
+                *chosen = p;
+                return 1;
+            }
+            untake(s, p);
+        }
+        if (conflict(s, s->end[p], s->end[p + 1]))
             break;
     }
-    if (q == s->f) {  /* every position decided: a proper completion */
+    s->nodes += last - start + 1;
+    return 0;
+}
+
+/* Proper completions below a passed node whose positions below d are
+ * decided, with at most `remaining` more weight-1 edges; with `early` it
+ * stops at the first one. */
+static long long walk(Search *s, int d, int remaining, int early)
+{
+    int f = s->f, q = d;  /* the weight-0 run: the weight-0 children at d..q-1 pass */
+    long long total = 0;
+    while (q < f && !conflict(s, s->end[q], s->end[q + 1]))
+        q++;
+    if (q < f) {  /* the weight-0 child at q fails */
+        s->nodes += q - d + 1;
+    } else {
+        s->nodes += f - d;
+        if (early)
+            return 1;
         total = 1;
-        q = s->f - 1;
+        q = f - 1;
     }
-    /* the weight-1 children at q, q - 1, ..., d */
-    for (int p = q; p >= d && remaining && !(early && total); p--) {
-        unsettle(s, p);
-        s->nodes++;
-        take(s, p);
-        if (!s->sconf && !s->over)
-            total += p + 1 == s->f ? 1 : walk(s, p + 1, remaining - 1, early);
-        untake(s, p, p);
-    }
-    unsettle(s, d);
+    if (!remaining)
+        return total;
+    /* the weight-1 children at q, q-1, ..., d; an early stop at p uncounts p-1..d */
+    s->nodes += q - d + 1;
+    for (int p = q; p >= d; p--)
+        if (take(s, p)) {
+            if (!conflict(s, s->end[p], s->end[p + 1]))
+                total += p == f - 1 ? 1 : walk(s, p + 1, remaining - 1, early);
+            untake(s, p);
+            if (early && total) {
+                s->nodes -= p - d;
+                return total;
+            }
+        }
     return total;
 }
 
-/* The walk from the root with at most cap weight-1 edges. */
+/* The binary walk from the root with at most cap weight-1 free edges. */
 static long long walk_root(Search *s, int cap, int early)
 {
-    s->nodes++;
-    if (s->sconf || s->over)
+    s->nodes = 1;
+    for (int v = 0; v < s->n; v++)
+        if (s->colors[v] > s->bounds[v])
+            return 0;
+    if (conflict(s, 0, s->end[0]))
         return 0;
     return walk(s, 0, cap, early);
 }
 
 /* First proper assignment with at most maxc weight-1 free edges, by ascending
  * count, ties lexicographic.  Writes the chosen free positions to chosen
- * (room for f) and returns how many, or -1 when there is none.  The capped
- * walk decides first, so a no-instance runs no combination pass. */
+ * (room for f) and returns how many, or -1 when there is none. */
 int solve_ones(Search *s, int maxc, int *chosen)
 {
-    start(s);
-    if (!walk_root(s, maxc, 1))
+    int cap = maxc < s->f ? maxc : s->f;
+    if (!walk_root(s, cap, 1))
         return -1;
-    for (int c = 0; c <= maxc && c <= s->f; c++)
-        if (combo(s, 0, c, chosen))
+    for (int c = 0; c <= cap; c++) {
+        s->nodes++;
+        if (c == 0 ? !conflict(s, s->end[0], s->m) : place(s, 0, c, chosen))
             return c;
+    }
     return -1;
 }
 
 /* Number of proper assignments over all 2^f completions. */
 long long count_all(Search *s)
 {
-    start(s);
     return walk_root(s, s->f, 0);
 }
 
 /* Whether some proper completion respects the per-vertex color bounds. */
 int exists_proper(Search *s)
 {
-    start(s);
     return walk_root(s, s->f, 1) > 0;
 }

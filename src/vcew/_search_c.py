@@ -19,9 +19,7 @@ class _Search(ctypes.Structure):
     _fields_ = [
         ("n", ctypes.c_int), ("m", ctypes.c_int), ("f", ctypes.c_int),
         ("pu", _INTS), ("pv", _INTS), ("fu", _INTS), ("fv", _INTS),
-        ("end", _INTS), ("colors", _LONGS), ("bounds", _LONGS),
-        ("ptr", ctypes.c_int), ("sconf", ctypes.c_int), ("over", ctypes.c_int),
-        ("nodes", ctypes.c_longlong),
+        ("end", _INTS), ("colors", _LONGS), ("bounds", _LONGS), ("nodes", ctypes.c_longlong),
     ]
 
 
@@ -47,8 +45,18 @@ def _record(inst) -> _Search:
 
 
 def load(path) -> SimpleNamespace:
-    """The kernel in the shared library at `path`."""
+    """The kernel in the shared library at `path`.
+
+    Raises ImportError when the library's Search record is not the one
+    mirrored here, as with a library built from an older ``_search.c``.
+    """
     lib = ctypes.CDLL(str(path))
+    size = getattr(lib, "search_record_size", None)
+    if size is None or size() != ctypes.sizeof(_Search):
+        raise ImportError(
+            f"{path} was built from another version of _search.c; "
+            "rebuild it with: python setup.py build_ext --inplace"
+        )
     record = ctypes.POINTER(_Search)
     lib.solve_ones.argtypes = [record, ctypes.c_int, _INTS]
     lib.solve_ones.restype = ctypes.c_int

@@ -1,11 +1,11 @@
 """Pure-Python search kernel for exhaustive {0,1} weighting enumeration.
 
 This is the reference kernel and the fallback of vcew.oracle.  Its compiled
-twin, _search.c (loaded through vcew._search_c), walks the same search tree
-and counts the same nodes, so both return the same witnesses, counts and
-node counts; vcew.oracle uses the compiled one whenever its shared library
-sits next to the package.  Every traversal takes an
-``oracle.SearchInstance`` and returns ``(value, nodes visited)``.
+twin, _search.c (loaded through vcew._search_c), mirrors it function for
+function, so this docstring describes both, and both return the same
+witnesses, counts and node counts; vcew.oracle uses the compiled one
+whenever its shared library sits next to the package.  Every traversal
+takes an ``oracle.SearchInstance`` and returns ``(value, nodes visited)``.
 
 Search tree
 -----------
@@ -47,16 +47,17 @@ with ``end[p]``, the index of the first edge that settles at position p or
 later: the last free position touching either endpoint is then decided
 and the edge's endpoint colors can no longer change.  The edges settled at
 the root come before ``end[0]``, and ``at[p]``, sliced once per call, is
-the group that settles when p is decided.  The table is O(m).  Settled
-colors are frozen, so a node only checks the group its own decision
-settles, and nothing but the two color bumps is undone on the way back.
+the group that settles when p is decided (_search.c reads it as
+``pairs[end[p]:end[p + 1]]``).  The table is O(m).  Settled colors are
+frozen, so a node only checks the group its own decision settles, and
+nothing but the two color bumps is undone on the way back.
 
 Child-side pruning
 ------------------
 Each child is counted, then tested inline; a child that fails (a bound
 exceeded, or an equal-color pair in the group it settles) is counted but
-not entered.  Node counts are therefore those of a walk that enters every
-child and tests it on entry, which is how _search.c counts them.
+not entered.  Both kernels count this way, so node counts are those of a
+walk that enters every child and tests it on entry.
 
 The binary walk follows a run of weight-0 children in a loop: a weight-0
 decision changes no color, so the run goes on until a group has an
@@ -72,7 +73,8 @@ on return.  The last level (one weight-1 edge left to place) checks
 calling down to a leaf.
 
 When no vertex can exceed its bound, even with every free edge at 1 (no
-bounds, as from oracle.solve_exhaustive), both modes skip the bound tests.
+bounds, as from oracle.solve_exhaustive), both modes of this kernel skip
+the bound tests; _search.c always makes them, which changes no result.
 """
 
 from __future__ import annotations

@@ -38,7 +38,8 @@ NO_BOUND = 1 << 60
 
 
 def _load_kernel():
-    """The compiled kernel if its library sits next to this module, else the Python one."""
+    """The compiled kernel if its library sits next to this module, else the
+    Python one; a library built from another _search.c raises ImportError."""
     for suffix in EXTENSION_SUFFIXES:
         library = Path(__file__).with_name("_search" + suffix)
         if library.exists():

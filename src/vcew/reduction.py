@@ -464,6 +464,8 @@ def emit_roles(red: AnnotatedReduction) -> str:
     """Role sidecar: 'v <id> <role> [args]' and 'e <u> <v> <role> [args]'
     lines, 1-indexed, so external tools can re-derive the forcing."""
     roles = red.vertex_roles
+    if not roles:  # an empty reduction has no lines, not one blank line
+        return ""
     ids = [str(v) for v in range(1, len(roles) + 1)]
     role_text = {role: _vertex_role_text(role) for role in set(roles)}
     # the vertex lines are joined before the edge lines are made, so that

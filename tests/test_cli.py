@@ -383,6 +383,15 @@ def test_kernelize_identity_binary_identical(tmp_path, capsys):
     assert (tmp_path / "out.gr").read_text() == text
 
 
+@pytest.mark.parametrize("weight", ["0", "1"])
+def test_kernelize_preweighted_exits_2(tmp_path, capsys, weight):
+    path = write(tmp_path, "p3.gr", f"p vcew 3 2\n1 2 {weight}\n2 3\n")
+    code, out, err = run_cli(capsys, "kernelize", path, "-o", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "vcew: kernelization applies to the base problem; drop the pre-weights\n"
+    assert not (tmp_path / "out.gr").exists()
+
+
 def test_reduce_lc(tmp_path, capsys):
     inst = write(tmp_path, "i.lc", "p lc 2 1\n1 2\nl 1 2\nl 2 3\n")
     code, out, _ = run_cli(capsys, "reduce-lc", inst, "--N", "7", "-o", str(tmp_path / "red"), "--dot")
@@ -403,6 +412,16 @@ def test_reduce_lc_nonpositive_scale_exits_2(tmp_path, capsys, scale):
     code, out, err = run_cli(capsys, "reduce-lc", inst, "--N", scale, "-o", str(tmp_path / "red"))
     assert (code, out, err) == (2, "", "vcew: --N must be at least 1\n")
     assert not (tmp_path / "red.gr").exists()
+
+
+def test_reduce_lc_empty_instance(tmp_path, capsys):
+    inst = write(tmp_path, "empty.lc", "p lc 0 0\n")
+    prefix = tmp_path / "red"
+    code, out, _ = run_cli(capsys, "reduce-lc", inst, "-o", str(prefix))
+    assert code == 0
+    assert out == f"reduced 0 vertices 0 edges\nN 1 z-degree 0 removed 0\nwrote {prefix}.gr and {prefix}.roles\n"
+    assert (tmp_path / "red.gr").read_text() == "p vcew 0 0\n"
+    assert (tmp_path / "red.roles").read_text() == ""
 
 
 def test_reduce_lc_z_degree_mismatch_exits_4(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,8 @@ from vcew.graph import (
     is_proper,
     isolated_edges,
     solution_subgraph,
+    validate_assignment,
+    validate_partial,
 )
 from tests.conftest import random_small_graph
 
@@ -90,6 +92,24 @@ def test_equal_edge_sets_build_equal_graphs():
     assert Graph.build(3, [[0, 1], [2, 1]]) == Graph.build(3, [(0, 1), (1, 2)])
     assert Graph.build(3, [(0, 1)]) != Graph.build(3, [(1, 2)])
     assert Graph.build(3, [(0, 1)]) != Graph.build(4, [(0, 1)])
+
+
+@pytest.mark.parametrize(
+    "check,message",
+    [
+        (lambda: Graph.build(-1, []), "vertex count must be nonnegative"),
+        (lambda: validate_assignment(P3, {(0, 1): 1}), "assignment missing weight for edge (1, 2)"),
+        (lambda: validate_assignment(K2, {(0, 1): 1, (1, 2): 0}), "assignment has weights for edges not in the graph"),
+        (lambda: validate_assignment(P3, {(0, 1): 1, (0, 2): 0}), "assignment weights unknown edge (0, 2)"),
+        (lambda: validate_assignment(K2, {(0, 1): 2}), "weight 2 for edge (0, 1) not in {0, 1}"),
+        (lambda: validate_partial(P3, {(0, 2): 1}), "pre-weighted edge (0, 2) not in the graph"),
+        (lambda: validate_partial(P3, {(1, 2): 2}), "pre-weight 2 for edge (1, 2) not in {0, 1}"),
+    ],
+)
+def test_validation_rejections(check, message):
+    with pytest.raises(ValidationError) as info:
+        check()
+    assert str(info.value) == message
 
 
 def test_graph_builder_rejects_bad_edges():

@@ -86,6 +86,43 @@ def test_parse_weights_errors(text, line, fragment):
     assert err.value.line == line and fragment in str(err.value)
 
 
+def _weights_of_p3(text):
+    return io.parse_weights(text, Graph.build(3, [(0, 1), (1, 2)]))
+
+
+@pytest.mark.parametrize(
+    "parse,text,line,message",
+    [
+        (io.parse_td, "s td 1 1 1\nb\n", 2, "bag line needs an id"),
+        (io.parse_td, "s td 1 1 1\nb 2 1\n", 2, "bag id 2 out of range 1..1"),
+        (io.parse_td, "s td 2 1 1\nb 1 1\nb 1 1\n", 3, "duplicate bag 1"),
+        (io.parse_td, "s td 1 1 1\nb 1 2\n", 2, "bag vertex out of range 1..1"),
+        (io.parse_td, "s td 2 1 1\nb 1 1\nb 2 1\n1 2 2\n", 4, "expected tree edge 'i j'"),
+        (io.parse_td, "c no header\n", None, "missing 's td' header"),
+        (io.parse_td, "s td 0 0 0\n", None, "decomposition needs at least one bag"),
+        (io.parse_td, "s td 3 1 1\nb 1 1\nb 2 1\nb 3 1\n1 2\n1 2\n", None, "tree edges do not connect all bags"),
+        (io.parse_listcoloring, "1 2\np lc 2 1\n", 1, "content before header"),
+        (io.parse_listcoloring, "p lc 2 0\nl 3 2\n", 2, "vertex out of range 1..2"),
+        (io.parse_listcoloring, "p lc 1 0\nl 1 2\nl 1 3\n", 3, "duplicate list for vertex 1"),
+        (io.parse_listcoloring, "p lc 1 0\nl 1 0\n", 2, "colors must be positive"),
+        (io.parse_listcoloring, "p lc 2 1\n1 2 3\n", 2, "expected edge 'u v'"),
+        (io.parse_listcoloring, "c no header\n", None, "missing 'p lc' header"),
+        (io.parse_listcoloring, "p lc 2 1\nl 1 2\nl 2 2\n", None, "header declares 1 edges but 0 were given"),
+        (io.parse_graph, "p vcew 2 1\n1\n", 2, "expected 'u v' or 'u v w'"),
+        (io.parse_graph, "c no header\n", None, "missing 'p vcew' header"),
+        (io.parse_graph, "p vcew 2\n", 1, "expected header 'p vcew <n> <m>'"),
+        (io.parse_graph, "p vcew 2 1\n1 x\n", 2, "non-integer vertex id"),
+        (_weights_of_p3, "1 2\n", 1, "expected 'u v w'"),
+        (io.parse_result, "no json", None, "bad result JSON: Expecting value: line 1 column 1 (char 0)"),
+    ],
+)
+def test_input_rejections(parse, text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")
+
+
 def test_parse_td_single_bag():
     td = io.parse_td("s td 1 3 3\nb 1 1 2 3\n")
     assert td.bags == (frozenset({0, 1, 2}),) and td.root == 0

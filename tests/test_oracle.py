@@ -1,10 +1,12 @@
 import hashlib
 import random
+import shutil
+import subprocess
 import tracemalloc
 
 import pytest
 
-from vcew import _search_py, oracle
+from vcew import _search_c, _search_py, oracle
 from vcew.errors import CapacityError
 from vcew.graph import Graph, extends, is_proper
 from tests import reference_solve_ones
@@ -145,6 +147,20 @@ def test_exists_with_color_bound():
     # per-vertex map form
     assert oracle.exists_with_color_bound(C4, {}, {0: 2, 1: 2, 2: 2, 3: 2})
     assert not oracle.exists_with_color_bound(C4, {}, [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "search,error,message",
+    [
+        (lambda: oracle.exists_with_color_bound(P3, None, [1, 1]), ValueError, "bound sequence has length 2, expected 3"),
+        (lambda: oracle.exists_with_color_bound(P3, None, 1.5), TypeError, "unsupported bound type <class 'float'>"),
+        (lambda: oracle.solve_exhaustive(P3, budget=-1), ValueError, "budget must be nonnegative"),
+    ],
+)
+def test_search_argument_rejections(search, error, message):
+    with pytest.raises(error) as info:
+        search()
+    assert str(info.value) == message
 
 
 def test_exists_bound_matches_enumeration():
@@ -335,6 +351,23 @@ def test_k7_decided_by_the_walk():
 
 def test_k7_compiled(compiled_kernel):
     assert compiled_kernel.solve_ones(oracle._prepare(K7, {}, None), 21) == (None, K7_NODES)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "int search_record_size(void) { return 1; }",  # another record layout
+        "int count_all(void) { return 0; }",  # built before the size was exported
+    ],
+)
+def test_load_refuses_another_record_layout(tmp_path, source):
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    (tmp_path / "stale.c").write_text(source + "\n")
+    library = tmp_path / "stale.so"
+    subprocess.run(["cc", "-shared", "-fPIC", "-o", str(library), str(tmp_path / "stale.c")], check=True)
+    with pytest.raises(ImportError, match=r"rebuild it with: python setup\.py build_ext --inplace$"):
+        _search_c.load(library)
 
 
 def _assert_same_choice(inst, budgets):

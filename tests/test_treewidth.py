@@ -327,6 +327,27 @@ def test_check_partial_solution_rejects_foreign_edges():
             break
 
 
+# P3 = 0-1-2 eliminated from vertex 2: node 4 has bag (1,) with 2 forgotten,
+# node 7 has bag (0,) with 1 and 2 forgotten.
+P3_FROM_2 = chain((IV, 2), (IV, 1), (IE, (1, 2)), (FORGET, 2), (IV, 0), (IE, (0, 1)), (FORGET, 1), (FORGET, 0))
+
+
+@pytest.mark.parametrize(
+    "node,state,h,ok",
+    [
+        (4, (2, 1), {(1, 2)}, True),
+        (4, (), {(1, 2)}, False),  # a state of the wrong length
+        (4, (2, 1, 0, 0), {(1, 2)}, False),
+        (4, (1, 1), {(1, 2)}, False),  # fd(1) equals the h-degree of forgotten 2
+        (7, (1, 1), {(0, 1), (1, 2)}, True),
+        (7, (0, 0), {(1, 2)}, False),  # forgotten 1 and 2 both have h-degree 1
+    ],
+)
+def test_check_partial_solution_hand_built(node, state, h, ok):
+    validate_nice(P3, P3_FROM_2)  # raises unless the hand-built decomposition is nice
+    assert check_partial_solution(P3, P3_FROM_2, node, state, h) is ok
+
+
 def test_dp_invariant_failure_is_a_contract_violation(monkeypatch):
     monkeypatch.setattr(_dp_tables, "_check_partial", lambda *args: False)
     with pytest.raises(ContractViolationError):
