@@ -290,7 +290,6 @@ def run(
     state_counts = [0] * len(nodes)
     if check_invariants:
         edge_sets = subtree_edge_sets(ntd)
-        partial: dict[int, list[frozenset]] = {}
     for t in postorder(ntd):
         node = nodes[t]
         if node.kind == LEAF:
@@ -328,35 +327,23 @@ def run(
             seen = {x: (s1[x][0] + s2[x][0], s1[x][1] + s2[x][1]) for x in node.bag}
             table, src[t], src2[t] = _join(lay, keys.pop(c1), keys.pop(c2), [span(seen, x) for x in node.bag])
         state_counts[t] = len(table)
-        if check_invariants:
-            partial[t] = _partial_solutions(node, t, src, src2, weight, partial)
-            for key, h in zip(table.tolist(), partial[t]):
+        if check_invariants:  # each row's partial solution, decoded as the witness is
+            for row, key in enumerate(table.tolist()):
+                h = [g.edges[i] for i in _witness_ids(g, ntd, src, src2, weight, t, row)]
                 if not _check_partial(g, node.bag, edge_sets[t], lay.unpack(key, len(node.bag)), h):
                     raise ContractViolationError(f"stored entry violates the partial-solution conditions at node {t}")
         keys[t] = table
         intro[t] = seen
     if len(keys[ntd.root]) == 0:
         return None, state_counts
-    return _witness_ids(g, ntd, src, src2, weight), state_counts
+    return _witness_ids(g, ntd, src, src2, weight, ntd.root, 0), state_counts
 
 
-def _partial_solutions(node, t, src, src2, weight, partial) -> list[frozenset]:
-    """Each stored row's partial solution, built from its provenance."""
-    if node.kind == LEAF:
-        return [frozenset()]
-    if node.kind == JOIN:
-        h1, h2 = (partial.pop(c) for c in node.children)
-        return [h1[i] | h2[j] for i, j in zip(src[t].tolist(), src2[t].tolist())]
-    child = partial.pop(node.children[0])
-    if node.kind == INTRODUCE_EDGE:
-        return [child[i] | {node.edge} if w else child[i] for i, w in zip(src[t].tolist(), weight[t].tolist())]
-    return [child[i] for i in src[t].tolist()]
-
-
-def _witness_ids(g: Graph, ntd: NiceTreeDecomposition, src, src2, weight) -> frozenset[int]:
-    """Walk the provenance from the root row down and collect weight-1 edges."""
+def _witness_ids(g: Graph, ntd: NiceTreeDecomposition, src, src2, weight, t: int, row: int) -> frozenset[int]:
+    """Walk the provenance from row `row` of node `t` down and collect the ids
+    of the row's weight-1 edges; from the root's row 0 this is the witness."""
     ids: set[int] = set()
-    stack = [(ntd.root, 0)]
+    stack = [(t, row)]
     while stack:
         t, row = stack.pop()
         node = ntd.nodes[t]

@@ -68,11 +68,11 @@ def _pick_algo(args, g: Graph, pre: PartialWeightAssignment) -> tuple[str, treew
         return "prewt", td
     if len(g.edges) - len(pre) <= ORACLE_MAX_FREE:
         return "oracle", td
+    if g.max_degree() > TW_MAX_DEGREE:  # vc never reads td, so none is computed
+        return "vc", td
     if td is None:
         td = treewidth.compute_decomposition(g)
-    if td.width() <= TW_MAX_WIDTH and g.max_degree() <= TW_MAX_DEGREE:
-        return "tw", td
-    return "vc", td
+    return ("tw" if td.width() <= TW_MAX_WIDTH else "vc"), td
 
 
 def cmd_solve(args) -> int:

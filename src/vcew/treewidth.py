@@ -24,6 +24,8 @@ backs and which loads with the first DP run):
   row at a join), the child-2 row at a join, and at an introduce-edge node
   whether the row takes the edge.  The witness is decoded by walking these
   index arrays down from the root row; no partial solutions are stored.
+  Check mode (run_dp's check_invariants) decodes every stored row with the
+  same walker, so the code that builds the witness is the code it checks.
 * Tie-break.  Rows stay in order of first derivation, as a dict filled
   child row by child row would keep them.  Introduce-vertex expands each
   child row into fd = lo(v)..hi(v), the colours v's pre-weights allow
@@ -365,7 +367,9 @@ def run_dp(
     The transitions work on fixed-size chunks of child rows and join pairs
     (see the module docstring), so their temporaries grow with the rows
     they keep, not with the largest child table.  Under check_invariants every
-    row reaching a forget node must have fd == cd at the forgotten vertex.
+    row reaching a forget node must have fd == cd at the forgotten vertex,
+    and every stored row is decoded into its partial solution by the walker
+    that decodes the witness, then tested by check_partial_solution.
 
     Raises ValidationError when make_nice rejects td (its one check),
     CapacityError when a packed state would need more than 63 bits, and

@@ -195,6 +195,32 @@ def test_auto_routing(tmp_path, capsys):
     assert io.parse_result(run_cli(capsys, "solve", star)[1]).algorithm == "vc"
 
 
+GRID_5X5 = [(5 * r + c + 1, 5 * r + c + 2) for r in range(5) for c in range(4)] + [(i, i + 5) for i in range(1, 21)]
+
+
+@pytest.mark.parametrize(
+    "text,decompositions,algo",
+    [
+        ("p vcew 31 30\n" + "".join(f"1 {v}\n" for v in range(2, 32)), 0, "vc"),  # degree 30
+        ("p vcew 25 40\n" + "".join(f"{u} {v}\n" for u, v in GRID_5X5), 1, "vc"),  # degree 4, width 5
+        ("p vcew 30 30\n" + "".join(f"{i} {i % 30 + 1}\n" for i in range(1, 31)), 1, "tw"),  # degree 2, width 2
+    ],
+    ids=["star-30", "grid-5x5", "cycle-30"],
+)
+def test_auto_tests_degree_before_decomposing(tmp_path, capsys, monkeypatch, text, decompositions, algo):
+    # the vc route never reads a decomposition, so one is computed only for a degree the tw route takes
+    calls = []
+
+    def counted(g, _compute=treewidth.compute_decomposition):
+        calls.append(g)
+        return _compute(g)
+
+    monkeypatch.setattr(treewidth, "compute_decomposition", counted)
+    _, out, _ = run_cli(capsys, "solve", write(tmp_path, "g.gr", text))
+    assert io.parse_result(out).algorithm == algo
+    assert len(calls) == decompositions
+
+
 def test_vc_rejects_preweighted(tmp_path, capsys):
     path = write(tmp_path, "p1.gr", "p vcew 4 4\n1 2 1\n2 3\n3 4\n1 4\n")
     code, _, err = run_cli(capsys, "solve", path, "--algo", "vc")
@@ -412,6 +438,15 @@ def test_reduce_lc_nonpositive_scale_exits_2(tmp_path, capsys, scale):
     code, out, err = run_cli(capsys, "reduce-lc", inst, "--N", scale, "-o", str(tmp_path / "red"))
     assert (code, out, err) == (2, "", "vcew: --N must be at least 1\n")
     assert not (tmp_path / "red.gr").exists()
+
+
+def test_reduce_lc_scale_too_small_for_z_exits_2(tmp_path, capsys):
+    # six chains, one per colour 3 and 4 at each vertex: z's degree 2N + 6 passes 3N at N = 5
+    inst = write(tmp_path, "three.lc", "p lc 3 0\nl 1 2\nl 2 2\nl 3 2\n")
+    code, out, err = run_cli(capsys, "reduce-lc", inst, "--N", "5", "-o", str(tmp_path / "red"))
+    assert (code, out, err) == (2, "", "vcew: z would have degree 16 > 3N=15; raise N\n")
+    assert not (tmp_path / "red.gr").exists()
+    assert run_cli(capsys, "reduce-lc", inst, "--N", "6", "-o", str(tmp_path / "red"))[0] == 0  # degree 18 = 3N
 
 
 def test_reduce_lc_empty_instance(tmp_path, capsys):

@@ -15,6 +15,7 @@ from vcew.graph import (
     validate_assignment,
     validate_partial,
 )
+from vcew.listcolor import ListColoringInstance
 from tests.conftest import random_small_graph
 
 P3 = Graph.build(3, [(0, 1), (1, 2)])
@@ -104,6 +105,8 @@ def test_equal_edge_sets_build_equal_graphs():
         (lambda: validate_assignment(K2, {(0, 1): 2}), "weight 2 for edge (0, 1) not in {0, 1}"),
         (lambda: validate_partial(P3, {(0, 2): 1}), "pre-weighted edge (0, 2) not in the graph"),
         (lambda: validate_partial(P3, {(1, 2): 2}), "pre-weight 2 for edge (1, 2) not in {0, 1}"),
+        (lambda: ListColoringInstance.build(P3, [[2], [3]]), "one color list required per vertex"),
+        (lambda: ListColoringInstance.build(P3, [[2], [], [3]]), "vertex 1 has an empty color list"),
     ],
 )
 def test_validation_rejections(check, message):

@@ -178,6 +178,19 @@ def test_result_round_trip():
     assert io.parse_result(text) == record
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"status": "maybe"}, "bad status 'maybe'"),
+        ({"status": "yes"}, "yes-results must carry a witness"),
+    ],
+)
+def test_result_record_rejections(fields, message):
+    with pytest.raises(ValueError) as info:
+        io.ResultRecord(algorithm="oracle", **fields)
+    assert str(info.value) == message
+
+
 def test_no_result_omits_witness():
     text = io.emit_result(io.ResultRecord(status="no", algorithm="tw", verified=True))
     assert "witness" not in text and "colors" not in text

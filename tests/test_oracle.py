@@ -349,6 +349,13 @@ def test_k7_decided_by_the_walk():
     assert _search_py.solve_ones(oracle._prepare(K7, {}, None), 21) == (None, K7_NODES)
 
 
+def test_backend_names_the_active_kernel(monkeypatch, compiled_kernel):
+    monkeypatch.setattr(oracle, "_kernel", _search_py)
+    assert oracle.backend() == "python"
+    monkeypatch.setattr(oracle, "_kernel", compiled_kernel)
+    assert oracle.backend() == "compiled"
+
+
 def test_k7_compiled(compiled_kernel):
     assert compiled_kernel.solve_ones(oracle._prepare(K7, {}, None), 21) == (None, K7_NODES)
 

@@ -34,6 +34,13 @@ def test_base_colors_examples():
     assert base_colors(star, [(0, 1), (0, 2)]) == [2, 1, 1, 0]
 
 
+def test_base_colors_rejects_a_missing_edge():
+    g = Graph.build(3, [(0, 1)])
+    with pytest.raises(ValueError) as info:
+        base_colors(g, [(2, 1)])
+    assert str(info.value) == "pre-weighted edge (1, 2) not in the graph"
+
+
 def test_ones_only_rejects_zero_preweights():
     with pytest.raises(UnsupportedVariantError):
         ones_only({(0, 1): 0})

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -221,6 +222,13 @@ def test_bad_overrides_rejected():
         build_reduction(inst, small_chain_scale(inst) - 4)
 
 
+def test_is_proper_list_coloring_rejects_wrong_length():
+    inst = make_inst(2, [(0, 1)], [[2], [3]])
+    assert is_proper_list_coloring(inst, [2, 3])
+    assert not is_proper_list_coloring(inst, [2])
+    assert not is_proper_list_coloring(inst, [2, 3, 2])
+
+
 def test_build_rejects_color_below_two():
     inst = make_inst(1, [], [[1, 2]])
     with pytest.raises(ValidationError):
@@ -303,6 +311,16 @@ def test_fvs_bound_without_z():
     red = build_reduction(inst)
     assert red.z is None
     assert verify_fvs_bound(red)
+
+
+def test_fvs_bound_detects_a_cycle_outside_cover_and_z():
+    inst = make_inst(2, [(0, 1)], [[2], [3]])
+    red = build_reduction(inst, small_chain_scale(inst))
+    assert verify_fvs_bound(red)
+    # a triangle on three new vertices avoids every cover of the instance and z
+    n = red.graph.vertex_count
+    cyclic = Graph.build(n + 3, list(red.graph.edges) + [(n, n + 1), (n + 1, n + 2), (n, n + 2)])
+    assert not verify_fvs_bound(replace(red, graph=cyclic))
 
 
 def test_roles_sidecar_and_dot():

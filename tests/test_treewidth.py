@@ -212,10 +212,15 @@ K2_NICE = chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (FORGET, 1))  # roo
         (K2, edit(K2_NICE, 3, kind="bogus")),
         (Graph.build(3, [(0, 1)]), K2_NICE),  # vertex 2 in no bag
         (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (IV, 0), (FORGET, 0), (FORGET, 1))),
+        (K2, replace(K2_NICE, root=6)),  # root index out of range
+        (K2, edit(K2_NICE, 0, bag=(0,))),  # a leaf whose bag holds vertex 0
+        (K2, edit(K2_NICE, 2, vertex=0)),  # introduces 0, already in its child's bag
+        (P3, chain((IV, 0), (IV, 1), (IE, (0, 1)), (IE, (1, 2)), (FORGET, 0), (IV, 2), (FORGET, 1), (FORGET, 2))),
     ],
     ids=["detached-ring", "introduce-two-children", "root-bag", "child-range", "two-parents",
          "root-is-child", "non-edge", "edge-twice", "edge-never", "forget-missing", "join-mismatch",
-         "unknown-kind", "vertex-in-no-bag", "disconnected-occurrences"],
+         "unknown-kind", "vertex-in-no-bag", "disconnected-occurrences", "root-range", "leaf-bag",
+         "introduce-vertex-present", "edge-outside-bag"],
 )
 def test_validate_nice_rejects_malformed(g, ntd):
     validate_nice(K2, K2_NICE)  # the decomposition the edits start from is valid
@@ -352,6 +357,22 @@ def test_dp_invariant_failure_is_a_contract_violation(monkeypatch):
     monkeypatch.setattr(_dp_tables, "_check_partial", lambda *args: False)
     with pytest.raises(ContractViolationError):
         run_dp(P3, compute_decomposition(P3), check_invariants=True)
+
+
+def test_dp_invariant_checks_decode_rows_with_the_witness_walker(monkeypatch):
+    # check mode decodes every stored row with the walker that builds the
+    # witness, so a walker that loses an edge fails the check
+    p4 = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+    assert dp_solve(p4, compute_decomposition(p4), check_invariants=True) is not None
+    walk = _dp_tables._witness_ids
+
+    def dropping(*args):
+        ids = walk(*args)
+        return ids - {min(ids)} if ids else ids
+
+    monkeypatch.setattr(_dp_tables, "_witness_ids", dropping)
+    with pytest.raises(ContractViolationError):
+        dp_solve(p4, compute_decomposition(p4), check_invariants=True)
 
 
 def test_dp_degenerate_cases_match_brute_force():

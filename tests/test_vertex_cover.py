@@ -10,6 +10,7 @@ from vcew.errors import CapacityError, ContractViolationError
 from vcew.generators import planted_twin_graph, random_graph
 from vcew.graph import Graph, induced_colors, is_proper
 from vcew.vertex_cover import (
+    Kernel,
     _assert_kernel_bounds,
     class_cap,
     color_budget,
@@ -238,6 +239,18 @@ def test_lift_rejects_improper():
     kernel = kernelize(g)
     with pytest.raises(ContractViolationError):
         lift(g, kernel, {e: 0 for e in kernel.graph.edges})
+
+
+def test_lift_rejects_a_failed_reverification():
+    # the kernel P4 0-1-2-3 is properly weighted with colours 1, 2, 1, 0; the
+    # removed leaf 4 at vertex 3 gets colour 0 too, so the lifted weighting fails
+    g = Graph.build(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    p4 = Graph.build(4, [(0, 1), (1, 2), (2, 3)])
+    kernel = Kernel(p4, kept=(0, 1, 2, 3), cover=(1, 2), k_matching=1, cap=1,
+                    class_sizes_before=(), class_sizes_after=(), removed=(4,))
+    with pytest.raises(ContractViolationError) as info:
+        lift(g, kernel, {(0, 1): 1, (1, 2): 1, (2, 3): 0})
+    assert str(info.value) == "lifted assignment failed re-verification"
 
 
 def test_lift_gives_removed_vertices_color_zero(monkeypatch):
