@@ -81,17 +81,18 @@ class _Layout:
         return tuple(out)
 
 
-def _introduce_vertex(lay: _Layout, keys: np.ndarray, pos: int, lo: int, hi: int):
-    """Open slot `pos` and set fd = lo..hi, cd = 0; rows stay child-major."""
+def _introduce_vertex(lay: _Layout, keys: np.ndarray, pos: int, lo: int, top: int):
+    """Open slot `pos` and set fd = lo..top, cd = 0; rows stay child-major.
+    A top below lo leaves no row."""
     shift = lay.slot * pos
     # widened = high << (shift + slot) | low, as high << shift times
     # (2^slot - 1) plus the key, in place on one child-sized temporary
     widened = keys & -(1 << shift)
     widened *= (1 << lay.slot) - 1
     widened += keys
-    fds = np.arange(lo, hi + 1, dtype=np.int64) << shift
+    fds = np.arange(lo, top + 1, dtype=np.int64) << shift
     out = (widened[:, None] | fds[None, :]).ravel()
-    return out, np.repeat(np.arange(len(keys), dtype=_ROW), hi - lo + 1)
+    return out, np.repeat(np.arange(len(keys), dtype=_ROW), len(fds))
 
 
 def _field_dtype(bits: int) -> np.dtype:
@@ -267,12 +268,14 @@ def run(
     pre: PartialWeightAssignment,
     lo: list[int],
     hi: list[int],
+    top: list[int],
     bits: int,
     check_invariants: bool,
 ):
-    """Bottom-up table computation.  fd(v) ranges over lo[v]..hi[v].  Returns
-    the root's solution edge ids (None when the root table is empty) and the
-    per-node state counts."""
+    """Bottom-up table computation.  fd(v) ranges over lo[v]..top[v], where
+    top[v] <= hi[v] is the colour ceiling; need and room come from lo and hi.
+    Returns the root's solution edge ids (None when the root table is
+    empty) and the per-node state counts."""
     lay = _Layout(bits)
     nodes = ntd.nodes
     keys: dict[int, np.ndarray] = {}
@@ -300,7 +303,7 @@ def run(
             seen = intro.pop(c)
             x = node.vertex
             seen[x] = (0, 0)
-            table, src[t] = _introduce_vertex(lay, keys.pop(c), node.bag.index(x), lo[x], hi[x])
+            table, src[t] = _introduce_vertex(lay, keys.pop(c), node.bag.index(x), lo[x], top[x])
         elif node.kind == INTRODUCE_EDGE:
             c = node.children[0]
             seen = intro.pop(c)

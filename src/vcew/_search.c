@@ -5,21 +5,22 @@
  * place is the nested place of _combinations, and conflict, take and untake
  * are the group tests and color bumps those loops make inline.  Beyond the
  * prepared instance the record holds only the colors along the search path
- * and the node count.  There is no Python API: vcew/_search_c.py fills a
- * Search record through ctypes and calls the three entry points at the end
- * of this file.  README.md ("Install") says how to build it.
+ * and the node count; there is no per-vertex color ceiling, so a node is
+ * pruned on an equal-color settled edge only.  There is no Python API:
+ * vcew/_search_c.py fills a Search record through ctypes and calls the three
+ * entry points at the end of this file.  README.md ("Install") says how to
+ * build it.
  */
 
 /* One prepared instance, filled by the caller.  colors holds the start
  * colors on entry and is changed by the search. */
 typedef struct {
-    int n, m, f;              /* vertices, edges, free edges */
-    const int *pu, *pv;       /* the q-th edge to settle joins pu[q] and pv[q] */
-    const int *fu, *fv;       /* free position p joins fu[p] and fv[p] */
-    const int *end;           /* end[p]: first edge settling at position p or later */
-    long long *colors;
-    const long long *bounds;  /* per-vertex color ceiling */
-    long long nodes;          /* search nodes visited */
+    int m, f;             /* edges, free edges */
+    const int *pu, *pv;   /* the q-th edge to settle joins pu[q] and pv[q] */
+    const int *fu, *fv;   /* free position p joins fu[p] and fv[p] */
+    const int *end;       /* end[p]: first edge settling at position p or later */
+    long long *colors;    /* per vertex */
+    long long nodes;      /* search nodes visited */
 } Search;
 
 /* sizeof(Search), which vcew/_search_c.py checks against its mirror. */
@@ -37,16 +38,11 @@ static int conflict(const Search *s, int lo, int hi)
     return 0;
 }
 
-/* Give free edge p weight 1; returns 0, changing nothing, when an endpoint
- * would pass its bound. */
-static int take(Search *s, int p)
+/* Give free edge p weight 1. */
+static void take(Search *s, int p)
 {
-    int u = s->fu[p], v = s->fv[p];
-    if (s->colors[u] >= s->bounds[u] || s->colors[v] >= s->bounds[v])
-        return 0;
-    s->colors[u]++;
-    s->colors[v]++;
-    return 1;
+    s->colors[s->fu[p]]++;
+    s->colors[s->fv[p]]++;
 }
 
 /* Undo take(s, p). */
@@ -63,15 +59,14 @@ static int place(Search *s, int start, int remaining, int *chosen)
 {
     int last = s->f - remaining;
     for (int p = start; p <= last; p++) {
-        if (take(s, p)) {
-            if (remaining == 1 ? !conflict(s, s->end[p], s->m)
-                    : !conflict(s, s->end[p], s->end[p + 1]) && place(s, p + 1, remaining - 1, chosen + 1)) {
-                s->nodes += p - start + 1;
-                *chosen = p;
-                return 1;
-            }
-            untake(s, p);
+        take(s, p);
+        if (remaining == 1 ? !conflict(s, s->end[p], s->m)
+                : !conflict(s, s->end[p], s->end[p + 1]) && place(s, p + 1, remaining - 1, chosen + 1)) {
+            s->nodes += p - start + 1;
+            *chosen = p;
+            return 1;
         }
+        untake(s, p);
         if (conflict(s, s->end[p], s->end[p + 1]))
             break;
     }
@@ -101,16 +96,16 @@ static long long walk(Search *s, int d, int remaining, int early)
         return total;
     /* the weight-1 children at q, q-1, ..., d; an early stop at p uncounts p-1..d */
     s->nodes += q - d + 1;
-    for (int p = q; p >= d; p--)
-        if (take(s, p)) {
-            if (!conflict(s, s->end[p], s->end[p + 1]))
-                total += p == f - 1 ? 1 : walk(s, p + 1, remaining - 1, early);
-            untake(s, p);
-            if (early && total) {
-                s->nodes -= p - d;
-                return total;
-            }
+    for (int p = q; p >= d; p--) {
+        take(s, p);
+        if (!conflict(s, s->end[p], s->end[p + 1]))
+            total += p == f - 1 ? 1 : walk(s, p + 1, remaining - 1, early);
+        untake(s, p);
+        if (early && total) {
+            s->nodes -= p - d;
+            return total;
         }
+    }
     return total;
 }
 
@@ -118,9 +113,6 @@ static long long walk(Search *s, int d, int remaining, int early)
 static long long walk_root(Search *s, int cap, int early)
 {
     s->nodes = 1;
-    for (int v = 0; v < s->n; v++)
-        if (s->colors[v] > s->bounds[v])
-            return 0;
     if (conflict(s, 0, s->end[0]))
         return 0;
     return walk(s, 0, cap, early);
@@ -148,7 +140,7 @@ long long count_all(Search *s)
     return walk_root(s, s->f, 0);
 }
 
-/* Whether some proper completion respects the per-vertex color bounds. */
+/* Whether some completion is proper. */
 int exists_proper(Search *s)
 {
     return walk_root(s, s->f, 1) > 0;

@@ -3,6 +3,8 @@
 ``load(path)`` returns a kernel with the interface of ``vcew._search_py``:
 ``solve_ones(inst, maxc)``, ``count_all(inst)`` and ``exists_proper(inst)``
 take an ``oracle.SearchInstance`` and return ``(value, nodes visited)``.
+The Search record carries the instance's settle table, free positions and
+start colors; the kernel takes no per-vertex color ceiling.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ _LONGS = ctypes.POINTER(ctypes.c_longlong)
 class _Search(ctypes.Structure):
     # Field for field the Search record of _search.c.
     _fields_ = [
-        ("n", ctypes.c_int), ("m", ctypes.c_int), ("f", ctypes.c_int),
+        ("m", ctypes.c_int), ("f", ctypes.c_int),
         ("pu", _INTS), ("pv", _INTS), ("fu", _INTS), ("fv", _INTS),
-        ("end", _INTS), ("colors", _LONGS), ("bounds", _LONGS), ("nodes", ctypes.c_longlong),
+        ("end", _INTS), ("colors", _LONGS), ("nodes", ctypes.c_longlong),
     ]
 
 
@@ -38,9 +40,9 @@ def _record(inst) -> _Search:
     """
     pairs = inst.pairs
     return _Search(
-        inst.n, len(pairs), len(inst.fu),
+        len(pairs), len(inst.fu),
         _ints([u for u, _ in pairs]), _ints([v for _, v in pairs]), _ints(inst.fu), _ints(inst.fv),
-        _ints(inst.end), _longs(inst.colors), _longs(inst.bounds),
+        _ints(inst.end), _longs(inst.colors),
     )
 
 

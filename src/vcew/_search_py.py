@@ -13,13 +13,11 @@ The kernel enumerates assignments to the F "free" (not pre-weighted) edges.
 Along the search path it keeps ``colors[v]``, the induced color of v under
 the decided prefix plus the pre-weighting (undecided free edges contribute
 0, matching the candidate each leaf represents).  A node is pruned, after
-being counted, when
-
-* some vertex color exceeds its upper bound (colors only grow along a
-  path), or
-* some settled edge has equal endpoint colors.  A graph edge is settled once
-  every free edge incident to one of its endpoints has been decided: its
-  endpoint colors can no longer change below that node.
+being counted, when some settled edge has equal endpoint colors.  A graph
+edge is settled once every free edge incident to one of its endpoints has
+been decided: its endpoint colors can no longer change below that node.
+The search has no per-vertex color ceiling; vcew.treewidth answers
+color-bounded queries.
 
 Two traversal modes:
 
@@ -54,10 +52,10 @@ nothing but the two color bumps is undone on the way back.
 
 Child-side pruning
 ------------------
-Each child is counted, then tested inline; a child that fails (a bound
-exceeded, or an equal-color pair in the group it settles) is counted but
-not entered.  Both kernels count this way, so node counts are those of a
-walk that enters every child and tests it on entry.
+Each child is counted, then tested inline; a child that fails (an
+equal-color pair in the group it settles) is counted but not entered.
+Both kernels count this way, so node counts are those of a walk that
+enters every child and tests it on entry.
 
 The binary walk follows a run of weight-0 children in a loop: a weight-0
 decision changes no color, so the run goes on until a group has an
@@ -71,10 +69,6 @@ all later siblings; a call adds its counted children to the node count once,
 on return.  The last level (one weight-1 edge left to place) checks
 ``pairs[end[p]:]``, every edge still unsettled, in the loop instead of
 calling down to a leaf.
-
-When no vertex can exceed its bound, even with every free edge at 1 (no
-bounds, as from oracle.solve_exhaustive), both modes of this kernel skip
-the bound tests; _search.c always makes them, which changes no result.
 """
 
 from __future__ import annotations
@@ -103,10 +97,9 @@ def solve_ones(inst, maxc):
 
 def _combinations(inst, at, cap):
     """Combination mode below a root that passed: (positions | None, nodes)."""
-    fu, fv, bounds, pairs, end = inst.fu, inst.fv, inst.bounds, inst.pairs, inst.end
+    fu, fv, pairs, end = inst.fu, inst.fv, inst.pairs, inst.end
     f = len(fu)
     colors = list(inst.colors)
-    unbounded = _unbounded(inst)
     chosen: list[int] = []  # filled deepest first on success
     nodes = 0
 
@@ -120,28 +113,27 @@ def _combinations(inst, at, cap):
             v = fv[p]
             cu = colors[u] + 1
             cv = colors[v] + 1
-            if unbounded or (cu <= bounds[u] and cv <= bounds[v]):
-                colors[u] = cu
-                colors[v] = cv
-                if remaining == 1:
-                    for a, b in pairs[end[p]:]:
-                        if colors[a] == colors[b]:
-                            break
-                    else:
+            colors[u] = cu
+            colors[v] = cv
+            if remaining == 1:
+                for a, b in pairs[end[p]:]:
+                    if colors[a] == colors[b]:
+                        break
+                else:
+                    nodes += p - start + 1
+                    chosen.append(p)
+                    return True
+            else:
+                for a, b in at[p]:
+                    if colors[a] == colors[b]:
+                        break
+                else:
+                    if place(p + 1, remaining - 1):
                         nodes += p - start + 1
                         chosen.append(p)
                         return True
-                else:
-                    for a, b in at[p]:
-                        if colors[a] == colors[b]:
-                            break
-                    else:
-                        if place(p + 1, remaining - 1):
-                            nodes += p - start + 1
-                            chosen.append(p)
-                            return True
-                colors[u] = cu - 1
-                colors[v] = cv - 1
+            colors[u] = cu - 1
+            colors[v] = cv - 1
             for a, b in at[p]:
                 if colors[a] == colors[b]:
                     nodes += last - start + 1
@@ -162,22 +154,13 @@ def _combinations(inst, at, cap):
     return None, nodes
 
 
-def _unbounded(inst) -> bool:
-    """Whether no vertex can exceed its bound, even with every free edge at 1."""
-    reach = list(inst.colors)
-    for u, v in zip(inst.fu, inst.fv):
-        reach[u] += 1
-        reach[v] += 1
-    return all(r <= b for r, b in zip(reach, inst.bounds))
-
-
 def count_all(inst):
     """Number of proper assignments over all 2^F completions."""
     return _walk(inst, _groups(inst), len(inst.fu), False)
 
 
 def exists_proper(inst):
-    """Whether some proper completion respects the per-vertex color bounds."""
+    """Whether some completion is proper."""
     count, nodes = _walk(inst, _groups(inst), len(inst.fu), True)
     return count > 0, nodes
 
@@ -185,14 +168,12 @@ def exists_proper(inst):
 def _walk(inst, at, cap, early):
     """(proper completions, nodes) of the binary walk with at most `cap`
     weight-1 free edges; with `early` it stops at the first completion."""
-    fu, fv, bounds = inst.fu, inst.fv, inst.bounds
+    fu, fv = inst.fu, inst.fv
     f = len(fu)
     last = f - 1
     colors = list(inst.colors)
-    root = inst.pairs[:inst.end[0]]
-    if any(c > b for c, b in zip(colors, bounds)) or any(colors[u] == colors[v] for u, v in root):
+    if any(colors[u] == colors[v] for u, v in inst.pairs[:inst.end[0]]):
         return 0, 1
-    unbounded = _unbounded(inst)
     nodes = 1
 
     def walk(d: int, remaining: int) -> int:
@@ -229,19 +210,18 @@ def _walk(inst, at, cap, early):
             v = fv[p]
             cu = colors[u] + 1
             cv = colors[v] + 1
-            if unbounded or (cu <= bounds[u] and cv <= bounds[v]):
-                colors[u] = cu
-                colors[v] = cv
-                for a, b in at[p]:
-                    if colors[a] == colors[b]:
-                        break
-                else:
-                    total += 1 if p == last else walk(p + 1, remaining - 1)
-                colors[u] = cu - 1
-                colors[v] = cv - 1
-                if early and total:
-                    nodes -= p - d
-                    return total
+            colors[u] = cu
+            colors[v] = cv
+            for a, b in at[p]:
+                if colors[a] == colors[b]:
+                    break
+            else:
+                total += 1 if p == last else walk(p + 1, remaining - 1)
+            colors[u] = cu - 1
+            colors[v] = cv - 1
+            if early and total:
+                nodes -= p - d
+                return total
         return total
 
     return walk(0, cap), nodes

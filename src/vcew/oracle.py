@@ -12,6 +12,9 @@ plain ``cc -O2 -std=c99 -shared -fPIC``) into a shared library next to this
 module.  The backend follows the presence of that library: when it is there,
 it is loaded through ctypes (vcew._search_c); otherwise the pure-Python twin
 vcew._search_py runs.  Both return the same witnesses and node counts.
+The search caps only the count of weight-1 edges, never a vertex's color:
+a color-bounded query is a run of the treewidth DP
+(vcew.treewidth.exists_with_color_bound).
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
 from itertools import accumulate
 from pathlib import Path
-from typing import Mapping, Sequence
 
 from vcew import _search_py
 from vcew.errors import CapacityError
@@ -34,7 +36,6 @@ from vcew.graph import (
 )
 
 CUTOFF = 30  # the search ceiling: at most 2^CUTOFF candidates
-NO_BOUND = 1 << 60
 
 
 def _load_kernel():
@@ -75,11 +76,10 @@ class SearchInstance:
     pairs: tuple[Edge, ...]  # the edges of g in settle order
     end: tuple[int, ...]  # settle group boundaries in pairs, F + 1 of them
     colors: tuple[int, ...]  # start colors from the weight-1 pre-weights
-    bounds: tuple[int, ...]  # per-vertex color ceiling
     free: tuple[int, ...]  # free position -> edge index
 
 
-def _prepare(g: Graph, pre: PartialWeightAssignment, bounds) -> SearchInstance:
+def _prepare(g: Graph, pre: PartialWeightAssignment) -> SearchInstance:
     validate_partial(g, pre)
     n = g.vertex_count
     edges = g.edges
@@ -101,24 +101,9 @@ def _prepare(g: Graph, pre: PartialWeightAssignment, bounds) -> SearchInstance:
     sizes = [0] * (len(free) + 1)
     for k in key:
         sizes[k + 1] += 1
-    if bounds is None:
-        blist = [NO_BOUND] * n
-    elif isinstance(bounds, int):
-        blist = [bounds] * n
-    elif isinstance(bounds, Mapping):
-        blist = [bounds.get(v, NO_BOUND) for v in range(n)]
-    elif isinstance(bounds, Sequence):
-        if len(bounds) != n:
-            raise ValueError(f"bound sequence has length {len(bounds)}, expected {n}")
-        blist = list(bounds)
-    else:
-        raise TypeError(f"unsupported bound type {type(bounds)!r}")
-    # Clamped so that every bound fits a C long long (ctypes wraps larger ints
-    # silently); colors lie in [0, n), so no answer changes.
-    blist = [max(-1, min(b, NO_BOUND)) for b in blist]
     return SearchInstance(
         n, tuple(edges[i][0] for i in free), tuple(edges[i][1] for i in free), pairs,
-        tuple(accumulate(sizes)), tuple(colors), tuple(blist), tuple(free),
+        tuple(accumulate(sizes)), tuple(colors), tuple(free),
     )
 
 
@@ -148,7 +133,7 @@ def solve_exhaustive(
     pre = pre or {}
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
-    inst = _prepare(g, pre, None)
+    inst = _prepare(g, pre)
     free = inst.free
     _check_capacity(len(free), budget)
     maxc = len(free) if budget is None else budget
@@ -167,19 +152,8 @@ def solve_exhaustive(
 def count_proper(g: Graph, pre: PartialWeightAssignment | None = None) -> int:
     """Number of proper total assignments extending pre."""
     pre = pre or {}
-    inst = _prepare(g, pre, None)
+    inst = _prepare(g, pre)
     _check_capacity(len(inst.free), None)
     count, _ = _kernel.count_all(inst)
     return count
 
-
-def exists_with_color_bound(g: Graph, pre: PartialWeightAssignment | None, bound) -> bool:
-    """Whether some proper extension keeps colors(v) <= bound(v) everywhere.
-
-    `bound` is a scalar, a vertex->bound mapping, or a per-vertex sequence.
-    """
-    pre = pre or {}
-    inst = _prepare(g, pre, bound)
-    _check_capacity(len(inst.free), None)
-    found, _ = _kernel.exists_proper(inst)
-    return found

@@ -28,9 +28,10 @@ backs and which loads with the first DP run):
   same walker, so the code that builds the witness is the code it checks.
 * Tie-break.  Rows stay in order of first derivation, as a dict filled
   child row by child row would keep them.  Introduce-vertex expands each
-  child row into fd = lo(v)..hi(v), the colours v's pre-weights allow
-  (see run_dp); introduce-edge emits each child row's weight-1 row before
-  its weight-0 row; join pairs rows in (child-1 row, child-2 row) order.
+  child row into fd = lo(v)..hi(v), the colours v's pre-weights allow,
+  or up to a lower colour ceiling (see run_dp); introduce-edge emits each
+  child row's weight-1 row before its weight-0 row; join pairs rows in
+  (child-1 row, child-2 row) order.
   Join matches a pair on the fd fields and, for each tight bag vertex (no
   free edge left to introduce, so need(v) == room(v)), also on cd: child 2
   is keyed on fd - need - cd2 there, the cd1 a partner must have, and only
@@ -57,7 +58,8 @@ decomposition (via validate_decomposition) plus each node kind's rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from numbers import Integral
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from vcew.errors import CapacityError, ValidationError
 from vcew.graph import (
@@ -340,11 +342,32 @@ def subtree_edge_sets(ntd: NiceTreeDecomposition) -> list[frozenset[Edge]]:
     return out  # type: ignore[return-value]
 
 
+def _ceiling(g: Graph, bound, hi: list[int]) -> list[int]:
+    """min(hi(v), bound(v)) per vertex, from a scalar bound, a vertex -> bound
+    mapping (a missing vertex is not capped) or a per-vertex sequence."""
+    n = g.vertex_count
+    if isinstance(bound, Integral):
+        entries = [bound] * n
+    elif isinstance(bound, Mapping):
+        entries = [bound.get(v, hi[v]) for v in range(n)]
+    elif isinstance(bound, Sequence):
+        if len(bound) != n:
+            raise ValueError(f"bound sequence has length {len(bound)}, expected {n}")
+        entries = list(bound)
+    else:
+        raise TypeError(f"unsupported bound type {type(bound)!r}")
+    for v, b in enumerate(entries):
+        if not isinstance(b, Integral):
+            raise TypeError(f"bound of vertex {v} is {b!r}, not an integer")
+    return [min(h, int(b)) for h, b in zip(hi, entries)]
+
+
 def run_dp(
     g: Graph,
     td: TreeDecomposition,
     pre: PartialWeightAssignment | None = None,
     *,
+    ceiling: int | Mapping[int, int] | Sequence[int] | None = None,
     check_invariants: bool = False,
 ) -> DPRun:
     """Execute the table computation bottom-up over make_nice(td, g) and
@@ -364,6 +387,17 @@ def run_dp(
     order and their provenance, and the decision and the reconstructed
     witness are those of the unpruned tables.
 
+    `ceiling` caps every final colour: a scalar, a vertex -> bound mapping
+    (a missing vertex is not capped) or a sequence of one integer per
+    vertex.  Introduce-vertex then opens fd(v) = lo..min(hi, ceiling(v)),
+    an empty range when the ceiling is below lo, so only witnesses with
+    every colour at most its ceiling survive.  need, room and the field
+    width b keep the uncapped hi.  need and room count v's edges still to
+    come, which a ceiling does not change: room from a capped hi can fall
+    below need, and introduce-edge then gets a negative (need, room) width.
+    b must hold those counts too, as introduce-edge compares them in
+    integers sized by b.
+
     The transitions work on fixed-size chunks of child rows and join pairs
     (see the module docstring), so their temporaries grow with the rows
     they keep, not with the largest child table.  Under check_invariants every
@@ -372,7 +406,9 @@ def run_dp(
     that decodes the witness, then tested by check_partial_solution.
 
     Raises ValidationError when make_nice rejects td (its one check),
-    CapacityError when a packed state would need more than 63 bits, and
+    ValueError or TypeError for a ceiling of the wrong length or with a
+    non-integer entry, CapacityError when a packed state would need more
+    than 63 bits, and
     ContractViolationError when check_invariants finds a stored row whose
     decoded partial solution fails check_partial_solution, or a row
     reaching a forget node with fd != cd.
@@ -388,6 +424,7 @@ def run_dp(
                 lo[v] += 1
             else:
                 hi[v] -= 1
+    top = hi if ceiling is None else _ceiling(g, ceiling, hi)
     bits = max(1, max(hi, default=0)).bit_length()  # every fd and cd fits
     need = 2 * bits * (ntd.width + 1)
     if need > STATE_BITS:
@@ -397,8 +434,16 @@ def run_dp(
         )
     from vcew import _dp_tables  # numpy loads with the first DP run, not with the CLI
 
-    ids, state_counts = _dp_tables.run(g, ntd, pre, lo, hi, bits, check_invariants)
+    ids, state_counts = _dp_tables.run(g, ntd, pre, lo, hi, top, bits, check_invariants)
     return DPRun(ids, state_counts)
+
+
+def exists_with_color_bound(g: Graph, pre: PartialWeightAssignment | None, bound) -> bool:
+    """Whether some proper extension of pre keeps colour(v) <= bound(v) at
+    every vertex, decided by run_dp over compute_decomposition(g) with
+    `bound` as its ceiling: a scalar, a vertex -> bound mapping or a
+    per-vertex sequence of integers (None caps nothing)."""
+    return run_dp(g, compute_decomposition(g), pre, ceiling=bound).solution_edge_ids is not None
 
 
 def dp_solve(

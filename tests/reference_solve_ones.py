@@ -6,6 +6,8 @@ as it was then, which described ``at`` as a list of per-position groups.
 Only ``_settle_table`` is new: it derives the groups from the graph's edges
 and the free positions, not from the settle table the instance carries, so
 a wrong settle order in ``oracle._prepare`` still fails the comparison.
+The per-vertex color bound tests went with the bounds that instances
+carried; on an unbounded instance they never pruned.
 """
 
 from itertools import accumulate
@@ -23,10 +25,7 @@ def _settle_table(inst):
     return tuple(groups[0]), [tuple(group) for group in groups[1:]]
 
 
-def _root_ok(inst, colors, root) -> bool:
-    bounds = inst.bounds
-    if any(colors[v] > bounds[v] for v in range(inst.n)):
-        return False
+def _root_ok(colors, root) -> bool:
     return all(colors[u] != colors[v] for u, v in root)
 
 
@@ -36,7 +35,7 @@ def solve_ones(inst, maxc):
     Returns (chosen_positions | None, nodes_visited).  Positions index the
     free-edge list; enumeration is by ascending popcount, ties lexicographic.
     """
-    fu, fv, bounds = inst.fu, inst.fv, inst.bounds
+    fu, fv = inst.fu, inst.fv
     f = len(fu)
     colors = list(inst.colors)
     root, at = _settle_table(inst)
@@ -44,7 +43,7 @@ def solve_ones(inst, maxc):
     sv = [v for group in (root, *at) for _, v in group]
     m = len(su)
     end = list(accumulate(map(len, at), initial=len(root)))
-    root_ok = _root_ok(inst, colors, root)
+    root_ok = _root_ok(colors, root)
     chosen: list[int] = []  # filled deepest first on success
     nodes = 0
 
@@ -59,25 +58,24 @@ def solve_ones(inst, maxc):
             v = fv[p]
             cu = colors[u] + 1
             cv = colors[v] + 1
-            if cu <= bounds[u] and cv <= bounds[v]:
-                colors[u] = cu
-                colors[v] = cv
-                for a, b in at[p]:
-                    if colors[a] == colors[b]:
-                        break
-                else:
-                    if remaining == 1:
-                        for i in range(end[p + 1], m):
-                            if colors[su[i]] == colors[sv[i]]:
-                                break
-                        else:
-                            chosen.append(p)
-                            return True
-                    elif place(p + 1, remaining - 1):
+            colors[u] = cu
+            colors[v] = cv
+            for a, b in at[p]:
+                if colors[a] == colors[b]:
+                    break
+            else:
+                if remaining == 1:
+                    for i in range(end[p + 1], m):
+                        if colors[su[i]] == colors[sv[i]]:
+                            break
+                    else:
                         chosen.append(p)
                         return True
-                colors[u] = cu - 1
-                colors[v] = cv - 1
+                elif place(p + 1, remaining - 1):
+                    chosen.append(p)
+                    return True
+            colors[u] = cu - 1
+            colors[v] = cv - 1
             for a, b in at[p]:
                 if colors[a] == colors[b]:
                     nodes += last - p

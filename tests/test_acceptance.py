@@ -35,6 +35,7 @@ from vcew.reduction import (
 from vcew.treewidth import (
     check_partial_solution,
     compute_decomposition,
+    exists_with_color_bound,
     make_nice,
     run_dp,
     subtree_edge_sets,
@@ -195,7 +196,7 @@ def test_criterion_04_bounded_color_lemma(atlas):
             continue
         if oracle.solve_exhaustive(g) is None:
             continue
-        assert oracle.exists_with_color_bound(g, {}, color_budget(k))
+        assert exists_with_color_bound(g, {}, color_budget(k))
         checked += 1
     assert checked >= 40  # the atlas holds 49 such yes-instances
     _report("4 bounded-color-lemma", f"{checked} yes-instances with k<=2", started)
@@ -229,7 +230,7 @@ def test_criterion_05_preweighting_pipeline(atlas):
             if 1 <= k <= 2:
                 base = base_colors(g, e1)
                 bound = [base[v] + color_budget(k) for v in range(g.vertex_count)]
-                assert oracle.exists_with_color_bound(g, pre, bound)
+                assert exists_with_color_bound(g, pre, bound)
                 gain_checked += 1
     assert gain_checked > 50
     _report("5 preweighting-pipeline", f"{checked} instances, {gain_checked} gain checks", started)

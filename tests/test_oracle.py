@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from vcew import _search_c, _search_py, oracle
+from vcew import _search_c, _search_py, oracle, treewidth
 from vcew.errors import CapacityError
 from vcew.graph import Graph, extends, is_proper
 from tests import reference_solve_ones
@@ -131,10 +131,13 @@ def test_capacity_cutoff_flag(monkeypatch):
         lambda: oracle.solve_exhaustive(star(31)),
         lambda: oracle.solve_exhaustive(star(31), budget=31),
         lambda: oracle.count_proper(star(31)),
-        lambda: oracle.exists_with_color_bound(star(31), None, 3),
     ):
         with pytest.raises(CapacityError, match=message):
             search()
+    # the DP decides a colour bound on the same star: two leaf edges at 1
+    # give the centre colour 2, which no leaf has
+    assert treewidth.exists_with_color_bound(star(31), None, 3)
+    assert not treewidth.exists_with_color_bound(star(31), None, 1)
     # a higher ceiling lets the run proceed; the witness needs only 2 ones
     monkeypatch.setattr(oracle, "CUTOFF", 32)
     w = oracle.solve_exhaustive(star(32))
@@ -142,18 +145,18 @@ def test_capacity_cutoff_flag(monkeypatch):
 
 
 def test_exists_with_color_bound():
-    assert not oracle.exists_with_color_bound(C4, {}, 0)
-    assert oracle.exists_with_color_bound(C4, {}, 2)
+    assert not treewidth.exists_with_color_bound(C4, {}, 0)
+    assert treewidth.exists_with_color_bound(C4, {}, 2)
     # per-vertex map form
-    assert oracle.exists_with_color_bound(C4, {}, {0: 2, 1: 2, 2: 2, 3: 2})
-    assert not oracle.exists_with_color_bound(C4, {}, [0, 0, 0, 0])
+    assert treewidth.exists_with_color_bound(C4, {}, {0: 2, 1: 2, 2: 2, 3: 2})
+    assert not treewidth.exists_with_color_bound(C4, {}, [0, 0, 0, 0])
 
 
 @pytest.mark.parametrize(
     "search,error,message",
     [
-        (lambda: oracle.exists_with_color_bound(P3, None, [1, 1]), ValueError, "bound sequence has length 2, expected 3"),
-        (lambda: oracle.exists_with_color_bound(P3, None, 1.5), TypeError, "unsupported bound type <class 'float'>"),
+        (lambda: treewidth.exists_with_color_bound(P3, None, [1, 1]), ValueError, "bound sequence has length 2, expected 3"),
+        (lambda: treewidth.exists_with_color_bound(P3, None, 1.5), TypeError, "unsupported bound type <class 'float'>"),
         (lambda: oracle.solve_exhaustive(P3, budget=-1), ValueError, "budget must be nonnegative"),
     ],
 )
@@ -182,7 +185,7 @@ def test_exists_bound_matches_enumeration():
             if all(colors[u] != colors[v] for u, v in g.edges) and all(c <= bound for c in colors):
                 feasible = True
                 break
-        assert oracle.exists_with_color_bound(g, {}, bound) == feasible
+        assert treewidth.exists_with_color_bound(g, {}, bound) == feasible
 
 
 def _digest(values) -> str:
@@ -194,24 +197,26 @@ def _small_atlas(atlas):
 
 
 def _seeded_instances(graphs):
-    """Each graph with seeded pre-weights and one seeded bound (None = unbounded)."""
+    """Each graph with seeded pre-weights."""
     rng = random.Random(59)
     out = []
     for g in graphs:
         pre = {e: rng.randint(0, 1) for e in g.edges if rng.random() < 0.3}
-        out.append(oracle._prepare(g, pre, rng.choice([None, 0, 1, 2, 3])))
+        rng.choice([None, 0, 1, 2, 3])  # was a colour bound; still drawn so each graph keeps its pre-weights
+        out.append(oracle._prepare(g, pre))
     return out
 
 
-# The value digests were recorded with the kernel that kept its search state
-# in a _State object, before the settle-table rewrite; the counting walks
-# visit the same nodes as that kernel did.  solve_ones node totals are
-# those of the capped walk plus the combination passes (82,973 and 7,594
-# with the passes alone).
+# The atlas digest was recorded with the kernel that kept its search state
+# in a _State object, before the settle-table rewrite; solve_ones node
+# totals are those of the capped walk plus the combination passes (82,973
+# with the passes alone).  The seeded pins were recorded when the kernels
+# lost their colour bounds: the 30 instances drawn without a bound kept
+# their values and node counts, and the other 113 are now unbounded.
 ATLAS_SOLVE_ONES = (71_896, "5b6d1c7524c2d2ad")
-SEEDED_SOLVE_ONES = (6_249, "c20f1630bbbb698e")
-SEEDED_COUNT_ALL = (9_183, "381ec6962abdb6f8")
-SEEDED_EXISTS_PROPER = (5_148, "2bca59b6c4e7abaf")
+SEEDED_SOLVE_ONES = (13_962, "2a6c5e6dbb60ebd1")
+SEEDED_COUNT_ALL = (21_561, "575d4cec7af43d6a")
+SEEDED_EXISTS_PROPER = (10_502, "297d4a18616e1002")
 
 
 def _summary(results):
@@ -222,7 +227,7 @@ def _summary(results):
 def test_solve_ones_golden_over_atlas(atlas):
     graphs = _small_atlas(atlas)
     assert len(graphs) == 143
-    results = [_search_py.solve_ones(oracle._prepare(g, {}, None), len(g.edges)) for g in graphs]
+    results = [_search_py.solve_ones(oracle._prepare(g, {}), len(g.edges)) for g in graphs]
     assert _summary(results) == ATLAS_SOLVE_ONES
 
 
@@ -234,14 +239,12 @@ def test_seeded_traversals_golden(atlas):
 
 
 DEGENERATE = [
-    # (name, graph, pre-weights, bound, maxc)
-    ("no vertices", Graph.build(0, []), {}, None, 0),
-    ("no free edges, proper", P3, {(0, 1): 1, (1, 2): 1}, None, 2),
-    ("no free edges, improper", C3, {(0, 1): 1, (1, 2): 0, (0, 2): 1}, None, 0),
-    ("maxc 0, ones needed", C4, {}, None, 0),
-    ("root conflict from pre-weights", Graph.build(5, [(0, 1), (2, 3), (3, 4)]), {(0, 1): 1}, None, 2),
-    ("start color above its bound", P3, {(0, 1): 1}, 0, 1),
-    ("start color at its bound", P3, {(0, 1): 1}, 1, 1),
+    # (name, graph, pre-weights, maxc)
+    ("no vertices", Graph.build(0, []), {}, 0),
+    ("no free edges, proper", P3, {(0, 1): 1, (1, 2): 1}, 2),
+    ("no free edges, improper", C3, {(0, 1): 1, (1, 2): 0, (0, 2): 1}, 0),
+    ("maxc 0, ones needed", C4, {}, 0),
+    ("root conflict from pre-weights", Graph.build(5, [(0, 1), (2, 3), (3, 4)]), {(0, 1): 1}, 2),
 ]
 # (solve_ones, count_all, exists_proper), each as (value, nodes)
 DEGENERATE_EXPECTED = {
@@ -250,14 +253,12 @@ DEGENERATE_EXPECTED = {
     "no free edges, improper": ((None, 1), (0, 1), (False, 1)),
     "maxc 0, ones needed": ((None, 4), (4, 23), (True, 7)),
     "root conflict from pre-weights": ((None, 1), (0, 1), (False, 1)),
-    "start color above its bound": ((None, 1), (0, 1), (False, 1)),
-    "start color at its bound": ((None, 3), (0, 3), (False, 3)),
 }
 
 
-@pytest.mark.parametrize("name, g, pre, bound, maxc", DEGENERATE, ids=[case[0] for case in DEGENERATE])
-def test_degenerate_instances(name, g, pre, bound, maxc):
-    inst = oracle._prepare(g, pre, bound)
+@pytest.mark.parametrize("name, g, pre, maxc", DEGENERATE, ids=[case[0] for case in DEGENERATE])
+def test_degenerate_instances(name, g, pre, maxc):
+    inst = oracle._prepare(g, pre)
     got = (_search_py.solve_ones(inst, maxc), _search_py.count_all(inst), _search_py.exists_proper(inst))
     assert got == DEGENERATE_EXPECTED[name]
 
@@ -286,8 +287,8 @@ def _assert_settle_table(g, inst):
 def test_settle_table_matches_the_graph(atlas):
     for g, inst in zip(atlas, _seeded_instances(atlas), strict=True):
         _assert_settle_table(g, inst)
-    for _, g, pre, bound, _ in DEGENERATE:
-        _assert_settle_table(g, oracle._prepare(g, pre, bound))
+    for _, g, pre, _ in DEGENERATE:
+        _assert_settle_table(g, oracle._prepare(g, pre))
 
 
 def test_budgeted_search_on_many_free_edges_stays_linear():
@@ -295,7 +296,7 @@ def test_budgeted_search_on_many_free_edges_stays_linear():
     # per-call tables must stay O(m), where f * m is 9 million here.  The
     # capped walk decides "no" after 7 nodes, so no combination pass runs.
     f = 3000
-    inst = oracle._prepare(Graph.build(f + 1, [(i, i + 1) for i in range(f)]), {}, None)
+    inst = oracle._prepare(Graph.build(f + 1, [(i, i + 1) for i in range(f)]), {})
     tracemalloc.start()
     try:
         got = _search_py.solve_ones(inst, 1)
@@ -318,7 +319,7 @@ def _disjoint_paths(count, tail):
     if tail:
         del pre[(a + 1, a + 2)]
         pre[(a, a + 1)] = 0
-    return oracle._prepare(Graph.build(4 * (count + tail), edges), pre, None)
+    return oracle._prepare(Graph.build(4 * (count + tail), edges), pre)
 
 
 @pytest.mark.parametrize("tail", [False, True], ids=["all zero", "last edge one"])
@@ -346,7 +347,7 @@ K7_NODES = 483_711  # the capped walk alone; the popcount passes visited 1,289,4
 
 
 def test_k7_decided_by_the_walk():
-    assert _search_py.solve_ones(oracle._prepare(K7, {}, None), 21) == (None, K7_NODES)
+    assert _search_py.solve_ones(oracle._prepare(K7, {}), 21) == (None, K7_NODES)
 
 
 def test_backend_names_the_active_kernel(monkeypatch, compiled_kernel):
@@ -357,7 +358,7 @@ def test_backend_names_the_active_kernel(monkeypatch, compiled_kernel):
 
 
 def test_k7_compiled(compiled_kernel):
-    assert compiled_kernel.solve_ones(oracle._prepare(K7, {}, None), 21) == (None, K7_NODES)
+    assert compiled_kernel.solve_ones(oracle._prepare(K7, {}), 21) == (None, K7_NODES)
 
 
 @pytest.mark.parametrize(
@@ -384,10 +385,10 @@ def _assert_same_choice(inst, budgets):
 
 def test_same_witnesses_as_the_popcount_passes(atlas):
     # Against a verbatim copy of the kernel that enumerated popcount levels
-    # only: every atlas graph unbudgeted, and seeded pre-weights and bounds at
-    # budgets 0, c* - 1, c* and f, where c* is the fewest weight-1 edges.
+    # only: every atlas graph unbudgeted, and seeded pre-weights at budgets
+    # 0, c* - 1, c* and f, where c* is the fewest weight-1 edges.
     for g in atlas:
-        _assert_same_choice(oracle._prepare(g, {}, None), [len(g.edges)])
+        _assert_same_choice(oracle._prepare(g, {}), [len(g.edges)])
     for inst in _seeded_instances(atlas):
         free = len(inst.free)
         best = reference_solve_ones.solve_ones(inst, free)[0]
@@ -408,15 +409,14 @@ def test_backends_agree(compiled_kernel, atlas):
     for _ in range(120):
         g = random_small_graph(rng, max_n=7)
         pre = {e: rng.randint(0, 1) for e in g.edges if rng.random() < 0.3}
-        plain = oracle._prepare(g, pre, None)
-        bounded = oracle._prepare(g, pre, rng.choice([0, 1, 2, 3, 1 << 70]))
-        free = len(plain.free)
-        for inst in (plain, bounded):
-            _assert_kernels_agree(compiled_kernel, inst, {free, rng.randrange(free) if free else 0})
+        rng.choice([0, 1, 2, 3, 1 << 70])  # was a colour bound; still drawn so the graphs stay the same
+        inst = oracle._prepare(g, pre)
+        free = len(inst.free)
+        _assert_kernels_agree(compiled_kernel, inst, {free, rng.randrange(free) if free else 0})
     for inst in _seeded_instances(_small_atlas(atlas)):
         free = len(inst.free)
         _assert_kernels_agree(compiled_kernel, inst, {free, free // 2, 0})
-    for _, g, pre, bound, maxc in DEGENERATE:
-        _assert_kernels_agree(compiled_kernel, oracle._prepare(g, pre, bound), {maxc})
+    for _, g, pre, maxc in DEGENERATE:
+        _assert_kernels_agree(compiled_kernel, oracle._prepare(g, pre), {maxc})
     for tail in (False, True):
         _assert_kernels_agree(compiled_kernel, _disjoint_paths(3000, tail), {0, 1})

@@ -14,7 +14,7 @@ import pytest
 from vcew import _dp_tables, oracle
 from vcew.errors import CapacityError, ContractViolationError, ValidationError
 from vcew.generators import random_graph
-from vcew.graph import Graph, extends, is_proper
+from vcew.graph import Graph, extends, from_subgraph, is_proper
 from vcew.treewidth import (
     FORGET,
     INTRODUCE_EDGE,
@@ -27,6 +27,7 @@ from vcew.treewidth import (
     check_partial_solution,
     compute_decomposition,
     dp_solve,
+    exists_with_color_bound,
     make_nice,
     run_dp,
     subtree_edge_sets,
@@ -707,9 +708,82 @@ def test_forget_checks_fd_equals_cd_under_invariants(monkeypatch):
     # check must still catch them
     monkeypatch.setattr(_dp_tables, "_check_partial", lambda *args: True)
     ntd = nice_for(P3)
-    _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], 2, False)
+    _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], [3, 3, 3], 2, False)
     with pytest.raises(ContractViolationError, match="fd != cd"):
-        _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], 2, True)
+        _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], [3, 3, 3], 2, True)
+
+
+def _colors(g, edge_ids):
+    colors = [0] * g.vertex_count
+    for i in edge_ids:
+        for v in g.edges[i]:
+            colors[v] += 1
+    return colors
+
+
+def test_ceiling_caps_the_witness():
+    # every witness of a capped run is proper, extends pre and keeps each
+    # colour under its ceiling; check mode decodes every stored row too
+    rng = random.Random(83)
+    for trial in range(150):
+        g = random_small_graph(rng, max_n=7)
+        pre = {e: rng.randint(0, 1) for e in g.edges if rng.random() < 0.3}
+        ceiling = [rng.randint(0, 4) for _ in range(g.vertex_count)]
+        run = run_dp(g, compute_decomposition(g), pre, ceiling=ceiling, check_invariants=trial % 5 == 0)
+        if run.solution_edge_ids is not None:
+            w = from_subgraph(g, (g.edges[i] for i in run.solution_edge_ids))
+            assert is_proper(g, w) and extends(w, pre)
+            assert all(c <= b for c, b in zip(_colors(g, run.solution_edge_ids), ceiling))
+
+
+# (name, graph, pre-weights, bound, answer)
+COLOR_BOUND_EDGES = [
+    # pre-weighted ones give vertex 1 colour 1 (2 in the third case) before any
+    # free edge: a ceiling below that opens no fd value there
+    ("ceiling below the pre-weighted colour", P3, {(0, 1): 1}, 0, False),
+    ("ceiling below it at one vertex", P3, {(0, 1): 1}, [2, 0, 2], False),
+    ("ceiling two below it", P3, {(0, 1): 1, (1, 2): 1}, 0, False),
+    ("ceiling at the pre-weighted colour", P3, {(0, 1): 1}, 1, False),
+    ("ceiling above it", P3, {(0, 1): 1}, 2, True),
+    ("negative bound", P3, {}, -1, False),
+    ("negative bound, one isolated vertex", Graph.build(1, []), {}, -3, False),
+    ("negative bound, no vertices", Graph.build(0, []), {}, -1, True),
+    ("negative bound in a mapping", C4, {}, {2: -1}, False),
+    ("bound of 2^70", C4, {}, 1 << 70, True),
+    ("bound of 2^70 elsewhere, 2 at the middle", P3, {}, [1 << 70, 2, 1 << 70], True),
+    ("bound of 2^70 elsewhere, 1 at the middle", P3, {}, [1 << 70, 1, 1 << 70], False),
+    ("numpy integer bound", C4, {}, np.int64(2), True),
+]
+
+
+@pytest.mark.parametrize("name, g, pre, bound, answer", COLOR_BOUND_EDGES, ids=[case[0] for case in COLOR_BOUND_EDGES])
+def test_color_bound_edge_cases(name, g, pre, bound, answer):
+    assert exists_with_color_bound(g, pre, bound) is answer
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        ([1.5, 2, 2], "bound of vertex 0 is 1.5, not an integer"),
+        ({1: 2.0}, "bound of vertex 1 is 2.0, not an integer"),
+        ([2, 2, "2"], "bound of vertex 2 is '2', not an integer"),
+        (1.5, "unsupported bound type <class 'float'>"),
+    ],
+)
+def test_color_bound_rejects_non_integers(bound, message):
+    for check in (lambda: exists_with_color_bound(P3, None, bound), lambda: run_dp(P3, compute_decomposition(P3), ceiling=bound)):
+        with pytest.raises(TypeError) as info:
+            check()
+        assert str(info.value) == message
+
+
+def test_ceiling_keeps_the_field_width():
+    # the K8-plus-pendant graph of test_dp_field_width_follows_preweights:
+    # a ceiling of 7 does not narrow the 4-bit fields, which also hold the
+    # edge counts need and room
+    g = Graph.build(9, list(itertools.combinations(range(8), 2)) + [(0, 8)])
+    with pytest.raises(CapacityError, match="64 bits"):
+        run_dp(g, compute_decomposition(g), ceiling=7)
 
 
 _SEED_481 = """
