@@ -4,6 +4,20 @@
 imported only by processes that run the DP.  The state layout, the
 provenance arrays and the tie-break rule are described in the docstring of
 `vcew.treewidth`.
+
+Each transition has a numpy form and a pure-Python twin (the `_py`
+functions).  `run` picks the twin when the child has at most _SMALL rows,
+or at a join when |child 1| * |child 2| is at most _SMALL^2: on such tables
+a numpy transition spends most of its time in per-call overhead.  The twins
+take and return lists of ints, so a table and its provenance (`src`,
+`src2`, `weight`) are either arrays or lists; a numpy transition converts a
+list table when it receives one, and `_witness_ids` and check mode read
+both forms.  A twin gives the same rows, in the same order, with the same
+provenance as its numpy form: introduce-vertex stays child-major with fd
+from lo to top, introduce-edge emits weight 1 before weight 0 and keeps the
+earlier position and the weight-0 derivation on a collision, forget and
+join keep first occurrences, and join visits pairs in (child-1 row,
+child-2 row) order.
 """
 
 from __future__ import annotations
@@ -26,6 +40,7 @@ from vcew.treewidth import (
 
 _ROW = np.int32  # provenance row indices
 _CHUNK = 1 << 14  # child rows, or join pairs, a transition works on at once
+_SMALL = 64  # child rows (at a join, _SMALL^2 pairs of child rows) up to which a pure-Python twin runs
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -262,6 +277,111 @@ def _concat(parts: list[tuple[np.ndarray, ...]], dtypes: tuple) -> list[np.ndarr
     return [np.concatenate(col) for col in zip(*parts)]
 
 
+# The pure-Python twins of the four transitions above (see the module
+# docstring): the same arguments and results, with lists for arrays.
+
+
+def _introduce_vertex_py(lay: _Layout, keys: list[int], pos: int, lo: int, top: int):
+    shift = lay.slot * pos
+    low, high = (1 << shift) - 1, shift + lay.slot
+    fds = [fd << shift for fd in range(lo, top + 1)]
+    widened = [(key & low) | ((key >> shift) << high) for key in keys]
+    return [w | fd for w in widened for fd in fds], [row for row in range(len(keys)) for _ in fds]
+
+
+def _introduce_edge_py(
+    lay: _Layout, keys: list[int], iu: int, iv: int, span_u: tuple[int, int], span_v: tuple[int, int], allow0: bool, allow1: bool
+):
+    mask = lay.mask
+    fu, fv, cu, cv = lay.fd_shift(iu), lay.fd_shift(iv), lay.cd_shift(iu), lay.cd_shift(iv)
+    (need_u, room_u), (need_v, room_v) = span_u, span_v
+    step = (1 << cu) + (1 << cv)
+    out: list[int] = []
+    src: list[int] = []
+    taken: list[int] = []
+    for row, key in enumerate(keys):
+        fd_u, fd_v = (key >> fu) & mask, (key >> fv) & mask
+        if fd_u == fd_v:
+            continue
+        gap_u, gap_v = fd_u - ((key >> cu) & mask), fd_v - ((key >> cv) & mask)
+        if allow1 and need_u < gap_u <= room_u + 1 and need_v < gap_v <= room_v + 1:  # weight 1 raises cd
+            out.append(key + step)
+            src.append(row)
+            taken.append(1)
+        if allow0 and need_u <= gap_u <= room_u and need_v <= gap_v <= room_v:
+            out.append(key)
+            src.append(row)
+            taken.append(0)
+    if len(set(out)) == len(out):
+        return out, src, taken
+    kept: dict[int, int] = {}  # key -> index of the derivation it keeps
+    for i, key in enumerate(out):
+        if key not in kept or taken[i] == 0:  # the earlier position, the weight-0 derivation
+            kept[key] = i
+    return list(kept), [src[i] for i in kept.values()], [taken[i] for i in kept.values()]
+
+
+def _forget_py(lay: _Layout, keys: list[int], pos: int):
+    shift = lay.slot * pos
+    low, high = (1 << shift) - 1, shift + lay.slot
+    return _first_occurrences_py([(key & low) | ((key >> high) << shift) for key in keys], list(range(len(keys))))
+
+
+def _join_py(lay: _Layout, k1: list[int], k2: list[int], spans: list[tuple[int, int]]):
+    mask = lay.mask
+    fdm = lay.fd_mask(len(spans))
+    tight = [(lay.fd_shift(i), lay.cd_shift(i), need) for i, (need, room) in enumerate(spans) if need == room]
+    loose = [(lay.fd_shift(i), lay.cd_shift(i), need, room) for i, (need, room) in enumerate(spans) if need != room]
+    keymask = fdm | sum(mask << cd_at for _, cd_at, _ in tight)
+    partners: dict[int, list[int]] = {}  # probe key -> child-2 rows, in row order
+    for r2, y in enumerate(k2):
+        probe = y & fdm
+        for fd_at, cd_at, need in tight:
+            wanted = ((y >> fd_at) & mask) - ((y >> cd_at) & mask) - need  # the cd1 a partner must have
+            if wanted < 0:
+                break
+            probe |= wanted << cd_at
+        else:
+            partners.setdefault(probe, []).append(r2)
+    merged: list[int] = []
+    rows1: list[int] = []
+    rows2: list[int] = []
+    for r1, x in enumerate(k1):
+        for r2 in partners.get(x & keymask, ()):
+            y = k2[r2]
+            for fd_at, cd_at, need, room in loose:
+                if not need <= ((x >> fd_at) & mask) - ((x >> cd_at) & mask) - ((y >> cd_at) & mask) <= room:
+                    break
+            else:
+                merged.append(x + (y & ~fdm))
+                rows1.append(r1)
+                rows2.append(r2)
+    return _first_occurrences_py(merged, rows1, rows2)
+
+
+def _first_occurrences_py(keys: list[int], *columns):
+    """The first occurrence of every distinct key, in input order, with the
+    matching entries of each column."""
+    if len(set(keys)) == len(keys):
+        return (keys, *columns)
+    first: dict[int, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    return (list(first), *([column[i] for i in first.values()] for column in columns))
+
+
+def _rows(table) -> list[int]:
+    """A table as a list of ints, the form the twins and check mode read."""
+    return table if isinstance(table, list) else table.tolist()
+
+
+def _pick(small: bool, vectorised, twin, *tables):
+    """The twin with list tables when `small`, else the numpy transition with arrays."""
+    if small:
+        return (twin, *map(_rows, tables))
+    return (vectorised, *(np.asarray(t, dtype=np.int64) for t in tables))
+
+
 def run(
     g: Graph,
     ntd: NiceTreeDecomposition,
@@ -278,10 +398,11 @@ def run(
     empty) and the per-node state counts."""
     lay = _Layout(bits)
     nodes = ntd.nodes
-    keys: dict[int, np.ndarray] = {}
-    src: dict[int, np.ndarray] = {}  # child row, or child-1 row at a join
-    src2: dict[int, np.ndarray] = {}  # child-2 row at a join
-    weight: dict[int, np.ndarray] = {}  # 1 when an introduce-edge row takes the edge
+    # each table and its provenance is an array, or a list where a twin built it
+    keys: dict[int, np.ndarray | list[int]] = {}
+    src: dict[int, np.ndarray | list[int]] = {}  # child row, or child-1 row at a join
+    src2: dict[int, np.ndarray | list[int]] = {}  # child-2 row at a join
+    weight: dict[int, np.ndarray | list[int]] = {}  # 1 when an introduce-edge row takes the edge
     # node -> bag vertex -> (introduced edges pre-weighted 1, introduced edges not pre-weighted 0)
     intro: dict[int, dict[int, tuple[int, int]]] = {}
 
@@ -296,14 +417,16 @@ def run(
     for t in postorder(ntd):
         node = nodes[t]
         if node.kind == LEAF:
-            table = np.zeros(1, dtype=np.int64)
+            table = [0]
             seen: dict[int, tuple[int, int]] = {}
         elif node.kind == INTRODUCE_VERTEX:
             c = node.children[0]
             seen = intro.pop(c)
             x = node.vertex
             seen[x] = (0, 0)
-            table, src[t] = _introduce_vertex(lay, keys.pop(c), node.bag.index(x), lo[x], top[x])
+            child = keys.pop(c)
+            step, child = _pick(len(child) <= _SMALL, _introduce_vertex, _introduce_vertex_py, child)
+            table, src[t] = step(lay, child, node.bag.index(x), lo[x], top[x])
         elif node.kind == INTRODUCE_EDGE:
             c = node.children[0]
             seen = intro.pop(c)
@@ -312,8 +435,10 @@ def run(
             for x in node.edge:
                 ones, open_ = seen[x]
                 seen[x] = (ones + (pw == 1), open_ + (pw != 0))
-            table, src[t], weight[t] = _introduce_edge(
-                lay, keys.pop(c), node.bag.index(u), node.bag.index(v),
+            child = keys.pop(c)
+            step, child = _pick(len(child) <= _SMALL, _introduce_edge, _introduce_edge_py, child)
+            table, src[t], weight[t] = step(
+                lay, child, node.bag.index(u), node.bag.index(v),
                 span(seen, u), span(seen, v), pw != 1, pw != 0,
             )
         elif node.kind == FORGET:
@@ -321,17 +446,20 @@ def run(
             seen = intro.pop(c)
             del seen[node.vertex]
             child, pos = keys.pop(c), nodes[c].bag.index(node.vertex)
-            if check_invariants and np.any(lay.fd(child, pos) != lay.cd(child, pos)):
+            if check_invariants and any(lay.fd(key, pos) != lay.cd(key, pos) for key in _rows(child)):
                 raise ContractViolationError(f"a row reaching forget node {t} has fd != cd for vertex {node.vertex}")
-            table, src[t] = _forget(lay, child, pos)
+            step, child = _pick(len(child) <= _SMALL, _forget, _forget_py, child)
+            table, src[t] = step(lay, child, pos)
         else:  # JOIN
             c1, c2 = node.children
             s1, s2 = intro.pop(c1), intro.pop(c2)
             seen = {x: (s1[x][0] + s2[x][0], s1[x][1] + s2[x][1]) for x in node.bag}
-            table, src[t], src2[t] = _join(lay, keys.pop(c1), keys.pop(c2), [span(seen, x) for x in node.bag])
+            k1, k2 = keys.pop(c1), keys.pop(c2)
+            step, k1, k2 = _pick(len(k1) * len(k2) <= _SMALL * _SMALL, _join, _join_py, k1, k2)
+            table, src[t], src2[t] = step(lay, k1, k2, [span(seen, x) for x in node.bag])
         state_counts[t] = len(table)
         if check_invariants:  # each row's partial solution, decoded as the witness is
-            for row, key in enumerate(table.tolist()):
+            for row, key in enumerate(_rows(table)):
                 h = [g.edges[i] for i in _witness_ids(g, ntd, src, src2, weight, t, row)]
                 if not _check_partial(g, node.bag, edge_sets[t], lay.unpack(key, len(node.bag)), h):
                     raise ContractViolationError(f"stored entry violates the partial-solution conditions at node {t}")

@@ -8,14 +8,20 @@ solution built so far.  Pre-weighted edges restrict the introduce-edge
 transition: a pre-weight of 1 removes the keep-it-out branch, a pre-weight
 of 0 removes the add-it branch.
 
-Tables are computed a whole node at a time (vcew._dp_tables, which numpy
-backs and which loads with the first DP run):
+Tables are computed a whole node at a time (vcew._dp_tables, which loads
+with the first DP run).  Numpy computes a transition whose child has more
+than 64 rows (at a join, whose children's row counts multiply to more than
+64^2); below that, numpy's per-call overhead outweighs the table work, and
+a pure-Python twin of the transition computes it on lists of ints instead.
+A twin gives the same rows, in the same order, with the same provenance, so
+the switch never changes a witness or a state count:
 
-* State packing.  A node's table is an int64 array with one packed state
-  per row.  Slot i, the i-th vertex of the sorted bag, holds fd in bits
-  [2bi, 2bi + b) and cd in bits [2bi + b, 2bi + 2b), where
-  b = max(1, max_v hi(v)).bit_length() fits every colour a vertex can
-  take (hi(v) = deg(v) minus v's edges pre-weighted 0; see run_dp).  When
+* State packing.  A node's table holds one packed state per row, as an
+  int64 array or, where a twin built it, a list of ints.  Slot i, the i-th
+  vertex of the sorted bag, holds fd in bits [2bi, 2bi + b) and cd in bits
+  [2bi + b, 2bi + 2b), where b = max(1, max_v hi(v)).bit_length() fits
+  every colour a vertex can take (hi(v) = deg(v) minus v's edges
+  pre-weighted 0; see run_dp).  When
   2b(width + 1) exceeds 63 bits run_dp raises CapacityError instead of
   letting a state wrap.  Key order never enters the tie-break (first
   occurrences are kept by index, and join groups keep child-2 row order),
@@ -42,13 +48,14 @@ backs and which loads with the first DP run):
   position and the first derivation's provenance, except at introduce-edge,
   where the weight-0 derivation beats the weight-1 one.
   The witness therefore depends only on the decomposition and the input.
-* Chunks.  Introduce-edge reads its child rows, and join probes its child-1
-  rows and expands their pairs, in chunks of a fixed number of rows or
-  pairs, and the first-occurrence pass then runs once over what the chunks
-  kept.  Besides join's sorted keys and row order for child 2, a
-  transition's temporaries are bounded by the chunk size and by the rows it
-  keeps, not by the larger child table or by the pairs a join drops.
-  Chunking never changes a row or its order.
+* Chunks.  On the numpy path, introduce-edge reads its child rows, and join
+  probes its child-1 rows and expands their pairs, in chunks of a fixed
+  number of rows or pairs, and the first-occurrence pass then runs once
+  over what the chunks kept.  Besides join's sorted keys and row order for
+  child 2, a transition's temporaries are bounded by the chunk size and by
+  the rows it keeps, not by the larger child table or by the pairs a join
+  drops.  Chunking never changes a row or its order.  The twins take whole
+  tables, which the size switch keeps at most 64 rows (64^2 pairs).
 
 run_dp checks its tree decomposition once, in make_nice, and trusts
 make_nice's output.  validate_nice checks a nice decomposition as a tree
@@ -344,11 +351,15 @@ def subtree_edge_sets(ntd: NiceTreeDecomposition) -> list[frozenset[Edge]]:
 
 def _ceiling(g: Graph, bound, hi: list[int]) -> list[int]:
     """min(hi(v), bound(v)) per vertex, from a scalar bound, a vertex -> bound
-    mapping (a missing vertex is not capped) or a per-vertex sequence."""
+    mapping (a missing vertex is not capped) or a per-vertex sequence.  A
+    bool is not an integer bound here, and a mapping key must be a vertex."""
     n = g.vertex_count
-    if isinstance(bound, Integral):
+    if isinstance(bound, Integral) and not isinstance(bound, bool):
         entries = [bound] * n
     elif isinstance(bound, Mapping):
+        for key in bound:
+            if isinstance(key, bool) or not isinstance(key, Integral) or not 0 <= key < n:
+                raise ValueError(f"bound mapping has key {key!r}, not a vertex in 0..{n - 1}")
         entries = [bound.get(v, hi[v]) for v in range(n)]
     elif isinstance(bound, Sequence):
         if len(bound) != n:
@@ -357,7 +368,7 @@ def _ceiling(g: Graph, bound, hi: list[int]) -> list[int]:
     else:
         raise TypeError(f"unsupported bound type {type(bound)!r}")
     for v, b in enumerate(entries):
-        if not isinstance(b, Integral):
+        if isinstance(b, bool) or not isinstance(b, Integral):
             raise TypeError(f"bound of vertex {v} is {b!r}, not an integer")
     return [min(h, int(b)) for h, b in zip(hi, entries)]
 
@@ -406,12 +417,12 @@ def run_dp(
     that decodes the witness, then tested by check_partial_solution.
 
     Raises ValidationError when make_nice rejects td (its one check),
-    ValueError or TypeError for a ceiling of the wrong length or with a
-    non-integer entry, CapacityError when a packed state would need more
-    than 63 bits, and
-    ContractViolationError when check_invariants finds a stored row whose
-    decoded partial solution fails check_partial_solution, or a row
-    reaching a forget node with fd != cd.
+    ValueError for a ceiling sequence of the wrong length or a mapping key
+    that is not a vertex, TypeError for a ceiling entry that is not an
+    integer (a bool included), CapacityError when a packed state would need
+    more than 63 bits, and ContractViolationError when check_invariants
+    finds a stored row whose decoded partial solution fails
+    check_partial_solution, or a row reaching a forget node with fd != cd.
     """
     pre = pre or {}
     ntd = make_nice(td, g)

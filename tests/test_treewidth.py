@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from dataclasses import replace
@@ -570,9 +571,25 @@ def random_table(rng, lay, size, rows, fd_values):
 
 
 def assert_same_arrays(got, want):
+    """Equal columns: an array in dtype and values, a list from a pure-Python twin in values."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.dtype == w.dtype and np.array_equal(g, w)
+        if isinstance(g, list):
+            assert g == w.tolist()
+        else:
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+def twin(transition):
+    """The pure-Python twin of a numpy transition, called with its tables as lists."""
+    plain = getattr(_dp_tables, transition.__name__ + "_py")
+    return lambda lay, *args: plain(lay, *(a.tolist() if isinstance(a, np.ndarray) else a for a in args))
+
+
+# each transition test runs the numpy transition and its twin against one reference
+JOINS = (_dp_tables._join, twin(_dp_tables._join))
+INTRODUCE_EDGES = (_dp_tables._introduce_edge, twin(_dp_tables._introduce_edge))
+INTRODUCE_VERTICES = (_dp_tables._introduce_vertex, twin(_dp_tables._introduce_vertex))
 
 
 def random_spans(rng, size, mask, kind):
@@ -599,7 +616,8 @@ def test_join_matches_naive(monkeypatch, kind, chunk):
         k1 = random_table(rng, lay, size, int(rng.integers(0, 40)), fd_values)
         k2 = random_table(rng, lay, size, int(rng.integers(0, 40)), fd_values)
         spans = random_spans(rng, size, lay.mask, kind)
-        assert_same_arrays(_dp_tables._join(lay, k1, k2, spans), naive_join(lay, k1, k2, spans))
+        for join in JOINS:
+            assert_same_arrays(join(lay, k1, k2, spans), naive_join(lay, k1, k2, spans))
 
 
 def test_join_empty_children():
@@ -608,8 +626,8 @@ def test_join_empty_children():
     table = random_table(rng, lay, 2, 20, [0, 1, 2, 3])
     empty = np.zeros(0, dtype=np.int64)
     for k1, k2 in ((empty, table), (table, empty), (empty, empty)):
-        for spans in ([(0, 0), (1, 1)], [(0, 3), (0, 2)]):
-            got = _dp_tables._join(lay, k1, k2, spans)
+        for spans, join in itertools.product(([(0, 0), (1, 1)], [(0, 3), (0, 2)]), JOINS):
+            got = join(lay, k1, k2, spans)
             assert all(len(a) == 0 for a in got)
             assert_same_arrays(got, naive_join(lay, k1, k2, spans))
 
@@ -629,7 +647,25 @@ def test_join_chunk_boundary_inside_one_rows_matches(monkeypatch):
         assert len(want[0]) > 1
         for chunk in (1, 2, 5):
             monkeypatch.setattr(_dp_tables, "_CHUNK", chunk)
-            assert_same_arrays(_dp_tables._join(lay, k1, k2, spans), want)
+            for join in JOINS:
+                assert_same_arrays(join(lay, k1, k2, spans), want)
+
+
+def test_join_tight_slot_with_negative_wanted_cd1_matches_nothing():
+    # one tight slot, need 2: child-2 row 0 (fd 3, cd2 2) would want cd1 = -1,
+    # so it pairs with nothing, not with the cd1 = 7 row that -1 & mask names;
+    # row 1 (cd2 0) wants cd1 = 1
+    lay = _dp_tables._Layout(3)
+
+    def key(cd):
+        return (3 << lay.fd_shift(0)) | (cd << lay.cd_shift(0))
+
+    k1 = np.array([key(7), key(1), key(0)], dtype=np.int64)
+    k2 = np.array([key(2), key(0)], dtype=np.int64)
+    want = (np.array([key(1)], dtype=np.int64), np.array([1], dtype=np.int32), np.array([1], dtype=np.int32))
+    assert_same_arrays(naive_join(lay, k1, k2, [(2, 2)]), want)
+    for join in JOINS:
+        assert_same_arrays(join(lay, k1, k2, [(2, 2)]), want)
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7])
@@ -646,7 +682,8 @@ def test_introduce_edge_matches_naive(monkeypatch, allow0, allow1, chunk):
         iu, iv = sorted(rng.choice(size, 2, replace=False).tolist())
         span_u, span_v = random_spans(rng, 2, lay.mask, "mixed")
         args = (lay, keys, iu, iv, span_u, span_v, allow0, allow1)
-        assert_same_arrays(_dp_tables._introduce_edge(*args), naive_introduce_edge(*args))
+        for introduce_edge in INTRODUCE_EDGES:
+            assert_same_arrays(introduce_edge(*args), naive_introduce_edge(*args))
 
 
 def naive_introduce_vertex(lay, keys, pos, lo, hi):
@@ -670,26 +707,35 @@ def test_introduce_vertex_matches_naive():
         lo = int(rng.integers(0, lay.mask + 1))
         hi = int(rng.integers(lo, lay.mask + 1))
         args = (lay, keys, pos, lo, hi)
-        assert_same_arrays(_dp_tables._introduce_vertex(*args), naive_introduce_vertex(*args))
+        for introduce_vertex in INTRODUCE_VERTICES:
+            assert_same_arrays(introduce_vertex(*args), naive_introduce_vertex(*args))
 
 
 def test_introduce_edge_keeps_weight0_on_collision(monkeypatch):
     # row 0's weight-1 branch and row 1's weight-0 branch give the same key:
     # it keeps row 0's position and row 1's weight-0 derivation, also when
-    # the two rows fall in different chunks
+    # the two rows fall in different chunks.  In the other order, row 0's
+    # weight-0 branch comes first and row 1's weight-1 duplicate is dropped
     lay = _dp_tables._Layout(3)
     base = (3 << lay.fd_shift(0)) | (1 << lay.fd_shift(1))
     step = (1 << lay.cd_shift(0)) | (1 << lay.cd_shift(1))
-    keys = np.array([base, base + step, base + 2 * step], dtype=np.int64)
-    # row 2 has cd_v > fd_v and row 1 no room for weight 1 at v
-    want = (np.array([base + step, base], dtype=np.int64), np.array([1, 0], dtype=np.int32),
-            np.array([0, 0], dtype=np.int8))
-    for chunk in (None, 1, 2):
-        if chunk:
-            monkeypatch.setattr(_dp_tables, "_CHUNK", chunk)
-        got = _dp_tables._introduce_edge(lay, keys, 0, 1, (0, 3), (0, 1), True, True)
-        assert_same_arrays(got, want)
-        assert_same_arrays(got, naive_introduce_edge(lay, keys, 0, 1, (0, 3), (0, 1), True, True))
+    cases = [
+        # row 2 has cd_v > fd_v and row 1 no room for weight 1 at v
+        ([base, base + step, base + 2 * step], [1, 0]),
+        # row 0 has no room for weight 1 at v
+        ([base + step, base], [0, 1]),
+    ]
+    for rows, src in cases:
+        keys = np.array(rows, dtype=np.int64)
+        want = (np.array([base + step, base], dtype=np.int64), np.array(src, dtype=np.int32),
+                np.array([0, 0], dtype=np.int8))
+        for chunk in (None, 1, 2):
+            if chunk:
+                monkeypatch.setattr(_dp_tables, "_CHUNK", chunk)
+            for introduce_edge in INTRODUCE_EDGES:
+                got = introduce_edge(lay, keys, 0, 1, (0, 3), (0, 1), True, True)
+                assert_same_arrays(got, want)
+                assert_same_arrays(got, naive_introduce_edge(lay, keys, 0, 1, (0, 3), (0, 1), True, True))
 
 
 def test_dp_tables_match_under_small_chunks(monkeypatch):
@@ -702,15 +748,40 @@ def test_dp_tables_match_under_small_chunks(monkeypatch):
         assert (got.solution_edge_ids, got.state_counts) == (run.solution_edge_ids, run.state_counts)
 
 
+# sha256 of the per-node state counts of the 40 golden runs, as JSON, recorded
+# before the pure-Python twins existed
+GOLDEN_GNP_NODE_COUNTS_SHA = "16c64f818fb6c5f9"
+
+
+@pytest.mark.parametrize("small", [0, 1 << 40], ids=["numpy", "python"])
+def test_dp_tables_match_across_the_size_switch(monkeypatch, small):
+    # whole runs over the golden graphs (the small-chunk corpus is their first
+    # 12), with every table on the numpy path (only empty ones reach a twin at
+    # a cutoff of 0) or every table on the twins: same witnesses, same counts
+    monkeypatch.setattr(_dp_tables, "_SMALL", small)
+    counts = []
+    for seed, (witness, stored_max) in enumerate(zip(GOLDEN_GNP_WITNESSES, GOLDEN_GNP_COUNTS)):
+        g, pre = random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35)
+        run = run_dp(g, compute_decomposition(g), pre)
+        ids = run.solution_edge_ids
+        assert (None if ids is None else tuple(sorted(ids))) == witness, seed
+        assert (run.states_stored, run.max_states) == stored_max, seed
+        counts.append(run.state_counts)
+    assert hashlib.sha256(json.dumps(counts).encode()).hexdigest()[:16] == GOLDEN_GNP_NODE_COUNTS_SHA
+
+
 def test_forget_checks_fd_equals_cd_under_invariants(monkeypatch):
     # colour ranges wider than the degrees leave rows with fd > cd at a
     # forget; with the partial-solution check switched off, the forget's own
-    # check must still catch them
+    # check must still catch them.  P3's tables are small, so they are lists
+    # on the twins' path; at a cutoff of 0 they are arrays
     monkeypatch.setattr(_dp_tables, "_check_partial", lambda *args: True)
     ntd = nice_for(P3)
-    _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], [3, 3, 3], 2, False)
-    with pytest.raises(ContractViolationError, match="fd != cd"):
-        _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], [3, 3, 3], 2, True)
+    for small in (_dp_tables._SMALL, 0):
+        monkeypatch.setattr(_dp_tables, "_SMALL", small)
+        _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], [3, 3, 3], 2, False)
+        with pytest.raises(ContractViolationError, match="fd != cd"):
+            _dp_tables.run(P3, ntd, {}, [0, 0, 0], [3, 3, 3], [3, 3, 3], 2, True)
 
 
 def _colors(g, edge_ids):
@@ -768,11 +839,29 @@ def test_color_bound_edge_cases(name, g, pre, bound, answer):
         ({1: 2.0}, "bound of vertex 1 is 2.0, not an integer"),
         ([2, 2, "2"], "bound of vertex 2 is '2', not an integer"),
         (1.5, "unsupported bound type <class 'float'>"),
+        (True, "unsupported bound type <class 'bool'>"),
+        ([2, True, 2], "bound of vertex 1 is True, not an integer"),
+        ({0: False}, "bound of vertex 0 is False, not an integer"),
     ],
 )
 def test_color_bound_rejects_non_integers(bound, message):
     for check in (lambda: exists_with_color_bound(P3, None, bound), lambda: run_dp(P3, compute_decomposition(P3), ceiling=bound)):
         with pytest.raises(TypeError) as info:
+            check()
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "bound, message",
+    [
+        ({99: 0}, "bound mapping has key 99, not a vertex in 0..2"),
+        ({-1: 0}, "bound mapping has key -1, not a vertex in 0..2"),
+        ({1: 0, "1": 0}, "bound mapping has key '1', not a vertex in 0..2"),
+    ],
+)
+def test_color_bound_rejects_foreign_vertices(bound, message):
+    for check in (lambda: exists_with_color_bound(P3, None, bound), lambda: run_dp(P3, compute_decomposition(P3), ceiling=bound)):
+        with pytest.raises(ValueError) as info:
             check()
         assert str(info.value) == message
 
