@@ -7,8 +7,9 @@ provenance arrays and the tie-break rule are described in the docstring of
 
 Each transition has a numpy form and a pure-Python twin (the `_py`
 functions).  `run` picks the twin when the child has at most _SMALL rows,
-or at a join when |child 1| * |child 2| is at most _SMALL^2: on such tables
-a numpy transition spends most of its time in per-call overhead.  The twins
+at an introduce-vertex when it writes at most _SMALL rows, or at a join
+when |child 1| * |child 2| is at most _SMALL^2: on such tables a numpy
+transition spends most of its time in per-call overhead.  The twins
 take and return lists of ints, so a table and its provenance (`src`,
 `src2`, `weight`) are either arrays or lists; a numpy transition converts a
 list table when it receives one, and `_witness_ids` and check mode read
@@ -40,7 +41,7 @@ from vcew.treewidth import (
 
 _ROW = np.int32  # provenance row indices
 _CHUNK = 1 << 14  # child rows, or join pairs, a transition works on at once
-_SMALL = 64  # child rows (at a join, _SMALL^2 pairs of child rows) up to which a pure-Python twin runs
+_SMALL = 64  # child rows up to which a twin runs (rows written at an introduce-vertex, _SMALL^2 pairs at a join)
 
 
 def _run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -393,7 +394,7 @@ def run(
     check_invariants: bool,
 ):
     """Bottom-up table computation.  fd(v) ranges over lo[v]..top[v], where
-    top[v] <= hi[v] is the colour ceiling; need and room come from lo and hi.
+    top[v] <= hi[v] is the colour cap; need and room come from lo and hi.
     Returns the root's solution edge ids (None when the root table is
     empty) and the per-node state counts."""
     lay = _Layout(bits)
@@ -425,7 +426,8 @@ def run(
             x = node.vertex
             seen[x] = (0, 0)
             child = keys.pop(c)
-            step, child = _pick(len(child) <= _SMALL, _introduce_vertex, _introduce_vertex_py, child)
+            written = len(child) * max(0, top[x] - lo[x] + 1)
+            step, child = _pick(written <= _SMALL, _introduce_vertex, _introduce_vertex_py, child)
             table, src[t] = step(lay, child, node.bag.index(x), lo[x], top[x])
         elif node.kind == INTRODUCE_EDGE:
             c = node.children[0]

@@ -3,6 +3,8 @@
 ``load(path)`` returns a kernel with the interface of ``vcew._search_py``:
 ``solve_ones(inst, maxc)``, ``count_all(inst)`` and ``exists_proper(inst)``
 take an ``oracle.SearchInstance`` and return ``(value, nodes visited)``.
+vcew.oracle calls only ``solve_ones``; ``count_all`` and ``exists_proper``
+stay only because the benchmark's tracer (perfbench/spans.py) wraps them.
 The Search record carries the instance's settle table, free positions and
 start colors; the kernel takes no per-vertex color ceiling.
 """

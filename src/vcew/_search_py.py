@@ -25,7 +25,9 @@ Two traversal modes:
   weight 0 before weight 1, with at most ``cap`` weight-1 free edges on a
   path (a weight-1 child is not visited once the cap is used up).
   count_all and exists_proper walk it with cap F; exists_proper stops at
-  the first proper completion.
+  the first proper completion.  Neither has a caller in the package: they
+  stay only because the benchmark's tracer (perfbench/spans.py) wraps
+  them, and go when it no longer does.
 * combination mode (solve_ones): candidates with exactly c weight-1 free
   edges, in lexicographic order of the chosen position tuples, for
   c = 0, 1, ..., maxc.  The first proper candidate is returned, which makes

@@ -29,7 +29,6 @@ from vcew.graph import (
     extends,
     find_conflicts,
     induced_colors,
-    is_proper,
     isolated_edges,
 )
 from vcew.listcolor import normalize_instance
@@ -111,17 +110,17 @@ def cmd_solve(args) -> int:
         _emit(io.ResultRecord(status=status, algorithm=algo, verified=status == "no", stats=stats))
         return EXIT_CAPACITY if status == "unknown" else EXIT_OK
     try:
-        verified = is_proper(g, witness) and extends(witness, pre)
+        colors = induced_colors(g, witness)
     except ValidationError:  # not a total {0, 1} map of the edges
-        verified = False
-    if not verified:
+        colors = None
+    if colors is None or any(colors[u] == colors[v] for u, v in g.edges) or not extends(witness, pre):
         raise ContractViolationError(f"{algo} produced a witness that failed re-verification")
     _emit(io.ResultRecord(
         status="yes",
         algorithm=algo,
         verified=True,
         witness=io.witness_from_assignment(g, witness),
-        colors=tuple(induced_colors(g, witness)),
+        colors=tuple(colors),
         stats=stats,
     ))
     return EXIT_OK

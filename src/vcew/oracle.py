@@ -14,7 +14,10 @@ it is loaded through ctypes (vcew._search_c); otherwise the pure-Python twin
 vcew._search_py runs.  Both return the same witnesses and node counts.
 The search caps only the count of weight-1 edges, never a vertex's color:
 a color-bounded query is a run of the treewidth DP
-(vcew.treewidth.exists_with_color_bound).
+(vcew.treewidth.exists_with_color_bound).  The oracle only decides; it
+counts nothing.  The kernels' ``count_all`` and ``exists_proper`` have no
+caller in this package: they stay only because the benchmark's tracer
+(perfbench/spans.py) wraps them, and go when it no longer does.
 """
 
 from __future__ import annotations
@@ -147,13 +150,4 @@ def solve_exhaustive(
     for i in free:
         w[g.edges[i]] = 1 if i in ones else 0
     return w
-
-
-def count_proper(g: Graph, pre: PartialWeightAssignment | None = None) -> int:
-    """Number of proper total assignments extending pre."""
-    pre = pre or {}
-    inst = _prepare(g, pre)
-    _check_capacity(len(inst.free), None)
-    count, _ = _kernel.count_all(inst)
-    return count
 

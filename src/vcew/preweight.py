@@ -41,18 +41,6 @@ def ones_only(pre: PartialWeightAssignment) -> frozenset[Edge]:
     return frozenset(pre)
 
 
-def base_colors(g: Graph, e1: Iterable[Edge]) -> list[int]:
-    """Per-vertex count of incident pre-weighted (weight-1) edges."""
-    base = [0] * g.vertex_count
-    for u, v in e1:
-        e = edge_key(u, v)
-        if e not in g.edge_index:
-            raise ValueError(f"pre-weighted edge {e} not in the graph")
-        base[e[0]] += 1
-        base[e[1]] += 1
-    return base
-
-
 @dataclass(frozen=True)
 class PreweightReduction:
     """Edge-deleted instance H* plus the audit log of deletions."""

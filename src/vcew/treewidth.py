@@ -11,8 +11,9 @@ of 0 removes the add-it branch.
 Tables are computed a whole node at a time (vcew._dp_tables, which loads
 with the first DP run).  Numpy computes a transition whose child has more
 than 64 rows (at a join, whose children's row counts multiply to more than
-64^2); below that, numpy's per-call overhead outweighs the table work, and
-a pure-Python twin of the transition computes it on lists of ints instead.
+64^2; at an introduce-vertex, which writes more than 64 rows); below that,
+numpy's per-call overhead outweighs the table work, and a pure-Python twin
+of the transition computes it on lists of ints instead.
 A twin gives the same rows, in the same order, with the same provenance, so
 the switch never changes a witness or a state count:
 
@@ -35,9 +36,9 @@ the switch never changes a witness or a state count:
 * Tie-break.  Rows stay in order of first derivation, as a dict filled
   child row by child row would keep them.  Introduce-vertex expands each
   child row into fd = lo(v)..hi(v), the colours v's pre-weights allow,
-  or up to a lower colour ceiling (see run_dp); introduce-edge emits each
-  child row's weight-1 row before its weight-0 row; join pairs rows in
-  (child-1 row, child-2 row) order.
+  or up to lo(v) + gain under a colour gain (see run_dp); introduce-edge
+  emits each child row's weight-1 row before its weight-0 row; join pairs
+  rows in (child-1 row, child-2 row) order.
   Join matches a pair on the fd fields and, for each tight bag vertex (no
   free edge left to introduce, so need(v) == room(v)), also on cd: child 2
   is keyed on fd - need - cd2 there, the cd1 a partner must have, and only
@@ -55,7 +56,8 @@ the switch never changes a witness or a state count:
   child 2, a transition's temporaries are bounded by the chunk size and by
   the rows it keeps, not by the larger child table or by the pairs a join
   drops.  Chunking never changes a row or its order.  The twins take whole
-  tables, which the size switch keeps at most 64 rows (64^2 pairs).
+  tables, which the size switch keeps at most 64 rows (64^2 pairs), and an
+  introduce-vertex twin writes at most 64 rows.
 
 run_dp checks its tree decomposition once, in make_nice, and trusts
 make_nice's output.  validate_nice checks a nice decomposition as a tree
@@ -66,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 from vcew.errors import CapacityError, ValidationError
 from vcew.graph import (
@@ -349,36 +351,12 @@ def subtree_edge_sets(ntd: NiceTreeDecomposition) -> list[frozenset[Edge]]:
     return out  # type: ignore[return-value]
 
 
-def _ceiling(g: Graph, bound, hi: list[int]) -> list[int]:
-    """min(hi(v), bound(v)) per vertex, from a scalar bound, a vertex -> bound
-    mapping (a missing vertex is not capped) or a per-vertex sequence.  A
-    bool is not an integer bound here, and a mapping key must be a vertex."""
-    n = g.vertex_count
-    if isinstance(bound, Integral) and not isinstance(bound, bool):
-        entries = [bound] * n
-    elif isinstance(bound, Mapping):
-        for key in bound:
-            if isinstance(key, bool) or not isinstance(key, Integral) or not 0 <= key < n:
-                raise ValueError(f"bound mapping has key {key!r}, not a vertex in 0..{n - 1}")
-        entries = [bound.get(v, hi[v]) for v in range(n)]
-    elif isinstance(bound, Sequence):
-        if len(bound) != n:
-            raise ValueError(f"bound sequence has length {len(bound)}, expected {n}")
-        entries = list(bound)
-    else:
-        raise TypeError(f"unsupported bound type {type(bound)!r}")
-    for v, b in enumerate(entries):
-        if isinstance(b, bool) or not isinstance(b, Integral):
-            raise TypeError(f"bound of vertex {v} is {b!r}, not an integer")
-    return [min(h, int(b)) for h, b in zip(hi, entries)]
-
-
 def run_dp(
     g: Graph,
     td: TreeDecomposition,
     pre: PartialWeightAssignment | None = None,
     *,
-    ceiling: int | Mapping[int, int] | Sequence[int] | None = None,
+    gain: int | None = None,
     check_invariants: bool = False,
 ) -> DPRun:
     """Execute the table computation bottom-up over make_nice(td, g) and
@@ -398,16 +376,17 @@ def run_dp(
     order and their provenance, and the decision and the reconstructed
     witness are those of the unpruned tables.
 
-    `ceiling` caps every final colour: a scalar, a vertex -> bound mapping
-    (a missing vertex is not capped) or a sequence of one integer per
-    vertex.  Introduce-vertex then opens fd(v) = lo..min(hi, ceiling(v)),
-    an empty range when the ceiling is below lo, so only witnesses with
-    every colour at most its ceiling survive.  need, room and the field
-    width b keep the uncapped hi.  need and room count v's edges still to
-    come, which a ceiling does not change: room from a capped hi can fall
-    below need, and introduce-edge then gets a negative (need, room) width.
-    b must hold those counts too, as introduce-edge compares them in
-    integers sized by b.
+    `gain` caps how far a final colour may rise over its pre-weighted
+    colour lo(v), the form of the vertex-cover colour bound (every colour
+    at most lo(v) + 8k^2 + 8k).  Introduce-vertex then opens
+    fd(v) = lo..min(hi, lo + gain), so at most `gain` free edges at v weigh
+    1, and only such witnesses survive; a negative gain opens no fd value,
+    and None caps nothing.  need, room and the field width b keep the
+    uncapped hi.  need and room count v's edges still to come, which a cap
+    does not change: room from a capped hi can fall below need, and
+    introduce-edge then gets a negative (need, room) width.  b must hold
+    those counts too, as introduce-edge compares them in integers sized
+    by b.
 
     The transitions work on fixed-size chunks of child rows and join pairs
     (see the module docstring), so their temporaries grow with the rows
@@ -416,14 +395,15 @@ def run_dp(
     and every stored row is decoded into its partial solution by the walker
     that decodes the witness, then tested by check_partial_solution.
 
-    Raises ValidationError when make_nice rejects td (its one check),
-    ValueError for a ceiling sequence of the wrong length or a mapping key
-    that is not a vertex, TypeError for a ceiling entry that is not an
-    integer (a bool included), CapacityError when a packed state would need
-    more than 63 bits, and ContractViolationError when check_invariants
-    finds a stored row whose decoded partial solution fails
-    check_partial_solution, or a row reaching a forget node with fd != cd.
+    Raises TypeError for a gain that is not an integer (a bool included),
+    ValidationError when make_nice rejects td (its one check),
+    CapacityError when a packed state would need more than 63 bits, and
+    ContractViolationError when check_invariants finds a stored row whose
+    decoded partial solution fails check_partial_solution, or a row
+    reaching a forget node with fd != cd.
     """
+    if gain is not None and (isinstance(gain, bool) or not isinstance(gain, Integral)):
+        raise TypeError(f"gain must be an integer, not {type(gain).__name__}")
     pre = pre or {}
     ntd = make_nice(td, g)
     validate_partial(g, pre)
@@ -435,7 +415,7 @@ def run_dp(
                 lo[v] += 1
             else:
                 hi[v] -= 1
-    top = hi if ceiling is None else _ceiling(g, ceiling, hi)
+    top = hi if gain is None else [min(h, low + int(gain)) for low, h in zip(lo, hi)]
     bits = max(1, max(hi, default=0)).bit_length()  # every fd and cd fits
     need = 2 * bits * (ntd.width + 1)
     if need > STATE_BITS:
@@ -449,12 +429,11 @@ def run_dp(
     return DPRun(ids, state_counts)
 
 
-def exists_with_color_bound(g: Graph, pre: PartialWeightAssignment | None, bound) -> bool:
-    """Whether some proper extension of pre keeps colour(v) <= bound(v) at
-    every vertex, decided by run_dp over compute_decomposition(g) with
-    `bound` as its ceiling: a scalar, a vertex -> bound mapping or a
-    per-vertex sequence of integers (None caps nothing)."""
-    return run_dp(g, compute_decomposition(g), pre, ceiling=bound).solution_edge_ids is not None
+def exists_with_color_bound(g: Graph, pre: PartialWeightAssignment | None, gain: int | None) -> bool:
+    """Whether some proper extension of pre keeps colour(v) <= lo(v) + gain
+    at every vertex, lo(v) being v's count of edges pre-weighted 1, decided
+    by run_dp over compute_decomposition(g) (None caps nothing)."""
+    return run_dp(g, compute_decomposition(g), pre, gain=gain).solution_edge_ids is not None
 
 
 def dp_solve(

@@ -131,6 +131,17 @@ def test_solve_partial_witness_exits_4(tmp_path, capsys, monkeypatch):
     assert "re-verification" in err
 
 
+def test_solve_witness_dropping_a_preweight_exits_4(tmp_path, capsys, monkeypatch):
+    # a proper witness (P4 colours 1, 2, 1, 0) that weighs the edge
+    # pre-weighted 1 at 0 fails re-verification
+    witness = {(0, 1): 1, (1, 2): 1, (2, 3): 0}
+    monkeypatch.setattr(oracle, "solve_exhaustive", lambda *args, **kwargs: dict(witness))
+    path = write(tmp_path, "p4.gr", "p vcew 4 3\n1 2\n2 3\n3 4 1\n")
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "oracle")
+    assert code == 4 and out == ""
+    assert "re-verification" in err
+
+
 def test_prewt_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(preweight, "is_proper", lambda g, w: False)
     path = write(tmp_path, "p3.gr", "p vcew 3 2\n1 2 1\n2 3\n")

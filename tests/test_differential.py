@@ -5,19 +5,23 @@ The draws are derandomized (every run sees the same cases, and no example
 database is kept) and cover n = 0, isolated vertices and four pre-weightings:
 none, every edge, some edges with 0 or 1, and some edges with 1.  The
 reference enumerates all 2^F completions of the F free edges, so a graph
-keeps at most 12 edges.
+keeps at most 12 edges.  Graphs that small never reach a reduction rule, so
+stars of 18-40 leaves check the two reductions against the DP: the prewt
+rule strips edges once more than 17 leaves are unweighted, and the kernel
+drops leaves once more than 33 share the centre.
 """
 
 import itertools
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcew import oracle
 from vcew.graph import Graph, extends, is_proper
-from vcew.preweight import solve_prewt
+from vcew.preweight import apply_reduction, solve_prewt
 from vcew.treewidth import compute_decomposition, dp_solve, exists_with_color_bound
-from vcew.vertex_cover import minimum_vertex_cover, solve_vc
+from vcew.vertex_cover import kernelize, lift, minimum_vertex_cover, solve_vc
 from tests.conftest import brute_force_solve
 
 DRAWS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -88,10 +92,44 @@ def _bounded_exists(g, pre, ceiling):
 @given(instances(), st.data())
 def test_color_bound_agrees_with_brute_force(instance, data):
     g, pre = instance
-    n = g.vertex_count
-    if data.draw(st.booleans()):
-        bound = data.draw(st.integers(-1, 5))
-        ceiling = [bound] * n
-    else:
-        bound = ceiling = data.draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n))
-    assert exists_with_color_bound(g, pre, bound) == _bounded_exists(g, pre, ceiling)
+    gain = data.draw(st.integers(-1, 5))
+    lo = [sum(pre.get(e, 0) for e in g.edges if v in e) for v in range(g.vertex_count)]
+    assert exists_with_color_bound(g, pre, gain) == _bounded_exists(g, pre, [c + gain for c in lo])
+
+
+@st.composite
+def stars(draw):
+    """A star of 18-40 leaves with all-ones pre-weights on some of its edges."""
+    leaves = draw(st.integers(18, 40))
+    g = Graph.build(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+    return g, {e: 1 for e in g.edges if draw(st.booleans())}
+
+
+def _dp(g, pre=None):
+    return dp_solve(g, compute_decomposition(g), pre)
+
+
+def test_reductions_agree_on_stars():
+    reached = Counter()
+
+    @settings(DRAWS, max_examples=40)
+    @given(stars())
+    def check(instance):
+        g, pre = instance
+        _, k = minimum_vertex_cover(g)
+        reached["rule deletions"] += bool(apply_reduction(g, pre, k).deletions)
+        w = solve_prewt(g, pre, k)
+        assert (w is None) == (_dp(g, pre) is None)
+        if len(g.edges) - len(pre) <= 24:
+            assert (w is None) == (oracle.solve_exhaustive(g, pre) is None)
+        if w is not None:
+            _check_witness(g, pre, w)
+        kernel = kernelize(g)
+        reached["kernel removals"] += bool(kernel.removed)
+        w_kernel = _dp(kernel.graph)
+        assert (w_kernel is None) == (_dp(g) is None)
+        if w_kernel is not None:
+            assert is_proper(g, lift(g, kernel, w_kernel))
+
+    check()
+    assert reached["rule deletions"] and reached["kernel removals"], reached

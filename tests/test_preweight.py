@@ -8,7 +8,6 @@ from vcew.errors import UnsupportedVariantError
 from vcew.graph import Graph, GraphBuilder, edge_key, extends, is_proper
 from vcew.preweight import (
     apply_reduction,
-    base_colors,
     deletion_log_text,
     ones_only,
     refine_classes,
@@ -24,21 +23,6 @@ def twin_star(twins: int) -> Graph:
         m = b.add_vertex()
         b.add_edge(0, m)
     return b.build()
-
-
-def test_base_colors_examples():
-    k2 = Graph.build(2, [(0, 1)])
-    assert base_colors(k2, []) == [0, 0]
-    assert base_colors(k2, [(0, 1)]) == [1, 1]
-    star = Graph.build(4, [(0, 1), (0, 2), (0, 3)])
-    assert base_colors(star, [(0, 1), (0, 2)]) == [2, 1, 1, 0]
-
-
-def test_base_colors_rejects_a_missing_edge():
-    g = Graph.build(3, [(0, 1)])
-    with pytest.raises(ValueError) as info:
-        base_colors(g, [(2, 1)])
-    assert str(info.value) == "pre-weighted edge (1, 2) not in the graph"
 
 
 def test_ones_only_rejects_zero_preweights():
