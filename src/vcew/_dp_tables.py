@@ -18,7 +18,9 @@ provenance as its numpy form: introduce-vertex stays child-major with fd
 from lo to top, introduce-edge emits weight 1 before weight 0 and keeps the
 earlier position and the weight-0 derivation on a collision, forget and
 join keep first occurrences, and join visits pairs in (child-1 row,
-child-2 row) order.
+child-2 row) order.  The join twin matches pairs on the fd fields alone and
+checks every slot's span on them; only the numpy join keys tight slots
+too (see `_join`).
 """
 
 from __future__ import annotations
@@ -192,10 +194,13 @@ def _join(lay: _Layout, k1: np.ndarray, k2: np.ndarray, spans: list[tuple[int, i
     keyed on its fd fields and that cd1 for each tight slot, and child 1
     probes with its fd and tight cd fields; a child-2 row whose cd1 would be
     negative matches nothing.  Only the loose slots are checked on the
-    matched pairs.  Child-1 rows are probed in chunks and their pairs
-    expanded in blocks of at most _CHUNK pairs, so apart from child 2's
-    sorted keys no temporary grows with a child table or with the pairs a
-    join drops.
+    matched pairs.  Keying the tight slots keeps the pairs they would reject
+    from ever being expanded, which on large tables costs less than
+    filtering them; the twin, whose pairs the size switch bounds at
+    _SMALL^2, matches on fd alone and filters.  Child-1 rows are probed in
+    chunks and their pairs expanded in blocks of at most _CHUNK pairs, so
+    apart from child 2's sorted keys no temporary grows with a child table
+    or with the pairs a join drops.
     """
     if len(k1) == 0 or len(k2) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=_ROW), np.zeros(0, dtype=_ROW)
@@ -331,26 +336,17 @@ def _forget_py(lay: _Layout, keys: list[int], pos: int):
 def _join_py(lay: _Layout, k1: list[int], k2: list[int], spans: list[tuple[int, int]]):
     mask = lay.mask
     fdm = lay.fd_mask(len(spans))
-    tight = [(lay.fd_shift(i), lay.cd_shift(i), need) for i, (need, room) in enumerate(spans) if need == room]
-    loose = [(lay.fd_shift(i), lay.cd_shift(i), need, room) for i, (need, room) in enumerate(spans) if need != room]
-    keymask = fdm | sum(mask << cd_at for _, cd_at, _ in tight)
-    partners: dict[int, list[int]] = {}  # probe key -> child-2 rows, in row order
+    slots = [(lay.fd_shift(i), lay.cd_shift(i), need, room) for i, (need, room) in enumerate(spans)]
+    partners: dict[int, list[int]] = {}  # fd fields -> child-2 rows, in row order
     for r2, y in enumerate(k2):
-        probe = y & fdm
-        for fd_at, cd_at, need in tight:
-            wanted = ((y >> fd_at) & mask) - ((y >> cd_at) & mask) - need  # the cd1 a partner must have
-            if wanted < 0:
-                break
-            probe |= wanted << cd_at
-        else:
-            partners.setdefault(probe, []).append(r2)
+        partners.setdefault(y & fdm, []).append(r2)
     merged: list[int] = []
     rows1: list[int] = []
     rows2: list[int] = []
     for r1, x in enumerate(k1):
-        for r2 in partners.get(x & keymask, ()):
+        for r2 in partners.get(x & fdm, ()):
             y = k2[r2]
-            for fd_at, cd_at, need, room in loose:
+            for fd_at, cd_at, need, room in slots:
                 if not need <= ((x >> fd_at) & mask) - ((x >> cd_at) & mask) - ((y >> cd_at) & mask) <= room:
                     break
             else:

@@ -70,7 +70,9 @@ later sibling, so a conflict in ``at[p]`` under the parent's colors prunes
 all later siblings; a call adds its counted children to the node count once,
 on return.  The last level (one weight-1 edge left to place) checks
 ``pairs[end[p]:]``, every edge still unsettled, in the loop instead of
-calling down to a leaf.
+calling down to a leaf.  The slice is a list, taken from one copy of
+``pairs`` per call; a copy of every tail at once would take O(F m) memory
+(_search.c reads ``end[p]..m`` in place).
 """
 
 from __future__ import annotations
@@ -99,7 +101,11 @@ def solve_ones(inst, maxc):
 
 def _combinations(inst, at, cap):
     """Combination mode below a root that passed: (positions | None, nodes)."""
-    fu, fv, pairs, end = inst.fu, inst.fv, inst.pairs, inst.end
+    fu, fv, end = inst.fu, inst.fv, inst.end
+    # A list, so that the last level's slices are lists: CPython 3.11 keeps
+    # freed 20-element tuples on a free list that it never takes them back
+    # from, so tuple slices here raised a process's peak RSS.
+    pairs = list(inst.pairs)
     f = len(fu)
     colors = list(inst.colors)
     chosen: list[int] = []  # filled deepest first on success

@@ -39,12 +39,11 @@ the switch never changes a witness or a state count:
   or up to lo(v) + gain under a colour gain (see run_dp); introduce-edge
   emits each child row's weight-1 row before its weight-0 row; join pairs
   rows in (child-1 row, child-2 row) order.
-  Join matches a pair on the fd fields and, for each tight bag vertex (no
-  free edge left to introduce, so need(v) == room(v)), also on cd: child 2
-  is keyed on fd - need - cd2 there, the cd1 a partner must have, and only
-  the other slots are checked on the matched pairs.  Matching on more
-  fields keeps a subset of the fd-matched pairs in the same order, so the
-  rows and their provenance are those of matching on fd and filtering.
+  Join keeps a pair whose fd fields match when fd - cd1 - cd2 lies within
+  every slot's (need, room) span.  The numpy join also matches on cd at
+  tight slots (see vcew._dp_tables._join); matching on more fields keeps a
+  subset of the fd-matched pairs in the same order, so the rows and their
+  provenance are those of matching on fd and filtering.
   When two derivations give the same state, the row keeps the earlier
   position and the first derivation's provenance, except at introduce-edge,
   where the weight-0 derivation beats the weight-1 one.
@@ -184,39 +183,41 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> bool:
 
 
 def compute_decomposition(g: Graph) -> TreeDecomposition:
-    """Min-fill elimination heuristic.  Valid for every input; the width can
-    exceed the true treewidth."""
+    """Min-fill elimination heuristic (Bodlaender and Koster, "Treewidth
+    computations I. Upper bounds", 2010).  Each step eliminates the vertex
+    whose neighbours lack the fewest edges among themselves, the smallest id
+    on a tie, and joins its neighbours into a clique.  The fill of v with
+    d neighbours is (d(d-1) - sum over neighbours a of |N(a) & N(v)|) / 2,
+    since the sum counts every edge among the neighbours twice.  Valid for
+    every input; the width can exceed the true treewidth."""
     n = g.vertex_count
     if n == 0:
         return TreeDecomposition(bags=(frozenset(),), parent=(-1,), root=0)
+    # Filled in id order and never inserted into again, so iterating `work`
+    # visits the remaining vertices in ascending id order: the strict `<`
+    # below gives a tie to the smallest id.
     work: dict[int, set[int]] = {v: set(g.neighbors(v)) for v in range(n)}
     elim_order: list[int] = []
     snapshots: list[set[int]] = []
     while work:
         best_v = -1
         best_fill = None
-        for v in sorted(work):
-            nbrs = sorted(work[v])
-            fill = 0
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    if nbrs[j] not in work[nbrs[i]]:
-                        fill += 1
+        for v, nbrs in work.items():
+            d = len(nbrs)
+            fill = (d * (d - 1) - sum(len(work[a] & nbrs) for a in nbrs)) // 2
             if best_fill is None or fill < best_fill:
                 best_fill = fill
                 best_v = v
             if fill == 0:
                 break
-        nbrs = set(work[best_v])
+        nbrs = work.pop(best_v)
         elim_order.append(best_v)
         snapshots.append(nbrs)
         for a in nbrs:
-            for b in nbrs:
-                if a != b:
-                    work[a].add(b)
-        for a in nbrs:
-            work[a].discard(best_v)
-        del work[best_v]
+            adj = work[a]
+            adj |= nbrs
+            adj.discard(a)
+            adj.discard(best_v)
     position = {v: i for i, v in enumerate(elim_order)}
     bags = [frozenset({v} | nbrs) for v, nbrs in zip(elim_order, snapshots)]
     parent = [-1] * n

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from vcew import io, oracle
@@ -202,9 +203,28 @@ def test_criterion_04_bounded_color_lemma(atlas):
     _report("4 bounded-color-lemma", f"{checked} yes-instances with k<=2", started)
 
 
+def _smallest_gain(g: Graph, pre) -> int | None:
+    """The least max_v (colour(v) - lo(v)) over the proper extensions of
+    pre, lo(v) being v's pre-weighted colour, by enumerating every
+    completion of the free edges; None when no extension is proper."""
+    free = [e for e in g.edges if e not in pre]
+    lo = np.zeros(g.vertex_count, dtype=np.int64)
+    for (u, v), value in pre.items():
+        lo[[u, v]] += value
+    completions = (np.arange(1 << len(free))[:, None] >> np.arange(len(free))) & 1
+    incidence = np.zeros((len(free), g.vertex_count), dtype=np.int64)
+    for i, (u, v) in enumerate(free):
+        incidence[i, [u, v]] = 1
+    gains = completions @ incidence  # colour(v) - lo(v), one row per completion
+    colors = gains + lo
+    eu, ev = np.array(g.edges, dtype=np.int64).reshape(-1, 2).T
+    proper = (colors[:, eu] != colors[:, ev]).all(axis=1)
+    return int(gains[proper].max(axis=1).min()) if proper.any() else None
+
+
 def test_criterion_05_preweighting_pipeline(atlas):
     started = time.time()
-    checked = gain_checked = 0
+    checked = gain_checked = brute_checked = 0
     corpora = [(idx, g) for idx, g in enumerate(atlas)]
     corpora += [(90_000 + i, g) for i, g in enumerate(_planted_corpus(200, seed_base=90_000))]
     for idx, g in corpora:
@@ -227,11 +247,18 @@ def test_criterion_05_preweighting_pipeline(atlas):
         if w_p is not None:
             pre = {e: 1 for e in e1}
             assert is_proper(g, w_p) and extends(w_p, pre)
-            if 1 <= k <= 2:  # every colour at most its pre-weighted colour plus 8k^2 + 8k
-                assert exists_with_color_bound(g, pre, color_budget(k))
-                gain_checked += 1
-    assert gain_checked > 50
-    _report("5 preweighting-pipeline", f"{checked} instances, {gain_checked} gain checks", started)
+            # the least gain with a witness is at most 8k^2 + 8k (every colour at
+            # most its pre-weighted colour plus that); the scan up from 0 has
+            # seen "no" at every gain below it
+            gain = next((c for c in range(color_budget(k) + 1) if exists_with_color_bound(g, pre, c)), None)
+            assert gain is not None
+            gain_checked += 1
+            if len(g.edges) - len(pre) <= 16:
+                assert gain == _smallest_gain(g, pre), idx
+                brute_checked += 1
+    assert brute_checked > 500
+    detail = f"{checked} instances, {gain_checked} least gains, {brute_checked} against brute force"
+    _report("5 preweighting-pipeline", detail, started)
 
 
 def test_criterion_06_gadget_forcing():

@@ -5,10 +5,13 @@ The draws are derandomized (every run sees the same cases, and no example
 database is kept) and cover n = 0, isolated vertices and four pre-weightings:
 none, every edge, some edges with 0 or 1, and some edges with 1.  The
 reference enumerates all 2^F completions of the F free edges, so a graph
-keeps at most 12 edges.  Graphs that small never reach a reduction rule, so
-stars of 18-40 leaves check the two reductions against the DP: the prewt
-rule strips edges once more than 17 leaves are unweighted, and the kernel
-drops leaves once more than 33 share the centre.
+keeps at most 12 edges.  Each draw also runs both search kernels, the
+Python one and the compiled one, on the oracle's prepared instance, and
+the MILP reference on draws of at most 10 edges (it slows past that).
+Graphs that small never reach a reduction rule, so stars of 18-40 leaves
+check the two reductions against the DP: the prewt rule strips edges once
+more than 17 leaves are unweighted, and the kernel drops leaves once more
+than 33 share the centre.
 """
 
 import itertools
@@ -17,12 +20,13 @@ from collections import Counter
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vcew import oracle
+from vcew import _search_py, oracle
 from vcew.graph import Graph, extends, is_proper
 from vcew.preweight import apply_reduction, solve_prewt
 from vcew.treewidth import compute_decomposition, dp_solve, exists_with_color_bound
 from vcew.vertex_cover import kernelize, lift, minimum_vertex_cover, solve_vc
 from tests.conftest import brute_force_solve
+from tests.milp_reference import milp_solve
 
 DRAWS = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -57,11 +61,15 @@ def _check_witness(g, pre, w):
 @example((C4, {(0, 1): 1, (1, 2): 1, (2, 3): 0, (0, 3): 0}))  # every edge pre-weighted
 @example((C4, {(0, 1): 1, (2, 3): 0}))  # mixed
 @example((P3, {(0, 1): 1}))  # all ones
-def test_routes_agree_with_brute_force(instance):
+def test_routes_agree_with_brute_force(compiled_kernel, instance):
     g, pre = instance
     first, _ = brute_force_solve(g, pre)
     assert oracle.solve_exhaustive(g, pre) == first
+    inst = oracle._prepare(g, pre)
+    assert compiled_kernel.solve_ones(inst, len(inst.free)) == _search_py.solve_ones(inst, len(inst.free))
     answers = {"dp": dp_solve(g, compute_decomposition(g), pre)}
+    if len(g.edges) <= 10:
+        answers["milp"] = milp_solve(g.vertex_count, g.edges, pre)
     if not pre:
         answers["vc"] = solve_vc(g)
     if all(pre.values()):  # all-ones, or none

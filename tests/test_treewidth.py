@@ -14,8 +14,10 @@ import pytest
 
 from vcew import _dp_tables, oracle
 from vcew.errors import CapacityError, ContractViolationError, ValidationError
-from vcew.generators import random_graph
+from vcew.generators import planted_twin_graph, random_graph
 from vcew.graph import Graph, extends, from_subgraph, is_proper
+from vcew.listcolor import ListColoringInstance
+from vcew.reduction import build_reduction, small_chain_scale
 from vcew.treewidth import (
     FORGET,
     INTRODUCE_EDGE,
@@ -35,6 +37,7 @@ from vcew.treewidth import (
     validate_decomposition,
     validate_nice,
 )
+from tests import reference_min_fill
 from tests.conftest import brute_force_solve, random_small_graph
 
 P3 = Graph.build(3, [(0, 1), (1, 2)])
@@ -99,6 +102,27 @@ def test_min_fill_valid_on_random(atlas):
         g = random_small_graph(rng, max_n=9)
         td = compute_decomposition(g)
         assert validate_decomposition(g, td)
+
+
+def _min_fill_corpus(atlas):
+    """Every connected atlas graph, the golden G(n, p) graphs below, seeded
+    planted twin graphs and one list-colouring reduction."""
+    yield from atlas
+    for seed in range(len(GOLDEN_GNP_WITNESSES)):
+        yield random_graph(8 + seed % 5, (0.3, 0.4, 0.5)[seed % 3], seed, pre_fraction=0.35)[0]
+    for seed in range(40):
+        rng = random.Random(seed)
+        sizes = [rng.randint(2, 12) for _ in range(rng.randint(1, 4))]
+        yield planted_twin_graph(rng.randint(1, 4), sizes, seed, cover_edge_p=0.4)
+    triangle = ListColoringInstance.build(C3, [[2, 3], [3, 4], [2, 4]])
+    yield build_reduction(triangle, small_chain_scale(triangle)).graph
+
+
+def test_min_fill_matches_the_reference(atlas):
+    # equal bags, parents and root: the same elimination order, with ties
+    # going to the smallest id and the same fill counts
+    for g in _min_fill_corpus(atlas):
+        assert compute_decomposition(g) == reference_min_fill.compute_decomposition(g), g.edges
 
 
 def test_make_nice_structure_c3():
