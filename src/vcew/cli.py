@@ -80,7 +80,7 @@ def cmd_solve(args) -> int:
     # a forced route rejects the wrong variant whatever the graph
     if algo == "vc" and pre:
         raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
-    e1 = preweight.ones_only(pre) if algo == "prewt" else None
+    e1 = preweight.ones_only(pre) if algo in ("vc", "prewt") else None
     started = time.perf_counter()
     stats: dict[str, int] = {"free_edges": len(g.edges) - len(pre)}
     try:
@@ -91,9 +91,10 @@ def cmd_solve(args) -> int:
             witness = oracle.solve_exhaustive(g, pre, stats=stats)
         elif algo == "tw":
             witness = treewidth.dp_solve(g, td or treewidth.compute_decomposition(g), pre, stats=stats)
-        elif algo == "vc":
-            witness = vertex_cover.solve_vc(g, stats=stats)
-        else:  # prewt
+        else:  # vc and prewt: the base problem is the all-ones variant with e1 empty
+            # solve_prewt reduces again, so the reduction and its cover search
+            # run twice; the benchmark self-test pins both calls, and computing
+            # them once is left to the next change of the benchmark
             _, k = vertex_cover.minimum_vertex_cover(g)
             red = preweight.apply_reduction(g, e1, k)
             sys.stderr.write(preweight.deletion_log_text(red))

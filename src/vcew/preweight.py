@@ -1,4 +1,6 @@
-"""FPT pipeline for the restricted pre-weighting variant (all pre-weights 1).
+"""FPT solve by vertex cover for the base problem and the all-ones
+pre-weighting variant.  The base problem is the all-ones variant with no
+pre-weighted edge (E1 empty), so `vcew solve` runs both through here.
 
 With every pre-assigned weight equal to 1, each vertex starts from a base
 color (its count of pre-weighted incident edges) and yes-instances admit
@@ -8,7 +10,7 @@ class sheds the unweighted edges of its surplus members.  One pass over the
 classes is exact: the vertices outside the cover form an independent set, so
 stripping one member's edges moves only that member, into a class with no
 unweighted edges, and leaves every other class as it was.  The residual
-instance is searched with the same weight-1 budget as the base pipeline.
+instance is searched with the weight-1 budget k(8k^2+8k).
 
 Mixed pre-weights (any 0 present) are out of scope here and belong to the
 treewidth solver.
@@ -27,9 +29,8 @@ from vcew.graph import (
     PartialWeightAssignment,
     WeightAssignment,
     edge_key,
-    is_proper,
 )
-from vcew.vertex_cover import color_budget, cover_within, edge_budget, refine_classes
+from vcew.vertex_cover import color_budget, cover_within, edge_budget, lift, refine_classes
 
 
 def ones_only(pre: PartialWeightAssignment) -> frozenset[Edge]:
@@ -105,8 +106,8 @@ def solve_prewt(
     stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
     """Reduce, run the budgeted search over the unweighted edges of H*, and
-    extend any witness back by weighting the deleted edges 0; `stats` gets
-    `k` and `search_nodes`."""
+    lift any witness back by weighting the deleted edges 0; `stats` gets
+    `k` and `search_nodes`.  With e1 empty this decides the base problem."""
     e1set = frozenset(edge_key(u, v) for u, v in e1)
     bad = [e for e in e1set if e not in g.edge_index]
     if bad:
@@ -118,8 +119,4 @@ def solve_prewt(
     w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), stats=stats)
     if w_star is None:
         return None
-    w: WeightAssignment = {e: 0 for e in g.edges}
-    w.update(w_star)
-    if not is_proper(g, w):
-        raise ContractViolationError("extended pre-weighting witness failed re-verification")
-    return w
+    return lift(g, w_star)

@@ -1,11 +1,14 @@
-"""Vertex-cover pipeline: matching-based cover, twin-class kernelization,
-budgeted search on the kernel, and lifting kernel witnesses back.
+"""Vertex-cover layer: matching-based and exact covers, twin classes, the
+base-problem kernel that `vcew kernelize` writes, and `lift`, which extends
+a witness of a reduced instance back to the input graph.
 
 For cover size k, every yes-instance admits a proper weighting whose colors
-stay at or below 8k^2 + 8k.  That bound caps both the twin-class size kept
-by the kernel (2k(8k^2+8k)+1 members per class, counted with the matching
-endpoint set of size at most 2k) and the number of weight-1 edges the
-budgeted search has to consider (k(8k^2+8k)).
+stay at or below 8k^2 + 8k.  That bound caps the number of weight-1 edges
+the budgeted search has to consider (k(8k^2+8k)) and the twin-class size the
+base kernel keeps (2k(8k^2+8k)+1 members per class, counted with the
+matching endpoint set of size at most 2k).  `vcew solve` decides both
+problem variants through `vcew.preweight`; the base problem is the all-ones
+variant with no pre-weighted edge.
 
 The exact cover comes from a bounded search tree: branch on the first
 uncovered edge (u, v) in canonical edge order, u before v.  Every cover
@@ -24,7 +27,6 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
-from vcew import oracle
 from vcew.errors import CapacityError, ContractViolationError
 from vcew.graph import (
     Edge,
@@ -179,7 +181,8 @@ def refine_classes(g: Graph, e1: Iterable[Edge], cover: Iterable[int]) -> list[R
 
 @dataclass(frozen=True)
 class Kernel:
-    """Reduced instance with the bookkeeping needed to lift solutions back."""
+    """Reduced instance with the bookkeeping that `vcew kernelize` reports;
+    `kept` maps a kernel witness back to the input ids for `lift`."""
 
     graph: Graph  # H, on dense new ids
     kept: tuple[int, ...]  # H id -> original id
@@ -189,10 +192,6 @@ class Kernel:
     class_sizes_before: tuple[int, ...]
     class_sizes_after: tuple[int, ...]
     removed: tuple[int, ...]  # original ids deleted by the reduction rule
-
-    @property
-    def identity(self) -> bool:
-        return not self.removed
 
 
 def kernelize(g: Graph) -> Kernel:
@@ -239,35 +238,16 @@ def _assert_kernel_bounds(kernel: Kernel) -> None:
         raise ContractViolationError(f"kernel has {kernel.graph.vertex_count} vertices, above the bound {limit}")
 
 
-def lift(g: Graph, kernel: Kernel, w_kernel: WeightAssignment) -> WeightAssignment:
-    """Extend a proper kernel assignment to the original graph: kernel edges
-    keep their weights, edges at removed vertices weigh 0."""
-    if not is_proper(kernel.graph, w_kernel):
-        raise ContractViolationError("kernel assignment is not proper")
-    back = {new: old for new, old in enumerate(kernel.kept)}
+def lift(g: Graph, w_reduced: WeightAssignment) -> WeightAssignment:
+    """Extend a witness of a reduced instance on g's vertex ids to all of g:
+    every edge of g that the reduced witness does not weigh gets 0.  The
+    result is re-verified once; a conflict inside the reduced instance
+    survives the extension, so this one check covers it too."""
     w: WeightAssignment = {e: 0 for e in g.edges}
-    for (u, v), value in w_kernel.items():
-        w[edge_key(back[u], back[v])] = value
+    w.update(w_reduced)
     if not is_proper(g, w):
         raise ContractViolationError("lifted assignment failed re-verification")
     return w
-
-
-def solve_vc(g: Graph, *, stats: dict[str, int] | None = None) -> WeightAssignment | None:
-    """Full pipeline: kernelize, search the kernel, lift any witness back.
-
-    k is the kernel's cover number: by the color bound a yes-instance has a
-    witness within the budget k(8k^2+8k), which a larger k only widens.
-    `stats` gets `k`, `kernel_vertices`, `kernel_edges` and `search_nodes`.
-    """
-    kernel = kernelize(g)
-    _, k = minimum_vertex_cover(kernel.graph)
-    if stats is not None:
-        stats.update(k=k, kernel_vertices=kernel.graph.vertex_count, kernel_edges=len(kernel.graph.edges))
-    w_kernel = oracle.solve_exhaustive(kernel.graph, {}, budget=edge_budget(k), stats=stats)
-    if w_kernel is None:
-        return None
-    return lift(g, kernel, w_kernel)
 
 
 def export_kernel_mapping(kernel: Kernel) -> str:

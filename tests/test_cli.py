@@ -73,16 +73,42 @@ def test_solve_capacity_exits_3(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", path, "--algo", "oracle")
     assert code == 3
     assert io.parse_result(out).status == "unknown"
-    # the 40-leaf star: the vc route finds k = 1 and a 35-vertex kernel, and
-    # only then refuses its budgeted search; the refusal reports those counters
-    path = write(tmp_path, "star.gr", "p vcew 41 40\n" + "".join(f"1 {v}\n" for v in range(2, 42)))
+    # gen planted --k 2 --classes 30,30,30 --seed 3: the vc route finds k = 2,
+    # no rule fires, and only then does it refuse its budgeted search; the
+    # refusal reports those counters
+    path = str(tmp_path / "planted.gr")
+    assert run_cli(capsys, "gen", "planted", "--k", "2", "--classes", "30,30,30", "--seed", "3", "-o", path)[0] == 0
     code, out, err = run_cli(capsys, "solve", path, "--algo", "vc")
     assert code == 3
     assert out == '{"status":"unknown","algorithm":"vc","verified":false,"stats":{}}\n'
-    assert err.startswith("vcew: search would visit about 2^32.8 candidates, above the 2^30 ceiling\n")
+    assert err.startswith("vcew: search would visit about 2^179.7 candidates, above the 2^30 ceiling\n")
     stats = json.loads(err.split("stats: ", 1)[1])
     assert stats.pop("elapsed_ms") >= 0
-    assert stats == {"free_edges": 40, "k": 1, "kernel_vertices": 35, "kernel_edges": 34}
+    assert stats == {"free_edges": 180, "k": 2, "rule_deletions": 0}
+
+
+@pytest.mark.parametrize(
+    "leaves,planted",
+    [(36, None), (40, None), (200, None), (None, ("--k", "1", "--classes", "30,30,30", "--seed", "3"))],
+    ids=["star-36", "star-40", "star-200", "planted-k1-30-30-30"],
+)
+def test_vc_route_decides_where_the_rule_fires(tmp_path, capsys, leaves, planted):
+    # the vc route runs the pre-weighting rule with no pre-weighted edge: the
+    # rule strips the surplus leaves (past 17 at k = 1) and the search decides
+    path = str(tmp_path / "g.gr")
+    if planted:
+        assert run_cli(capsys, "gen", "planted", *planted, "-o", path)[0] == 0
+    else:
+        Path(path).write_text(f"p vcew {leaves + 1} {leaves}\n" + "".join(f"1 {v}\n" for v in range(2, leaves + 2)))
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "vc")
+    record = io.parse_result(out)
+    assert code == 0 and (record.status, record.algorithm, record.verified) == ("yes", "vc", True)
+    stats = json.loads(err.split("stats: ", 1)[1])
+    assert stats["k"] == 1 and stats["rule_deletions"] > 0
+    assert err.count("deleted ") == stats["rule_deletions"]
+    g, _ = io.parse_graph(Path(path).read_text())
+    td = treewidth.compute_decomposition(g)
+    assert treewidth.dp_solve(g, td) is not None
 
 
 def test_solve_vertex_cover_past_k_max_exits_3(tmp_path, capsys):
@@ -143,7 +169,8 @@ def test_solve_witness_dropping_a_preweight_exits_4(tmp_path, capsys, monkeypatc
 
 
 def test_prewt_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(preweight, "is_proper", lambda g, w: False)
+    # the witness is re-verified where vertex_cover.lift extends it
+    monkeypatch.setattr(vertex_cover, "is_proper", lambda g, w: False)
     path = write(tmp_path, "p3.gr", "p vcew 3 2\n1 2 1\n2 3\n")
     code, out, err = run_cli(capsys, "solve", path)
     assert code == 4 and out == ""
@@ -164,10 +191,9 @@ def test_kernel_bound_violation_exits_4(tmp_path, capsys, monkeypatch):
     # Without cover vertices the two C4 neighborhoods form two classes, above 4^0.
     monkeypatch.setattr(vertex_cover, "maximal_matching_cover", lambda g: ())
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
-    for argv in (("kernelize", path, "-o", str(tmp_path / "out")), ("solve", path, "--algo", "vc")):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 4 and out == ""
-        assert "contract violation: class count exceeds 2^(2k)" in err
+    code, out, err = run_cli(capsys, "kernelize", path, "-o", str(tmp_path / "out"))
+    assert code == 4 and out == ""
+    assert "contract violation: class count exceeds 2^(2k)" in err
     assert not (tmp_path / "out.gr").exists()
 
 
@@ -578,7 +604,7 @@ def test_gen_bad_option_exits_2(capsys, argv, option):
          "0741192e617eede74bb2b70e6ffc026c9879a2dd0f76a0b1894c70912da671ce"),
         # gen planted --k 2 --classes 3,2,4 --seed 1 --cover-p 1
         ("vc", "p vcew 11 14\n1 2\n1 6\n1 7\n1 8\n1 9\n1 10\n1 11\n2 3\n2 4\n2 5\n2 8\n2 9\n2 10\n2 11\n",
-         {"k": 2, "kernel_vertices": 11, "kernel_edges": 14, "search_nodes": 64},
+         {"k": 2, "rule_deletions": 0, "search_nodes": 64},
          "c2022c5ec8cd8eee74bde9dea85414580dad0b8604913c8bfbf54b86428e39aa"),
         # a 40-leaf star whose odd leaf edges are pre-weighted 1
         ("prewt", "p vcew 41 40\n" + "".join(f"1 {i + 1}{' 1' if i % 2 else ''}\n" for i in range(1, 41)),

@@ -9,9 +9,10 @@ keeps at most 12 edges.  Each draw also runs both search kernels, the
 Python one and the compiled one, on the oracle's prepared instance, and
 the MILP reference on draws of at most 10 edges (it slows past that).
 Graphs that small never reach a reduction rule, so stars of 18-40 leaves
-check the two reductions against the DP: the prewt rule strips edges once
-more than 17 leaves are unweighted, and the kernel drops leaves once more
-than 33 share the centre.
+check the two reductions against the DP: the prewt rule, which also
+decides the base problem, strips edges once more than 17 leaves are
+unweighted, and the kernel that `vcew kernelize` writes drops leaves once
+more than 33 share the centre.
 """
 
 import itertools
@@ -21,10 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vcew import _search_py, oracle
-from vcew.graph import Graph, extends, is_proper
+from vcew.graph import Graph, edge_key, extends, induced_colors, is_proper
 from vcew.preweight import apply_reduction, solve_prewt
 from vcew.treewidth import compute_decomposition, dp_solve, exists_with_color_bound
-from vcew.vertex_cover import kernelize, lift, minimum_vertex_cover, solve_vc
+from vcew.vertex_cover import kernelize, lift, minimum_vertex_cover
 from tests.conftest import brute_force_solve
 from tests.milp_reference import milp_solve
 
@@ -70,9 +71,7 @@ def test_routes_agree_with_brute_force(compiled_kernel, instance):
     answers = {"dp": dp_solve(g, compute_decomposition(g), pre)}
     if len(g.edges) <= 10:
         answers["milp"] = milp_solve(g.vertex_count, g.edges, pre)
-    if not pre:
-        answers["vc"] = solve_vc(g)
-    if all(pre.values()):  # all-ones, or none
+    if all(pre.values()):  # all-ones, or none: the vc and prewt routes
         answers["prewt"] = solve_prewt(g, pre, minimum_vertex_cover(g)[1])
     for route, w in answers.items():
         assert (w is None) == (first is None), route
@@ -113,6 +112,9 @@ def stars(draw):
     return g, {e: 1 for e in g.edges if draw(st.booleans())}
 
 
+STAR_40 = (Graph.build(41, [(0, v) for v in range(1, 41)]), {})
+
+
 def _dp(g, pre=None):
     return dp_solve(g, compute_decomposition(g), pre)
 
@@ -122,6 +124,7 @@ def test_reductions_agree_on_stars():
 
     @settings(DRAWS, max_examples=40)
     @given(stars())
+    @example(STAR_40)  # the vc route's rule path: no pre-weights, 40 > 17 leaves
     def check(instance):
         g, pre = instance
         _, k = minimum_vertex_cover(g)
@@ -137,7 +140,10 @@ def test_reductions_agree_on_stars():
         w_kernel = _dp(kernel.graph)
         assert (w_kernel is None) == (_dp(g) is None)
         if w_kernel is not None:
-            assert is_proper(g, lift(g, kernel, w_kernel))
+            kept = kernel.kept
+            w_lifted = lift(g, {edge_key(kept[u], kept[v]): x for (u, v), x in w_kernel.items()})
+            colors = induced_colors(g, w_lifted)
+            assert all(colors[v] == 0 for v in kernel.removed)
 
     check()
     assert reached["rule deletions"] and reached["kernel removals"], reached

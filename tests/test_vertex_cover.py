@@ -8,7 +8,7 @@ import pytest
 from vcew import oracle, preweight
 from vcew.errors import CapacityError, ContractViolationError
 from vcew.generators import planted_twin_graph, random_graph
-from vcew.graph import Graph, induced_colors, is_proper
+from vcew.graph import Graph, edge_key, induced_colors, is_proper
 from vcew.vertex_cover import (
     Kernel,
     _assert_kernel_bounds,
@@ -22,7 +22,6 @@ from vcew.vertex_cover import (
     lift,
     maximal_matching_cover,
     minimum_vertex_cover,
-    solve_vc,
 )
 from tests.conftest import random_small_graph
 
@@ -191,7 +190,7 @@ def test_kernelize_truncates_big_class():
     assert kernel.k_matching == 2
     assert kernel.cap == 193
     assert max(kernel.class_sizes_after) == 193
-    assert not kernel.identity
+    assert kernel.removed
     limit = 2 * kernel.k_matching + 4**kernel.k_matching * kernel.cap
     assert kernel.graph.vertex_count <= limit
 
@@ -199,7 +198,7 @@ def test_kernelize_truncates_big_class():
 def test_kernelize_identity_when_small():
     g = planted_twin_graph(2, [5], seed=2, full_sig=True)
     kernel = kernelize(g)
-    assert kernel.identity
+    assert kernel.removed == ()
     assert kernel.graph.vertex_count == g.vertex_count
     assert kernel.graph.edges == g.edges
 
@@ -226,19 +225,25 @@ def test_kernel_preserves_decision_planted():
         assert a == b
 
 
+def to_original_ids(kernel, w_kernel):
+    """A kernel witness on the input graph's ids, through kernel.kept."""
+    return {edge_key(kernel.kept[u], kernel.kept[v]): value for (u, v), value in w_kernel.items()}
+
+
 def test_lift_identity_kernel():
     g = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     kernel = kernelize(g)
-    assert kernel.identity
+    assert kernel.removed == ()
     w = oracle.solve_exhaustive(kernel.graph)
-    assert lift(g, kernel, w) == w
+    assert lift(g, to_original_ids(kernel, w)) == w
 
 
 def test_lift_rejects_improper():
+    # a conflict inside the reduced instance survives the extension
     g = Graph.build(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     kernel = kernelize(g)
     with pytest.raises(ContractViolationError):
-        lift(g, kernel, {e: 0 for e in kernel.graph.edges})
+        lift(g, to_original_ids(kernel, {e: 0 for e in kernel.graph.edges}))
 
 
 def test_lift_rejects_a_failed_reverification():
@@ -249,7 +254,7 @@ def test_lift_rejects_a_failed_reverification():
     kernel = Kernel(p4, kept=(0, 1, 2, 3), cover=(1, 2), k_matching=1, cap=1,
                     class_sizes_before=(), class_sizes_after=(), removed=(4,))
     with pytest.raises(ContractViolationError) as info:
-        lift(g, kernel, {(0, 1): 1, (1, 2): 1, (2, 3): 0})
+        lift(g, to_original_ids(kernel, {(0, 1): 1, (1, 2): 1, (2, 3): 0}))
     assert str(info.value) == "lifted assignment failed re-verification"
 
 
@@ -263,7 +268,7 @@ def test_lift_gives_removed_vertices_color_zero(monkeypatch):
     assert kernel.removed
     w_kernel = oracle.solve_exhaustive(kernel.graph, budget=edge_budget(1))
     assert w_kernel is not None
-    w = lift(g, kernel, w_kernel)
+    w = lift(g, to_original_ids(kernel, w_kernel))
     assert is_proper(g, w)
     colors = induced_colors(g, w)
     for v in kernel.removed:
@@ -277,7 +282,7 @@ def test_pipeline_matches_oracle_small():
     rng = random.Random(11)
     for _ in range(120):
         g = random_small_graph(rng, max_n=7)
-        a = solve_vc(g)
+        a = preweight.solve_prewt(g, (), minimum_vertex_cover(g)[1])
         b = oracle.solve_exhaustive(g)
         assert (a is None) == (b is None)
         if a is not None:
