@@ -5,18 +5,25 @@ imported only by processes that run the DP.  The state layout, the
 provenance arrays and the tie-break rule are described in the docstring of
 `vcew.treewidth`.
 
+An introduce-vertex node runs `_introduce_vertex` and then `_introduce_edge`
+once per edge it lists; `run` composes each edge step's provenance onto the
+node's (`_compose`) and stores only the last table, with its child row per
+row in `src` and its mask of taken edges in `mask` (none when the node
+lists no edge).  `run` counts stored tables only.
+
 Each transition has a numpy form and a pure-Python twin (the `_py`
-functions).  `run` picks the twin when the child has at most _SMALL rows,
-at an introduce-vertex when it writes at most _SMALL rows, or at a join
-when |child 1| * |child 2| is at most _SMALL^2: on such tables a numpy
-transition spends most of its time in per-call overhead.  The twins
+functions).  `run` picks the twin, step by step, when the input has at
+most _SMALL rows, at a vertex step when it writes at most _SMALL rows, or
+at a join when |child 1| * |child 2| is at most _SMALL^2: on such tables a
+numpy transition spends most of its time in per-call overhead.  The twins
 take and return lists of ints, so a table and its provenance (`src`,
-`src2`, `weight`) are either arrays or lists; a numpy transition converts a
-list table when it receives one, and `_witness_ids` and check mode read
-both forms.  A twin gives the same rows, in the same order, with the same
-provenance as its numpy form: introduce-vertex stays child-major with fd
-from lo to top, introduce-edge emits weight 1 before weight 0 and keeps the
-earlier position and the weight-0 derivation on a collision, forget and
+`src2`, `mask`) are either arrays or lists, and one introduce can mix both;
+a numpy transition converts a list table when it receives one, and
+`_compose`, `_witness_ids` and check mode read both forms.  A twin gives
+the same rows, in the same order, with the same provenance as its numpy
+form: the vertex step stays child-major with fd from lo to top, an edge
+step emits weight 1 before weight 0 and keeps the earlier position and
+the weight-0 derivation on a collision, forget and
 join keep first occurrences, and join visits pairs in (child-1 row,
 child-2 row) order.  The join twin matches pairs on the fd fields alone and
 checks every slot's span on them; only the numpy join keys tight slots
@@ -31,7 +38,6 @@ from vcew.errors import ContractViolationError
 from vcew.graph import Graph, PartialWeightAssignment
 from vcew.treewidth import (
     FORGET,
-    INTRODUCE_EDGE,
     INTRODUCE_VERTEX,
     JOIN,
     LEAF,
@@ -367,6 +373,23 @@ def _first_occurrences_py(keys: list[int], *columns):
     return (list(first), *([column[i] for i in first.values()] for column in columns))
 
 
+def _compose(rows, taken, via, mask, bit: int):
+    """An introduce's provenance after its edge step `bit`, from the step's
+    own (`rows`, `taken`): each row's introduce-vertex row `via`, and a mask
+    whose bit j is set when the row takes the node's j-th edge (`mask` is
+    unused at bit 0).  Either side may be a list or an array; an array mask
+    has the narrowest signed type that holds bit + 1 bits, so at bit 0 it is
+    the step's own int8 `taken`."""
+    if isinstance(rows, list) and isinstance(via, list):
+        return list(map(via.__getitem__, rows)), taken if bit == 0 else [mask[r] | w << bit for r, w in zip(rows, taken)]
+    rows = np.asarray(rows, dtype=_ROW)  # an empty list must still index as integers
+    out = np.asarray(taken, dtype=np.min_scalar_type(-(2 << bit)))
+    if bit:
+        out <<= bit
+        out |= np.asarray(mask, dtype=out.dtype).take(rows)
+    return np.asarray(via, dtype=_ROW).take(rows), out  # take gathers on int32 rows faster than indexing
+
+
 def _rows(table) -> list[int]:
     """A table as a list of ints, the form the twins and check mode read."""
     return table if isinstance(table, list) else table.tolist()
@@ -392,14 +415,14 @@ def run(
     """Bottom-up table computation.  fd(v) ranges over lo[v]..top[v], where
     top[v] <= hi[v] is the colour cap; need and room come from lo and hi.
     Returns the root's solution edge ids (None when the root table is
-    empty) and the per-node state counts."""
+    empty) and the rows of each node's stored table."""
     lay = _Layout(bits)
     nodes = ntd.nodes
     # each table and its provenance is an array, or a list where a twin built it
     keys: dict[int, np.ndarray | list[int]] = {}
     src: dict[int, np.ndarray | list[int]] = {}  # child row, or child-1 row at a join
     src2: dict[int, np.ndarray | list[int]] = {}  # child-2 row at a join
-    weight: dict[int, np.ndarray | list[int]] = {}  # 1 when an introduce-edge row takes the edge
+    mask: dict[int, np.ndarray | list[int]] = {}  # bit j: the introduce row takes the node's j-th edge
     # node -> bag vertex -> (introduced edges pre-weighted 1, introduced edges not pre-weighted 0)
     intro: dict[int, dict[int, tuple[int, int]]] = {}
 
@@ -421,24 +444,19 @@ def run(
             seen = intro.pop(c)
             x = node.vertex
             seen[x] = (0, 0)
-            child = keys.pop(c)
-            written = len(child) * max(0, top[x] - lo[x] + 1)
-            step, child = _pick(written <= _SMALL, _introduce_vertex, _introduce_vertex_py, child)
-            table, src[t] = step(lay, child, node.bag.index(x), lo[x], top[x])
-        elif node.kind == INTRODUCE_EDGE:
-            c = node.children[0]
-            seen = intro.pop(c)
-            u, v = node.edge
-            pw = pre.get(node.edge)
-            for x in node.edge:
-                ones, open_ = seen[x]
-                seen[x] = (ones + (pw == 1), open_ + (pw != 0))
-            child = keys.pop(c)
-            step, child = _pick(len(child) <= _SMALL, _introduce_edge, _introduce_edge_py, child)
-            table, src[t], weight[t] = step(
-                lay, child, node.bag.index(u), node.bag.index(v),
-                span(seen, u), span(seen, v), pw != 1, pw != 0,
-            )
+            table = keys.pop(c)
+            written = len(table) * max(0, top[x] - lo[x] + 1)
+            step, table = _pick(written <= _SMALL, _introduce_vertex, _introduce_vertex_py, table)
+            table, src[t] = step(lay, table, node.bag.index(x), lo[x], top[x])
+            for j, (u, v) in enumerate(node.edges):  # one edge step each; only the last table is kept
+                pw = pre.get((u, v))
+                for y in (u, v):
+                    ones, open_ = seen[y]
+                    seen[y] = (ones + (pw == 1), open_ + (pw != 0))
+                step, table = _pick(len(table) <= _SMALL, _introduce_edge, _introduce_edge_py, table)
+                table, rows, taken = step(lay, table, node.bag.index(u), node.bag.index(v),
+                                          span(seen, u), span(seen, v), pw != 1, pw != 0)
+                src[t], mask[t] = _compose(rows, taken, src[t], mask.get(t), j)
         elif node.kind == FORGET:
             c = node.children[0]
             seen = intro.pop(c)
@@ -458,17 +476,17 @@ def run(
         state_counts[t] = len(table)
         if check_invariants:  # each row's partial solution, decoded as the witness is
             for row, key in enumerate(_rows(table)):
-                h = [g.edges[i] for i in _witness_ids(g, ntd, src, src2, weight, t, row)]
+                h = [g.edges[i] for i in _witness_ids(g, ntd, src, src2, mask, t, row)]
                 if not _check_partial(g, node.bag, edge_sets[t], lay.unpack(key, len(node.bag)), h):
                     raise ContractViolationError(f"stored entry violates the partial-solution conditions at node {t}")
         keys[t] = table
         intro[t] = seen
     if len(keys[ntd.root]) == 0:
         return None, state_counts
-    return _witness_ids(g, ntd, src, src2, weight, ntd.root, 0), state_counts
+    return _witness_ids(g, ntd, src, src2, mask, ntd.root, 0), state_counts
 
 
-def _witness_ids(g: Graph, ntd: NiceTreeDecomposition, src, src2, weight, t: int, row: int) -> frozenset[int]:
+def _witness_ids(g: Graph, ntd: NiceTreeDecomposition, src, src2, mask, t: int, row: int) -> frozenset[int]:
     """Walk the provenance from row `row` of node `t` down and collect the ids
     of the row's weight-1 edges; from the root's row 0 this is the witness."""
     ids: set[int] = set()
@@ -482,7 +500,8 @@ def _witness_ids(g: Graph, ntd: NiceTreeDecomposition, src, src2, weight, t: int
             stack.append((node.children[0], int(src[t][row])))
             stack.append((node.children[1], int(src2[t][row])))
             continue
-        if node.kind == INTRODUCE_EDGE and weight[t][row]:
-            ids.add(g.edge_index[node.edge])
+        if node.edges:
+            taken = int(mask[t][row])
+            ids.update(g.edge_index[e] for j, e in enumerate(node.edges) if taken >> j & 1)
         stack.append((node.children[0], int(src[t][row])))
     return frozenset(ids)

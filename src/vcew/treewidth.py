@@ -4,16 +4,26 @@ The solver works on the solution-subgraph view: a weighting is proper exactly
 when adjacent vertices have distinct degrees in the subgraph of weight-1
 edges.  Per bag vertex the DP tracks a feasible pair (fd, cd): the intended
 final degree in the solution subgraph and the current degree in the partial
-solution built so far.  Pre-weighted edges restrict the introduce-edge
-transition: a pre-weight of 1 removes the keep-it-out branch, a pre-weight
-of 0 removes the add-it branch.
+solution built so far.
+
+A nice decomposition has four node kinds: leaf (empty bag), introduce-vertex,
+forget and join.  An introduce-vertex node adds one vertex x to its child's
+bag and lists, in `NiceNode.edges`, x's edges into that bag that no node
+below introduces, in ascending order of the other endpoint; every graph edge
+is listed exactly once.  Its transition opens fd(x) and then runs one edge
+step per listed edge, in list order, each deciding one edge's weight.
+Pre-weighted edges restrict the edge step: a pre-weight of 1 removes the
+keep-it-out branch, a pre-weight of 0 removes the add-it branch.  The node
+stores only its last table; the tables before its edge steps are
+temporaries.
 
 Tables are computed a whole node at a time (vcew._dp_tables, which loads
-with the first DP run).  Numpy computes a transition whose child has more
-than 64 rows (at a join, whose children's row counts multiply to more than
-64^2; at an introduce-vertex, which writes more than 64 rows); below that,
+with the first DP run).  Numpy computes a step whose input has more than 64
+rows (at a join, whose children's row counts multiply to more than 64^2; at
+an introduce's vertex step, which writes more than 64 rows); below that,
 numpy's per-call overhead outweighs the table work, and a pure-Python twin
-of the transition computes it on lists of ints instead.
+of the step computes it on lists of ints instead.  Each step of an
+introduce picks its side on its own input.
 A twin gives the same rows, in the same order, with the same provenance, so
 the switch never changes a witness or a state count:
 
@@ -28,16 +38,19 @@ the switch never changes a witness or a state count:
   occurrences are kept by index, and join groups keep child-2 row order),
   so b never changes a witness.
 * Provenance.  Each row records where it came from: the child row (child-1
-  row at a join), the child-2 row at a join, and at an introduce-edge node
-  whether the row takes the edge.  The witness is decoded by walking these
-  index arrays down from the root row; no partial solutions are stored.
+  row at a join), the child-2 row at a join, and at an introduce node that
+  lists edges a mask whose bit j is set when the row takes the j-th listed
+  edge.  Each edge step's own (input row, taken) provenance is composed
+  onto the node's running (child row, mask), so the stored pair is exact.
+  The witness is decoded by walking these index arrays down from the root
+  row; no partial solutions are stored.
   Check mode (run_dp's check_invariants) decodes every stored row with the
   same walker, so the code that builds the witness is the code it checks.
 * Tie-break.  Rows stay in order of first derivation, as a dict filled
   child row by child row would keep them.  Introduce-vertex expands each
   child row into fd = lo(v)..hi(v), the colours v's pre-weights allow,
-  or up to lo(v) + gain under a colour gain (see run_dp); introduce-edge
-  emits each child row's weight-1 row before its weight-0 row; join pairs
+  or up to lo(v) + gain under a colour gain (see run_dp); an edge step
+  emits each input row's weight-1 row before its weight-0 row; join pairs
   rows in (child-1 row, child-2 row) order.
   Join keeps a pair whose fd fields match when fd - cd1 - cd2 lies within
   every slot's (need, room) span.  The numpy join also matches on cd at
@@ -45,18 +58,23 @@ the switch never changes a witness or a state count:
   subset of the fd-matched pairs in the same order, so the rows and their
   provenance are those of matching on fd and filtering.
   When two derivations give the same state, the row keeps the earlier
-  position and the first derivation's provenance, except at introduce-edge,
+  position and the first derivation's provenance, except in an edge step,
   where the weight-0 derivation beats the weight-1 one.
   The witness therefore depends only on the decomposition and the input.
-* Chunks.  On the numpy path, introduce-edge reads its child rows, and join
+* Chunks.  On the numpy path, an edge step reads its input rows, and join
   probes its child-1 rows and expands their pairs, in chunks of a fixed
   number of rows or pairs, and the first-occurrence pass then runs once
   over what the chunks kept.  Besides join's sorted keys and row order for
   child 2, a transition's temporaries are bounded by the chunk size and by
   the rows it keeps, not by the larger child table or by the pairs a join
   drops.  Chunking never changes a row or its order.  The twins take whole
-  tables, which the size switch keeps at most 64 rows (64^2 pairs), and an
-  introduce-vertex twin writes at most 64 rows.
+  tables, which the size switch keeps at most 64 rows (64^2 pairs), and a
+  vertex-step twin writes at most 64 rows.
+* Stored tables.  State counts, and the counters run_dp's callers report,
+  count the tables the nodes store.  The tables an introduce builds before
+  its last edge step are dropped like any transition temporary, so the
+  largest table built, and with it the peak memory, can sit inside an
+  introduce and exceed every stored count.
 
 run_dp checks its tree decomposition once, in make_nice, and trusts
 make_nice's output.  validate_nice checks a nice decomposition as a tree
@@ -82,13 +100,12 @@ from vcew.graph import (
 
 LEAF = "leaf"
 INTRODUCE_VERTEX = "introduce_vertex"
-INTRODUCE_EDGE = "introduce_edge"
 FORGET = "forget"
 JOIN = "join"
 
 STATE_BITS = 63  # a packed state must stay a nonnegative int64
 
-_ARITY = {LEAF: 0, INTRODUCE_VERTEX: 1, INTRODUCE_EDGE: 1, FORGET: 1, JOIN: 2}  # children per node kind
+_ARITY = {LEAF: 0, INTRODUCE_VERTEX: 1, FORGET: 1, JOIN: 2}  # children per node kind
 
 
 @dataclass(frozen=True)
@@ -116,7 +133,7 @@ class NiceNode:
     bag: tuple[int, ...]  # sorted
     children: tuple[int, ...]
     vertex: int = -1  # introduce-vertex / forget payload
-    edge: Edge | None = None  # introduce-edge payload
+    edges: tuple[Edge, ...] = ()  # introduce-vertex: the vertex's edges into the bag, in the order the DP adds them
 
 
 @dataclass(frozen=True)
@@ -128,7 +145,8 @@ class NiceTreeDecomposition:
 
 @dataclass
 class DPRun:
-    """Outcome of one DP execution, with the counters tests assert on."""
+    """Outcome of one DP execution, with the counters tests assert on:
+    `state_counts` holds the rows of each nice node's stored table."""
 
     solution_edge_ids: frozenset[int] | None
     state_counts: list[int]
@@ -237,16 +255,17 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
     """Rebuild td as a nice decomposition of the same width.
 
     Root and leaf bags are empty; every graph edge is introduced exactly
-    once, immediately above the introduce-vertex node where its later
-    endpoint joins a bag already holding the other one.
+    once, listed in the `edges` of the introduce-vertex node where its later
+    endpoint joins a bag already holding the other one.  A node lists its
+    edges by the other endpoint in ascending order.
     """
     if not validate_decomposition(g, td):
         raise ValidationError("invalid tree decomposition")
     nodes: list[NiceNode] = []
     introduced: set[Edge] = set()
 
-    def add(kind: str, bag: Iterable[int], children: tuple[int, ...], vertex: int = -1, edge: Edge | None = None) -> int:
-        nodes.append(NiceNode(kind, tuple(sorted(bag)), children, vertex, edge))
+    def add(kind: str, bag: Iterable[int], children: tuple[int, ...], vertex: int = -1, edges: tuple[Edge, ...] = ()) -> int:
+        nodes.append(NiceNode(kind, tuple(sorted(bag)), children, vertex, edges))
         return len(nodes) - 1
 
     def raise_chain(top: int, from_bag: frozenset[int], to_bag: frozenset[int]) -> int:
@@ -256,13 +275,10 @@ def make_nice(td: TreeDecomposition, g: Graph) -> NiceTreeDecomposition:
             bag.remove(v)
             cur = add(FORGET, bag, (cur,), vertex=v)
         for v in sorted(to_bag - from_bag):
+            edges = tuple(edge_key(u, v) for u in sorted(bag) if g.has_edge(u, v) and edge_key(u, v) not in introduced)
+            introduced.update(edges)
             bag.add(v)
-            cur = add(INTRODUCE_VERTEX, bag, (cur,), vertex=v)
-            for u in sorted(bag):
-                e = edge_key(u, v)
-                if u != v and g.has_edge(u, v) and e not in introduced:
-                    introduced.add(e)
-                    cur = add(INTRODUCE_EDGE, bag, (cur,), edge=e)
+            cur = add(INTRODUCE_VERTEX, bag, (cur,), vertex=v, edges=edges)
         return cur
 
     children = td.children()
@@ -286,7 +302,8 @@ def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> None:
     """Raise ValidationError unless ntd is a nice decomposition of g: a tree
     decomposition of g (validate_decomposition, with the parents its child
     lists give) whose root bag is empty, whose nodes keep their kind's child
-    count and bag rule, and which introduces every edge exactly once."""
+    count and bag rule, and which introduces every edge exactly once, at an
+    introduce-vertex node of one endpoint whose bag holds the other."""
     nodes = ntd.nodes
     count = len(nodes)
     if not (0 <= ntd.root < count):
@@ -313,18 +330,16 @@ def validate_nice(g: Graph, ntd: NiceTreeDecomposition) -> None:
     for i, node in enumerate(nodes):
         bag = bags[i]
         child = bags[node.children[0]] if node.children else bag
+        for e in node.edges:  # only an introduce-vertex lists edges, each from its vertex into its bag
+            if node.kind != INTRODUCE_VERTEX or e not in g.edge_index or node.vertex not in e or not set(e) <= bag:
+                raise ValidationError(f"{node.kind} node {i} lists {e}, not a graph edge from {node.vertex} into its bag")
+            introduced[e] = introduced.get(e, 0) + 1
         if node.kind == LEAF:
             if bag:
                 raise ValidationError(f"leaf node {i} has a nonempty bag")
         elif node.kind == INTRODUCE_VERTEX:
             if node.vertex in child or bag != child | {node.vertex}:
                 raise ValidationError(f"bad introduce-vertex node {i}")
-        elif node.kind == INTRODUCE_EDGE:
-            if node.edge is None or node.edge not in g.edge_index:
-                raise ValidationError(f"introduce-edge node {i} names no graph edge")
-            if child != bag or not set(node.edge) <= bag:
-                raise ValidationError(f"bad introduce-edge node {i}")
-            introduced[node.edge] = introduced.get(node.edge, 0) + 1
         elif node.kind == FORGET:
             if node.vertex not in child or bag != child - {node.vertex}:
                 raise ValidationError(f"bad forget node {i}")
@@ -346,8 +361,7 @@ def subtree_edge_sets(ntd: NiceTreeDecomposition) -> list[frozenset[Edge]]:
         acc: set[Edge] = set()
         for c in node.children:
             acc |= out[c]
-        if node.kind == INTRODUCE_EDGE:
-            acc.add(node.edge)
+        acc.update(node.edges)
         out[t] = frozenset(acc)
     return out  # type: ignore[return-value]
 
@@ -361,17 +375,20 @@ def run_dp(
     check_invariants: bool = False,
 ) -> DPRun:
     """Execute the table computation bottom-up over make_nice(td, g) and
-    return the root entry plus per-node stored-state counts.
+    return the root entry plus per-node stored-state counts.  A node stores
+    one table; an introduce's tables before its last edge step are built
+    and dropped, so they count nowhere, and the largest table built can
+    exceed max_states.
 
     The pre-weights bound every vertex's final colour: lo(v) = pre1(v) <=
     fd(v) <= deg(v) - pre0(v) = hi(v), where pre1(v) and pre0(v) count v's
-    edges pre-weighted 1 and 0.  Introduce-vertex opens fd(v) = lo..hi only.
-    Introduce-edge and join also drop a row unless, for every bag vertex,
-    need(v) <= fd(v) - cd(v) <= room(v): need counts v's pre-weight-1 edges
-    not yet introduced in the subtree, and room counts v's edges not yet
-    introduced that are not pre-weighted 0.  The edges still to come add at
+    edges pre-weighted 1 and 0.  An introduce's vertex step opens
+    fd(v) = lo..hi only.  Its edge steps and join also drop a row unless,
+    for every bag vertex, need(v) <= fd(v) - cd(v) <= room(v): need counts
+    v's pre-weight-1 edges not yet introduced in the subtree, and room
+    counts v's edges not yet introduced that are not pre-weighted 0.  The edges still to come add at
     least need and at most room to cd(v), and v's forget requires fd = cd,
-    so a dropped row has no extension to the root.  Every row at a node has
+    so a dropped row has no extension to the root.  Every row of a table has
     the same edges still to come, so rows with equal keys share that fate:
     the rows that reach the root keep their derivations, their relative
     order and their provenance, and the decision and the reconstructed
@@ -379,14 +396,14 @@ def run_dp(
 
     `gain` caps how far a final colour may rise over its pre-weighted
     colour lo(v), the form of the vertex-cover colour bound (every colour
-    at most lo(v) + 8k^2 + 8k).  Introduce-vertex then opens
+    at most lo(v) + 8k^2 + 8k).  The vertex step then opens
     fd(v) = lo..min(hi, lo + gain), so at most `gain` free edges at v weigh
     1, and only such witnesses survive; a negative gain opens no fd value,
     and None caps nothing.  need, room and the field width b keep the
     uncapped hi.  need and room count v's edges still to come, which a cap
     does not change: room from a capped hi can fall below need, and
-    introduce-edge then gets a negative (need, room) width.  b must hold
-    those counts too, as introduce-edge compares them in integers sized
+    an edge step then gets a negative (need, room) width.  b must hold
+    those counts too, as an edge step compares them in integers sized
     by b.
 
     The transitions work on fixed-size chunks of child rows and join pairs
@@ -446,7 +463,8 @@ def dp_solve(
     stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
     """A proper assignment extending pre, reconstructed from run_dp's root
-    entry; `stats` gets `width`, `dp_nodes`, `states_stored`, `max_states`."""
+    entry; `stats` gets `width`, `dp_nodes`, `states_stored`, `max_states`,
+    counted over the nodes' stored tables (see run_dp)."""
     run = run_dp(g, td, pre, check_invariants=check_invariants)
     if stats is not None:
         stats.update(width=td.width(), dp_nodes=len(run.state_counts))

@@ -20,7 +20,6 @@ from vcew.listcolor import ListColoringInstance
 from vcew.reduction import build_reduction, small_chain_scale
 from vcew.treewidth import (
     FORGET,
-    INTRODUCE_EDGE,
     INTRODUCE_VERTEX,
     JOIN,
     LEAF,
@@ -128,15 +127,16 @@ def test_min_fill_matches_the_reference(atlas):
 def test_make_nice_structure_c3():
     ntd = nice_for(C3)
     validate_nice(C3, ntd)
-    intro_edges = sorted(n.edge for n in ntd.nodes if n.kind == INTRODUCE_EDGE)
-    assert intro_edges == list(C3.edges)
+    listed = [(n.vertex, e) for n in ntd.nodes for e in n.edges]
+    assert sorted(e for _, e in listed) == list(C3.edges)
+    assert all(v in e for v, e in listed)
 
 
 def test_make_nice_p3_two_bags():
     td = TreeDecomposition(bags=(frozenset({0, 1}), frozenset({1, 2})), parent=(-1, 0), root=0)
     ntd = make_nice(td, P3)
     validate_nice(P3, ntd)
-    assert sum(1 for n in ntd.nodes if n.kind == INTRODUCE_EDGE) == 2
+    assert sum(len(n.edges) for n in ntd.nodes) == 2
 
 
 def test_make_nice_preserves_width():
@@ -174,21 +174,20 @@ def test_dp_rejects_invalid_td():
             solve(P3, uncovered)
 
 
-IV, IE = INTRODUCE_VERTEX, INTRODUCE_EDGE
+IV = INTRODUCE_VERTEX
 
 
 def chain(*steps, width=1):
-    """A path-shaped nice decomposition: a leaf, then one node per (kind, payload) step."""
+    """A path-shaped nice decomposition: a leaf, then one node per (kind,
+    vertex) step or (introduce-vertex, vertex, edges) step."""
     nodes = [NiceNode(LEAF, (), ())]
     bag = set()
-    for kind, x in steps:
+    for kind, x, *edges in steps:
         if kind == IV:
             bag.add(x)
         elif kind == FORGET:
             bag.discard(x)
-        edge = x if kind == IE else None
-        vertex = -1 if kind == IE else x
-        nodes.append(NiceNode(kind, tuple(sorted(bag)), (len(nodes) - 1,), vertex, edge))
+        nodes.append(NiceNode(kind, tuple(sorted(bag)), (len(nodes) - 1,), x, *edges))
     return NiceTreeDecomposition(nodes=tuple(nodes), root=len(nodes) - 1, width=width)
 
 
@@ -199,12 +198,12 @@ def edit(ntd, i, **fields):
 
 
 def detached_ring():
-    """make_nice of the P3 part of P3 + triangle, plus a ring of nine nodes that
+    """make_nice of the P3 part of P3 + triangle, plus a ring of six nodes that
     introduces and forgets the triangle and that no path from the root reaches."""
     g = Graph.build(6, [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5)])
     base = nice_for(P3)
     ring = chain(
-        (IV, 3), (IV, 4), (IE, (3, 4)), (IV, 5), (IE, (3, 5)), (IE, (4, 5)), (FORGET, 3), (FORGET, 4), (FORGET, 5),
+        (IV, 3), (IV, 4, ((3, 4),)), (IV, 5, ((3, 5), (4, 5))), (FORGET, 3), (FORGET, 4), (FORGET, 5),
     ).nodes[1:]
     first = len(base.nodes)
     ring = [replace(node, children=(first + i - 1,)) for i, node in enumerate(ring)]
@@ -213,7 +212,7 @@ def detached_ring():
 
 
 K2 = Graph.build(2, [(0, 1)])
-K2_NICE = chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (FORGET, 1))  # root 5
+K2_NICE = chain((IV, 0), (IV, 1, ((0, 1),)), (FORGET, 0), (FORGET, 1))  # root 4
 
 
 @pytest.mark.parametrize(
@@ -223,30 +222,37 @@ K2_NICE = chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (FORGET, 1))  # roo
         (Graph.build(1, []), NiceTreeDecomposition(  # introduce-vertex with two children
             nodes=(NiceNode(LEAF, (), ()), NiceNode(LEAF, (), ()), NiceNode(IV, (0,), (0, 1), 0),
                    NiceNode(FORGET, (), (2,), 0)), root=3, width=0)),
-        (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0))),  # root bag (1,)
-        (K2, edit(K2_NICE, 5, children=(6,))),  # child index out of range
+        (K2, chain((IV, 0), (IV, 1, ((0, 1),)), (FORGET, 0))),  # root bag (1,)
+        (K2, edit(K2_NICE, 4, children=(5,))),  # child index out of range
         (K2, edit(K2_NICE, 4, children=(2,))),  # node 2 under nodes 3 and 4
-        (K2, edit(K2_NICE, 1, children=(5,))),  # the root listed as a child
-        (Graph.build(2, []), chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (FORGET, 1))),
-        (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (IE, (0, 1)), (FORGET, 0), (FORGET, 1))),
+        (K2, edit(K2_NICE, 1, children=(4,))),  # the root listed as a child
+        (Graph.build(2, []), K2_NICE),
+        (K2, chain((IV, 0), (IV, 1, ((0, 1), (0, 1))), (FORGET, 0), (FORGET, 1))),
         (K2, chain((IV, 0), (IV, 1), (FORGET, 0), (FORGET, 1))),  # edge never introduced
-        (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (FORGET, 0), (FORGET, 1))),
+        (K2, chain((IV, 0), (IV, 1, ((0, 1),)), (FORGET, 0), (FORGET, 0), (FORGET, 1))),
         (Graph.build(2, []), NiceTreeDecomposition(  # join of bags (0,) and (1,)
             nodes=(NiceNode(LEAF, (), ()), NiceNode(IV, (0,), (0,), 0), NiceNode(LEAF, (), ()),
                    NiceNode(IV, (1,), (2,), 1), NiceNode(JOIN, (0,), (1, 3)), NiceNode(FORGET, (), (4,), 0)),
             root=5, width=0)),
         (K2, edit(K2_NICE, 3, kind="bogus")),
         (Graph.build(3, [(0, 1)]), K2_NICE),  # vertex 2 in no bag
-        (K2, chain((IV, 0), (IV, 1), (IE, (0, 1)), (FORGET, 0), (IV, 0), (FORGET, 0), (FORGET, 1))),
-        (K2, replace(K2_NICE, root=6)),  # root index out of range
+        (K2, chain((IV, 0), (IV, 1, ((0, 1),)), (FORGET, 0), (IV, 0), (FORGET, 0), (FORGET, 1))),
+        (K2, replace(K2_NICE, root=5)),  # root index out of range
         (K2, edit(K2_NICE, 0, bag=(0,))),  # a leaf whose bag holds vertex 0
         (K2, edit(K2_NICE, 2, vertex=0)),  # introduces 0, already in its child's bag
-        (P3, chain((IV, 0), (IV, 1), (IE, (0, 1)), (IE, (1, 2)), (FORGET, 0), (IV, 2), (FORGET, 1), (FORGET, 2))),
+        (P3, chain((IV, 0), (IV, 1, ((0, 1), (1, 2))), (FORGET, 0), (IV, 2), (FORGET, 1), (FORGET, 2))),
+        # introducing 2 lists (0, 1), an edge between two other bag vertices
+        (C3, chain((IV, 0), (IV, 1), (IV, 2, ((0, 1), (0, 2), (1, 2))), (FORGET, 0), (FORGET, 1), (FORGET, 2))),
+        (K2, NiceTreeDecomposition(  # a join, not an introduce, lists the edge
+            nodes=(NiceNode(LEAF, (), ()), NiceNode(IV, (0,), (0,), 0), NiceNode(IV, (0, 1), (1,), 1),
+                   NiceNode(LEAF, (), ()), NiceNode(IV, (0,), (3,), 0), NiceNode(IV, (0, 1), (4,), 1),
+                   NiceNode(JOIN, (0, 1), (2, 5), 1, ((0, 1),)), NiceNode(FORGET, (1,), (6,), 0),
+                   NiceNode(FORGET, (), (7,), 1)), root=8, width=1)),
     ],
     ids=["detached-ring", "introduce-two-children", "root-bag", "child-range", "two-parents",
          "root-is-child", "non-edge", "edge-twice", "edge-never", "forget-missing", "join-mismatch",
          "unknown-kind", "vertex-in-no-bag", "disconnected-occurrences", "root-range", "leaf-bag",
-         "introduce-vertex-present", "edge-outside-bag"],
+         "introduce-vertex-present", "edge-outside-bag", "edge-not-at-vertex", "edge-at-join"],
 )
 def test_validate_nice_rejects_malformed(g, ntd):
     validate_nice(K2, K2_NICE)  # the decomposition the edits start from is valid
@@ -328,23 +334,23 @@ def test_check_partial_solution_examples():
     assert check_partial_solution(P3, ntd, leaves[0], (), frozenset())
     # root holds the full solution subgraph with empty state
     assert check_partial_solution(P3, ntd, ntd.root, (), {(0, 1), (1, 2)})
-    # a subtree node: corrupting cd by +1 must fail
+    # an introduce node that lists edges, with all of them in h: corrupting
+    # cd by +1 must fail
     for t, node in enumerate(ntd.nodes):
-        if node.kind != INTRODUCE_EDGE:
+        if not node.edges:
             continue
-        e = node.edge
+        h = set(node.edges)
         state = []
         for v in node.bag:
-            fd = P3.degree(v) if v in e else 0  # distinct fd across the edge
-            state.extend((fd, 1 if v in e else 0))
-        h = {e}
+            cd = sum(v in e for e in h)
+            state.extend((P3.degree(v) if cd else 0, cd))  # P3's degrees differ across each edge
         if check_partial_solution(P3, ntd, t, tuple(state), h):
             corrupt = list(state)
             corrupt[1] += 1
             assert not check_partial_solution(P3, ntd, t, tuple(corrupt), h)
             break
     else:
-        pytest.fail("no introduce-edge node accepted the probe state")
+        pytest.fail("no introduce node with edges accepted the probe state")
 
 
 def test_check_partial_solution_rejects_foreign_edges():
@@ -358,20 +364,29 @@ def test_check_partial_solution_rejects_foreign_edges():
             break
 
 
-# P3 = 0-1-2 eliminated from vertex 2: node 4 has bag (1,) with 2 forgotten,
-# node 7 has bag (0,) with 1 and 2 forgotten.
-P3_FROM_2 = chain((IV, 2), (IV, 1), (IE, (1, 2)), (FORGET, 2), (IV, 0), (IE, (0, 1)), (FORGET, 1), (FORGET, 0))
+# P3 = 0-1-2 eliminated from vertex 2: node 2 introduces 1 with (1, 2), node
+# 3 has bag (1,) with 2 forgotten, node 4 introduces 0 with (0, 1), node 5
+# has bag (0,) with 1 and 2 forgotten.
+P3_FROM_2 = chain((IV, 2), (IV, 1, ((1, 2),)), (FORGET, 2), (IV, 0, ((0, 1),)), (FORGET, 1), (FORGET, 0))
 
 
 @pytest.mark.parametrize(
     "node,state,h,ok",
     [
-        (4, (2, 1), {(1, 2)}, True),
-        (4, (), {(1, 2)}, False),  # a state of the wrong length
-        (4, (2, 1, 0, 0), {(1, 2)}, False),
-        (4, (1, 1), {(1, 2)}, False),  # fd(1) equals the h-degree of forgotten 2
-        (7, (1, 1), {(0, 1), (1, 2)}, True),
-        (7, (0, 0), {(1, 2)}, False),  # forgotten 1 and 2 both have h-degree 1
+        (3, (2, 1), {(1, 2)}, True),
+        (3, (), {(1, 2)}, False),  # a state of the wrong length
+        (3, (2, 1, 0, 0), {(1, 2)}, False),
+        (3, (1, 1), {(1, 2)}, False),  # fd(1) equals the h-degree of forgotten 2
+        (5, (1, 1), {(0, 1), (1, 2)}, True),
+        (5, (0, 0), {(1, 2)}, False),  # forgotten 1 and 2 both have h-degree 1
+        # the introduce nodes, whose subtree edges include the edges they list
+        (2, (2, 1, 1, 1), {(1, 2)}, True),
+        (2, (2, 0, 1, 0), set(), True),  # the edge left out of h
+        (2, (1, 1, 1, 1), {(1, 2)}, False),  # fd(1) equals fd(2) across (1, 2)
+        (2, (2, 1, 1, 0), {(1, 2)}, False),  # cd(2) is not its h-degree
+        (4, (1, 1, 2, 2), {(0, 1), (1, 2)}, True),
+        (4, (1, 1, 1, 2), {(0, 1), (1, 2)}, False),  # fd(0) equals fd(1) across (0, 1)
+        (4, (1, 1, 2, 1), {(0, 1), (1, 2)}, False),  # cd(1) is not its h-degree
     ],
 )
 def test_check_partial_solution_hand_built(node, state, h, ok):
@@ -478,49 +493,51 @@ def test_dp_witnesses_match_golden():
         assert (None if ids is None else tuple(sorted(ids))) == expected, seed
 
 
-# (states_stored, max_states) of the same 40 runs: a change to the pruning
-# moves these, while the witnesses above must stay the same.
+# (states_stored, max_states) of the same 40 runs, over the stored tables (an
+# introduce's per-edge tables are built and dropped): a change to the pruning
+# or to which tables are kept moves these, while the witnesses above must
+# stay the same.
 GOLDEN_GNP_COUNTS = [
-    (41, 6),
-    (7060, 910),
-    (7927, 1160),
-    (347, 60),
-    (27728, 4290),
-    (272, 28),
-    (729, 64),
-    (23462, 5574),
-    (13509, 1560),
-    (12488, 4176),
-    (79, 12),
-    (8805, 1242),
-    (2389, 177),
-    (9911, 2016),
-    (274526, 44160),
-    (1010, 207),
-    (1235, 192),
-    (480, 30),
-    (638, 55),
-    (27404, 1680),
-    (358, 48),
-    (229, 32),
-    (6296, 1488),
-    (79832, 10272),
-    (672, 56),
-    (127, 16),
-    (834, 105),
-    (41, 6),
-    (238936, 42960),
-    (1133027, 135616),
-    (146, 18),
-    (5530, 1152),
-    (26231, 1976),
-    (20850, 2800),
-    (41594, 6500),
-    (3186, 342),
-    (64, 6),
-    (783, 68),
-    (81148, 12825),
-    (8267, 1440),
+    (23, 2),
+    (2547, 720),
+    (3542, 1116),
+    (199, 40),
+    (20617, 4290),
+    (120, 24),
+    (465, 60),
+    (8475, 3716),
+    (4293, 930),
+    (10763, 4176),
+    (39, 4),
+    (4557, 1215),
+    (1571, 160),
+    (4844, 1455),
+    (198507, 44160),
+    (311, 69),
+    (540, 144),
+    (238, 21),
+    (250, 32),
+    (8619, 1470),
+    (169, 48),
+    (110, 12),
+    (2801, 1316),
+    (27076, 7704),
+    (438, 42),
+    (52, 8),
+    (471, 105),
+    (22, 6),
+    (159163, 42960),
+    (373305, 100464),
+    (82, 18),
+    (2965, 1152),
+    (7812, 974),
+    (7397, 2229),
+    (24787, 5280),
+    (2172, 342),
+    (44, 2),
+    (341, 40),
+    (29939, 7983),
+    (5861, 1440),
 ]
 
 
@@ -772,9 +789,8 @@ def test_dp_tables_match_under_small_chunks(monkeypatch):
         assert (got.solution_edge_ids, got.state_counts) == (run.solution_edge_ids, run.state_counts)
 
 
-# sha256 of the per-node state counts of the 40 golden runs, as JSON, recorded
-# before the pure-Python twins existed
-GOLDEN_GNP_NODE_COUNTS_SHA = "16c64f818fb6c5f9"
+# sha256 of the per-node state counts of the 40 golden runs, as JSON
+GOLDEN_GNP_NODE_COUNTS_SHA = "5fc75b4cc747510c"
 
 
 @pytest.mark.parametrize("small", [0, 1 << 40], ids=["numpy", "python"])
@@ -919,9 +935,10 @@ print(json.dumps([run.solution_edge_ids is not None, run.max_states, run.states_
 
 def test_dp_memory_on_largest_sweep_graph():
     # The seed-481 graph of the criterion-1 random corpus (9 vertices, 28
-    # edges, width 6) has the largest DP tables of that sweep: 7.3M rows.
-    # Its transitions used to allocate 912 MB; a fresh process must now stay
-    # below 600 MB (ru_maxrss is in KiB on Linux).
+    # edges, width 6) has the largest DP tables of that sweep: 7.3M rows
+    # built inside one introduce, 5.2M stored.  Its transitions used to
+    # allocate 912 MB; a fresh process must now stay below 600 MB (ru_maxrss
+    # is in KiB on Linux).
     from tests.test_acceptance import _random_corpus_n9
 
     g = _random_corpus_n9()[481]
@@ -930,5 +947,5 @@ def test_dp_memory_on_largest_sweep_graph():
     proc = subprocess.run([sys.executable, "-c", _SEED_481, json.dumps([g.vertex_count, g.edges])],
                           env=env, capture_output=True, text=True, check=True)
     decided, max_states, stored, maxrss_kib = json.loads(proc.stdout)
-    assert (decided, max_states, stored) == (True, 7_322_210, 20_494_857)
+    assert (decided, max_states, stored) == (True, 5_230_150, 7_526_017)
     assert maxrss_kib < 600 * 1024, f"ru_maxrss {maxrss_kib // 1024} MiB"
