@@ -9,7 +9,8 @@ An introduce-vertex node runs `_introduce_vertex` and then `_introduce_edge`
 once per edge it lists; `run` composes each edge step's provenance onto the
 node's (`_compose`) and stores only the last table, with its child row per
 row in `src` and its mask of taken edges in `mask` (none when the node
-lists no edge).  `run` counts stored tables only.
+lists no edge).  `run` counts the rows of each stored table, and the rows
+of the largest table any step builds, stored or not.
 
 Each transition has a numpy form and a pure-Python twin (the `_py`
 functions).  `run` picks the twin, step by step, when the input has at
@@ -415,7 +416,8 @@ def run(
     """Bottom-up table computation.  fd(v) ranges over lo[v]..top[v], where
     top[v] <= hi[v] is the colour cap; need and room come from lo and hi.
     Returns the root's solution edge ids (None when the root table is
-    empty) and the rows of each node's stored table."""
+    empty), the rows of each node's stored table and the rows of the
+    largest table any step built."""
     lay = _Layout(bits)
     nodes = ntd.nodes
     # each table and its provenance is an array, or a list where a twin built it
@@ -432,6 +434,7 @@ def run(
         return lo[v] - ones, hi[v] - open_
 
     state_counts = [0] * len(nodes)
+    built = 1  # the leaf table
     if check_invariants:
         edge_sets = subtree_edge_sets(ntd)
     for t in postorder(ntd):
@@ -448,6 +451,7 @@ def run(
             written = len(table) * max(0, top[x] - lo[x] + 1)
             step, table = _pick(written <= _SMALL, _introduce_vertex, _introduce_vertex_py, table)
             table, src[t] = step(lay, table, node.bag.index(x), lo[x], top[x])
+            built = max(built, len(table))
             for j, (u, v) in enumerate(node.edges):  # one edge step each; only the last table is kept
                 pw = pre.get((u, v))
                 for y in (u, v):
@@ -457,6 +461,7 @@ def run(
                 table, rows, taken = step(lay, table, node.bag.index(u), node.bag.index(v),
                                           span(seen, u), span(seen, v), pw != 1, pw != 0)
                 src[t], mask[t] = _compose(rows, taken, src[t], mask.get(t), j)
+                built = max(built, len(table))
         elif node.kind == FORGET:
             c = node.children[0]
             seen = intro.pop(c)
@@ -474,6 +479,7 @@ def run(
             step, k1, k2 = _pick(len(k1) * len(k2) <= _SMALL * _SMALL, _join, _join_py, k1, k2)
             table, src[t], src2[t] = step(lay, k1, k2, [span(seen, x) for x in node.bag])
         state_counts[t] = len(table)
+        built = max(built, len(table))
         if check_invariants:  # each row's partial solution, decoded as the witness is
             for row, key in enumerate(_rows(table)):
                 h = [g.edges[i] for i in _witness_ids(g, ntd, src, src2, mask, t, row)]
@@ -482,8 +488,8 @@ def run(
         keys[t] = table
         intro[t] = seen
     if len(keys[ntd.root]) == 0:
-        return None, state_counts
-    return _witness_ids(g, ntd, src, src2, mask, ntd.root, 0), state_counts
+        return None, state_counts, built
+    return _witness_ids(g, ntd, src, src2, mask, ntd.root, 0), state_counts, built
 
 
 def _witness_ids(g: Graph, ntd: NiceTreeDecomposition, src, src2, mask, t: int, row: int) -> frozenset[int]:

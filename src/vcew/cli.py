@@ -149,8 +149,8 @@ def cmd_kernelize(args) -> int:
         raise ValidationError("kernelization applies to the base problem; drop the pre-weights")
     kernel = vertex_cover.kernelize(g)
     prefix = args.output or str(Path(args.graph).with_suffix("")) + ".kernel"
-    Path(prefix + ".gr").write_text(io.emit_graph(kernel.graph))
-    Path(prefix + ".map").write_text(vertex_cover.export_kernel_mapping(kernel))
+    io.write_chunks(prefix + ".gr", io.graph_chunks(kernel.graph))
+    io.write_chunks(prefix + ".map", [vertex_cover.export_kernel_mapping(kernel)])
     print(f"kernel {kernel.graph.vertex_count} vertices {len(kernel.graph.edges)} edges")
     print(f"wrote {prefix}.gr and {prefix}.map")
     stats = {
@@ -171,10 +171,10 @@ def cmd_reduce_lc(args) -> int:
     normalized = normalize_instance(inst)
     red = reduction.build_reduction(normalized.instance, args.n_scale)
     prefix = args.output or str(Path(args.instance).with_suffix("")) + ".reduced"
-    Path(prefix + ".gr").write_text(io.emit_graph(red.graph))
-    Path(prefix + ".roles").write_text(reduction.emit_roles(red))
+    io.write_chunks(prefix + ".gr", io.graph_chunks(red.graph))
+    io.write_chunks(prefix + ".roles", reduction.role_chunks(red))
     if args.dot:
-        Path(prefix + ".dot").write_text(reduction.to_dot(red))
+        io.write_chunks(prefix + ".dot", reduction.dot_chunks(red))
     print(f"reduced {red.graph.vertex_count} vertices {len(red.graph.edges)} edges")
     print(f"N {red.big_n} z-degree {red.z_degree} removed {len(normalized.removed_vertices)}")
     print(f"wrote {prefix}.gr and {prefix}.roles")
@@ -218,12 +218,11 @@ def cmd_gen(args) -> int:
         _require(2 <= args.k < args.n_scale, "--k must be at least 2 and below --N for a type-B gadget")
         host = generators.pinned_chain_host(args.k, args.n_scale)
         g, pre = host.graph, host.pre
-    text = io.emit_graph(g, pre)
     if args.output:
-        Path(args.output).write_text(text)
+        io.write_chunks(args.output, io.graph_chunks(g, pre))
         print(f"wrote {args.output} ({g.vertex_count} vertices {len(g.edges)} edges)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(io.graph_chunks(g, pre))
     return EXIT_OK
 
 

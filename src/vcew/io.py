@@ -18,12 +18,18 @@ pairs of ``.gr``, ``.lc`` and weights lines share another (`_edge`): both
 ids are integers in 1..n, distinct, and the pair is not a repeat.  Each of
 these rejections is a ParseError that names the line and the ids as
 written, 1-indexed.
+
+Large files are formatted as they are written: `graph_chunks` (like
+`vcew.reduction.role_chunks` and `dot_chunks`) yields the text in blocks
+of BLOCK lines, which `write_chunks` writes one at a time, so that no
+file's whole text is held at once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator
 
 from vcew.errors import ParseError
 from vcew.graph import (
@@ -35,6 +41,8 @@ from vcew.graph import (
 )
 from vcew.listcolor import ListColoringInstance
 from vcew.treewidth import TreeDecomposition
+
+BLOCK = 4096  # lines per block of a file written by write_chunks
 
 
 @dataclass(frozen=True)
@@ -132,14 +140,34 @@ def parse_graph(text: str) -> tuple[Graph, PartialWeightAssignment]:
     return Graph.build(n, edges), pre
 
 
-def emit_graph(g: Graph, pre: PartialWeightAssignment | None = None) -> str:
+def graph_chunks(g: Graph, pre: PartialWeightAssignment | None = None) -> Iterator[str]:
+    """The .gr text of g: the header line, then the edge lines in blocks of
+    BLOCK, each line newline-terminated."""
     pre = pre or {}
-    lines = [f"p vcew {g.vertex_count} {len(g.edges)}"]
-    lines += [
-        f"{u + 1} {v + 1} {pre[u, v]}" if pre and (u, v) in pre else f"{u + 1} {v + 1}"
-        for u, v in g.edges
-    ]
-    return "\n".join(lines) + "\n"
+    edges = g.edges
+    yield f"p vcew {g.vertex_count} {len(edges)}\n"
+    ids = [str(v) for v in range(1, g.vertex_count + 1)]
+    for start in range(0, len(edges), BLOCK):
+        block = edges[start:start + BLOCK]
+        if pre:
+            yield "".join([
+                f"{ids[u]} {ids[v]} {pre[u, v]}\n" if (u, v) in pre else f"{ids[u]} {ids[v]}\n"
+                for u, v in block
+            ])
+        else:
+            yield "".join([f"{ids[u]} {ids[v]}\n" for u, v in block])
+
+
+def emit_graph(g: Graph, pre: PartialWeightAssignment | None = None) -> str:
+    """The .gr text of g (see graph_chunks)."""
+    return "".join(graph_chunks(g, pre))
+
+
+def write_chunks(path: str, chunks: Iterable[str]) -> None:
+    """Write a file's text block by block, so that only one block of it is
+    held at a time."""
+    with open(path, "w") as fh:
+        fh.writelines(chunks)
 
 
 def parse_td(text: str) -> TreeDecomposition:

@@ -33,9 +33,10 @@ layout instead of storing one record per path.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import countOf
+from itertools import islice, repeat
+from typing import Iterator
 
 from vcew import oracle
 from vcew.errors import ContractViolationError, ValidationError
@@ -48,6 +49,7 @@ from vcew.graph import (
     induced_colors,
     is_proper,
 )
+from vcew.io import BLOCK
 from vcew.listcolor import ListColoringInstance, is_proper_list_coloring
 from vcew.vertex_cover import minimum_vertex_cover
 
@@ -316,11 +318,18 @@ def build_reduction(inst: ListColoringInstance, n_override: int | None = None) -
         pendants=tuple(pendants),
         chains=tuple(chains),
     )
-    # z's degree is the number of edge ends at z; graph.degree would build
-    # the whole adjacency
-    if z is not None and countOf(chain.from_iterable(red.graph.edges), z) != red.z_degree:
+    if z is not None and _degree(red.graph, z) != red.z_degree:
         raise ContractViolationError("z degree does not match the construction")
     return red
+
+
+def _degree(g: Graph, x: int) -> int:
+    """x's degree without building the adjacency: in the sorted canonical
+    edge order, x's edges are the run (x, v) plus the edges (u, x) before
+    that run."""
+    start = bisect_left(g.edges, (x,))
+    run = bisect_left(g.edges, (x + 1,), start) - start
+    return run + sum(1 for _, v in islice(g.edges, start) if v == x)
 
 
 # Vertex tags that fix the role of every edge at them, in order of precedence.
@@ -460,28 +469,35 @@ def _edge_role_text(red: AnnotatedReduction, u: int, v: int) -> str:
     return " ".join(map(str, edge_role(red, u, v)))
 
 
-def emit_roles(red: AnnotatedReduction) -> str:
-    """Role sidecar: 'v <id> <role> [args]' and 'e <u> <v> <role> [args]'
-    lines, 1-indexed, so external tools can re-derive the forcing."""
+def role_chunks(red: AnnotatedReduction) -> Iterator[str]:
+    """The role sidecar in blocks of io.BLOCK lines: 'v <id> <role> [args]'
+    and 'e <u> <v> <role> [args]' lines, 1-indexed, so external tools can
+    re-derive the forcing.  An empty reduction yields no block."""
     roles = red.vertex_roles
-    if not roles:  # an empty reduction has no lines, not one blank line
-        return ""
     ids = [str(v) for v in range(1, len(roles) + 1)]
     role_text = {role: _vertex_role_text(role) for role in set(roles)}
-    # the vertex lines are joined before the edge lines are made, so that
-    # only one section's line strings are alive at a time
-    lines = ["\n".join([f"v {i} {text}" for i, text in zip(ids, map(role_text.__getitem__, roles))])]
+    for start in range(0, len(roles), BLOCK):
+        yield "".join([
+            f"v {i} {role_text[role]}\n"
+            for i, role in zip(ids[start:start + BLOCK], roles[start:start + BLOCK])
+        ])
     rank, by_ranks = _rank_table(red)
-    lines += [
-        f"e {ids[u]} {ids[v]} {by_ranks[rank[u]][rank[v]] or _edge_role_text(red, u, v)}"
-        for u, v in red.graph.edges
-    ]
-    lines.append("")  # the final newline, without copying the whole text
-    return "\n".join(lines)
+    edges = red.graph.edges
+    for start in range(0, len(edges), BLOCK):
+        yield "".join([
+            f"e {ids[u]} {ids[v]} {by_ranks[rank[u]][rank[v]] or _edge_role_text(red, u, v)}\n"
+            for u, v in edges[start:start + BLOCK]
+        ])
 
 
-def to_dot(red: AnnotatedReduction) -> str:
-    """Graphviz export with role-based fill colors, for figures."""
+def emit_roles(red: AnnotatedReduction) -> str:
+    """The role sidecar's text (see role_chunks)."""
+    return "".join(role_chunks(red))
+
+
+def dot_chunks(red: AnnotatedReduction) -> Iterator[str]:
+    """Graphviz export with role-based fill colors, for figures, in blocks
+    of io.BLOCK node or edge lines."""
     palette = {
         ORIGINAL: "lightblue",
         UNIVERSAL_Z: "gold",
@@ -492,11 +508,19 @@ def to_dot(red: AnnotatedReduction) -> str:
         SUSPENDED_MID: "white",
         SUSPENDED_LEAF: "white",
     }
-    lines = ["graph reduction {", "  node [style=filled];"]
-    for vertex, role in enumerate(red.vertex_roles):
-        color = palette.get(role[0], "white")
-        lines.append(f'  v{vertex} [label="{vertex + 1}", fillcolor={color}];')
-    for u, v in red.graph.edges:
-        lines.append(f"  v{u} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "graph reduction {\n  node [style=filled];\n"
+    roles = red.vertex_roles
+    for start in range(0, len(roles), BLOCK):
+        yield "".join([
+            f'  v{vertex} [label="{vertex + 1}", fillcolor={palette.get(role[0], "white")}];\n'
+            for vertex, role in enumerate(roles[start:start + BLOCK], start)
+        ])
+    edges = red.graph.edges
+    for start in range(0, len(edges), BLOCK):
+        yield "".join([f"  v{u} -- v{v};\n" for u, v in edges[start:start + BLOCK]])
+    yield "}\n"
+
+
+def to_dot(red: AnnotatedReduction) -> str:
+    """The Graphviz export's text (see dot_chunks)."""
+    return "".join(dot_chunks(red))

@@ -70,11 +70,12 @@ the switch never changes a witness or a state count:
   drops.  Chunking never changes a row or its order.  The twins take whole
   tables, which the size switch keeps at most 64 rows (64^2 pairs), and a
   vertex-step twin writes at most 64 rows.
-* Stored tables.  State counts, and the counters run_dp's callers report,
-  count the tables the nodes store.  The tables an introduce builds before
-  its last edge step are dropped like any transition temporary, so the
-  largest table built, and with it the peak memory, can sit inside an
-  introduce and exceed every stored count.
+* Stored tables.  State counts, and the counters run_dp's callers report
+  but one, count the tables the nodes store.  The tables an introduce
+  builds before its last edge step are dropped like any transition
+  temporary, so the largest table built, and with it the peak memory, can
+  sit inside an introduce and exceed every stored count; `max_built`
+  counts it.
 
 run_dp checks its tree decomposition once, in make_nice, and trusts
 make_nice's output.  validate_nice checks a nice decomposition as a tree
@@ -146,10 +147,13 @@ class NiceTreeDecomposition:
 @dataclass
 class DPRun:
     """Outcome of one DP execution, with the counters tests assert on:
-    `state_counts` holds the rows of each nice node's stored table."""
+    `state_counts` holds the rows of each nice node's stored table, and
+    `max_built` the rows of the largest table any step built, including
+    the tables an introduce drops."""
 
     solution_edge_ids: frozenset[int] | None
     state_counts: list[int]
+    max_built: int
 
     @property
     def max_states(self) -> int:
@@ -377,8 +381,8 @@ def run_dp(
     """Execute the table computation bottom-up over make_nice(td, g) and
     return the root entry plus per-node stored-state counts.  A node stores
     one table; an introduce's tables before its last edge step are built
-    and dropped, so they count nowhere, and the largest table built can
-    exceed max_states.
+    and dropped, so they count only in max_built, which can exceed
+    max_states.
 
     The pre-weights bound every vertex's final colour: lo(v) = pre1(v) <=
     fd(v) <= deg(v) - pre0(v) = hi(v), where pre1(v) and pre0(v) count v's
@@ -443,8 +447,7 @@ def run_dp(
         )
     from vcew import _dp_tables  # numpy loads with the first DP run, not with the CLI
 
-    ids, state_counts = _dp_tables.run(g, ntd, pre, lo, hi, top, bits, check_invariants)
-    return DPRun(ids, state_counts)
+    return DPRun(*_dp_tables.run(g, ntd, pre, lo, hi, top, bits, check_invariants))
 
 
 def exists_with_color_bound(g: Graph, pre: PartialWeightAssignment | None, gain: int | None) -> bool:
@@ -464,11 +467,12 @@ def dp_solve(
 ) -> WeightAssignment | None:
     """A proper assignment extending pre, reconstructed from run_dp's root
     entry; `stats` gets `width`, `dp_nodes`, `states_stored`, `max_states`,
-    counted over the nodes' stored tables (see run_dp)."""
+    counted over the nodes' stored tables, and `max_built`, the largest
+    table built (see run_dp)."""
     run = run_dp(g, td, pre, check_invariants=check_invariants)
     if stats is not None:
         stats.update(width=td.width(), dp_nodes=len(run.state_counts))
-        stats.update(states_stored=run.states_stored, max_states=run.max_states)
+        stats.update(states_stored=run.states_stored, max_states=run.max_states, max_built=run.max_built)
     if run.solution_edge_ids is None:
         return None
     return from_subgraph(g, (g.edges[i] for i in run.solution_edge_ids))

@@ -133,7 +133,7 @@ def test_solve_dp_state_past_63_bits_exits_3(tmp_path, capsys):
 
 def test_solve_failed_reverification_exits_4(tmp_path, capsys, monkeypatch):
     # every C4 edge at weight 1 gives all four vertices color 2
-    monkeypatch.setattr(treewidth, "run_dp", lambda g, td, pre, **_: treewidth.DPRun(frozenset(range(4)), [1]))
+    monkeypatch.setattr(treewidth, "run_dp", lambda g, td, pre, **_: treewidth.DPRun(frozenset(range(4)), [1], 1))
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
     code, out, err = run_cli(capsys, "solve", path, "--algo", "tw")
     assert code == 4 and out == ""
@@ -600,7 +600,7 @@ def test_gen_bad_option_exits_2(capsys, argv, option):
         ("oracle", "p vcew 5 6\n1 2\n2 3\n3 4\n4 5\n1 5\n2 4 1\n", {"search_nodes": 10},
          "bd2df2c83f8fa597dfaa4311e87f8a5e392f4290736f39ab90f3185d7d1c79c2"),
         ("tw", "p vcew 6 8\n1 2 0\n2 3\n3 4\n4 5\n5 6\n1 6\n2 5 1\n3 6\n",
-         {"width": 3, "dp_nodes": 18, "states_stored": 128, "max_states": 48},
+         {"width": 3, "dp_nodes": 18, "states_stored": 128, "max_states": 48, "max_built": 48},
          "0741192e617eede74bb2b70e6ffc026c9879a2dd0f76a0b1894c70912da671ce"),
         # gen planted --k 2 --classes 3,2,4 --seed 1 --cover-p 1
         ("vc", "p vcew 11 14\n1 2\n1 6\n1 7\n1 8\n1 9\n1 10\n1 11\n2 3\n2 4\n2 5\n2 8\n2 9\n2 10\n2 11\n",

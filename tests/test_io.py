@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -205,6 +206,30 @@ def test_graph_round_trip_random():
         pre = {e: rng.randint(0, 1) for e in g.edges if rng.random() < 0.4}
         g2, pre2 = io.parse_graph(io.emit_graph(g, pre))
         assert g2 == g and pre2 == pre
+
+
+def whole_graph_text(g, pre):
+    """The .gr text as emit_graph built it before it was streamed in blocks."""
+    lines = [f"p vcew {g.vertex_count} {len(g.edges)}"]
+    lines += [f"{u + 1} {v + 1} {pre[u, v]}" if (u, v) in pre else f"{u + 1} {v + 1}" for u, v in g.edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "pre-weighted"])
+@pytest.mark.parametrize("m", [0, 1, io.BLOCK - 1, io.BLOCK, io.BLOCK + 1])
+def test_graph_chunks_at_block_boundaries(tmp_path, m, weighted):
+    rng = random.Random(m)
+    g = Graph.build(120, rng.sample(list(itertools.combinations(range(120), 2)), m))
+    pre = {e: rng.randint(0, 1) for e in g.edges if weighted and rng.random() < 0.4}
+    blocks = list(io.graph_chunks(g, pre))
+    assert len(blocks) == 1 + -(-m // io.BLOCK)
+    assert all(block.endswith("\n") and block.count("\n") <= io.BLOCK for block in blocks)
+    text = "".join(blocks)
+    assert text == whole_graph_text(g, pre) == io.emit_graph(g, pre)
+    assert io.parse_graph(text) == (g, pre)
+    path = tmp_path / "g.gr"
+    io.write_chunks(str(path), io.graph_chunks(g, pre))
+    assert path.read_bytes() == text.encode()
 
 
 def test_td_round_trip_random():

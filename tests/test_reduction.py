@@ -1,11 +1,12 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from vcew import oracle, reduction
+from vcew import io, oracle, reduction
 from vcew.errors import ContractViolationError, ValidationError
 from vcew.generators import pinned_chain_host
 from vcew.graph import Graph, GraphBuilder, edge_key, induced_colors, is_proper
@@ -21,16 +22,19 @@ from vcew.reduction import (
     add_type_b,
     build_reduction,
     default_chain_scale,
+    dot_chunks,
     edge_role,
     emit_roles,
     extract_coloring,
     forced_preweights,
+    role_chunks,
     small_chain_scale,
     solve_reduced,
     to_dot,
     verify_fvs_bound,
     witness_weighting,
 )
+from tests.conftest import random_small_graph
 
 
 def make_inst(n, edges, lists):
@@ -213,6 +217,16 @@ def test_structural_counts():
     assert verify_fvs_bound(red)
 
 
+def test_z_degree_check_counts_both_ends():
+    # build_reduction checks z's degree by bisecting the sorted edges; on
+    # random graphs that count must equal the adjacency's at every vertex,
+    # whether the vertex is an edge's smaller end or its larger
+    rng = random.Random(5)
+    for _ in range(60):
+        g = random_small_graph(rng, max_n=9)
+        assert [reduction._degree(g, x) for x in range(g.vertex_count)] == [g.degree(x) for x in range(g.vertex_count)]
+
+
 def test_bad_overrides_rejected():
     inst = make_inst(2, [(0, 1)], [[2], [3]])
     with pytest.raises(ValueError):
@@ -371,6 +385,49 @@ def test_emitted_edge_roles_match_edge_role():
             witnesses.append(sorted(witness_weighting(red, coloring).items()))
     assert hashlib.sha256(repr(forced).encode()).hexdigest() == FORCED_DIGEST
     assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == WITNESS_DIGEST
+
+
+# sha256 over every case's .roles text, and over its DOT text, recorded
+# with the formatters that built each file's text whole
+ROLES_DIGEST = "2556b32e6fa6db3906b66ae064f29865134655c65cd62313b1d2a81299854691"
+DOT_DIGEST = "f8ca91fd1443720ab86d12e49065063bb5b02ca5104c37238d9c40aad202ffee"
+
+
+def test_role_and_dot_blocks_join_to_the_whole_text():
+    # the larger cases span up to four blocks of vertex lines
+    roles_digest, dot_digest = hashlib.sha256(), hashlib.sha256()
+    for inst, scale in role_instances():
+        red = build_reduction(inst, scale)
+        for chunks, whole, digest in ((role_chunks, emit_roles, roles_digest), (dot_chunks, to_dot, dot_digest)):
+            blocks = list(chunks(red))
+            assert all(block.endswith("\n") and block.count("\n") <= io.BLOCK for block in blocks)
+            text = "".join(blocks)
+            assert text == whole(red)
+            digest.update(text.encode())
+    assert roles_digest.hexdigest() == ROLES_DIGEST
+    assert dot_digest.hexdigest() == DOT_DIGEST
+    empty = build_reduction(make_inst(0, [], []))
+    assert "".join(role_chunks(empty)) == emit_roles(empty) == ""
+
+
+def test_roles_written_in_blocks_hold_little_memory(tmp_path):
+    # the first instance of the benchmark's reduce_lc pool at the default
+    # chain scale, 22,435 reduced vertices and 56 B of .roles text each;
+    # written in blocks, its .roles peaks at about 100 B per vertex above
+    # the reduction, against 247 B when the whole text was built first
+    inst = io.parse_listcoloring("p lc 3 1\n2 3\nl 1 5 6\nl 2 4 5\nl 3 3 6\n")
+    red = build_reduction(normalize_instance(inst).instance)
+    n = red.graph.vertex_count
+    assert n == 22_435
+    path = tmp_path / "reduced.roles"
+    tracemalloc.start()
+    try:
+        io.write_chunks(str(path), role_chunks(red))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * n, f"{peak / n:.0f} B per vertex"
+    assert path.read_text() == emit_roles(red)
 
 
 def test_fvs_needs_the_instance_cover_too():

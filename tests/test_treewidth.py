@@ -318,6 +318,14 @@ def test_dp_field_width_follows_preweights():
     assert run_dp(g, td, {(0, 8): 0}).solution_edge_ids is None
 
 
+def test_max_built_counts_the_tables_an_introduce_drops():
+    # an introduce builds one table per listed edge and stores the last; on
+    # K8 the largest table built, 8x the largest stored, is one it drops
+    g = Graph.build(8, list(itertools.combinations(range(8), 2)))
+    run = run_dp(g, compute_decomposition(g))
+    assert (run.max_states, run.max_built, run.states_stored) == (70_560, 564_480, 138_249)
+
+
 def test_state_counts_within_bound():
     rng = random.Random(17)
     for _ in range(40):
@@ -325,7 +333,7 @@ def test_state_counts_within_bound():
         td = compute_decomposition(g)
         run = run_dp(g, td)
         bound = (g.max_degree() + 1) ** (2 * (td.width() + 1))
-        assert run.max_states <= bound
+        assert run.max_states <= run.max_built <= bound
 
 
 def test_check_partial_solution_examples():
@@ -928,7 +936,7 @@ from vcew.treewidth import compute_decomposition, run_dp
 n, edges = json.loads(sys.argv[1])
 g = Graph.build(n, [tuple(e) for e in edges])
 run = run_dp(g, compute_decomposition(g))
-print(json.dumps([run.solution_edge_ids is not None, run.max_states, run.states_stored,
+print(json.dumps([run.solution_edge_ids is not None, run.max_states, run.states_stored, run.max_built,
                   resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
 """
 
@@ -946,6 +954,6 @@ def test_dp_memory_on_largest_sweep_graph():
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-c", _SEED_481, json.dumps([g.vertex_count, g.edges])],
                           env=env, capture_output=True, text=True, check=True)
-    decided, max_states, stored, maxrss_kib = json.loads(proc.stdout)
-    assert (decided, max_states, stored) == (True, 5_230_150, 7_526_017)
+    decided, max_states, stored, max_built, maxrss_kib = json.loads(proc.stdout)
+    assert (decided, max_states, stored, max_built) == (True, 5_230_150, 7_526_017, 7_322_210)
     assert maxrss_kib < 600 * 1024, f"ru_maxrss {maxrss_kib // 1024} MiB"
