@@ -2,11 +2,14 @@
  * Compiled search kernel: the line-for-line twin of vcew/_search_py.py, whose
  * docstring describes the search tree, its order, its pruning and its node
  * count for both kernels.  walk_root and walk are _walk and its nested walk,
- * place is the nested place of _combinations, and conflict, take and untake
- * are the group tests and color bumps those loops make inline.  Beyond the
- * prepared instance the record holds only the colors along the search path
- * and the node count; there is no per-vertex color ceiling, so a node is
- * pruned on an equal-color settled edge only.  There is no Python API:
+ * place is the nested place of _combinations, and conflict, misordered,
+ * take and untake are the group tests and color bumps those loops make
+ * inline; walk's order flag stands for the twin groups _walk is given
+ * (empty for count_all and exists_proper).  Beyond the prepared instance
+ * the record holds only the colors along the search path and the node
+ * count; there is no per-vertex color ceiling, so a node is pruned on an
+ * equal-color settled edge, or in the decide walk a twin pair out of
+ * order, only.  There is no Python API:
  * vcew/_search_c.py fills a Search record through ctypes and calls the three
  * entry points at the end of this file.  README.md ("Install") says how to
  * build it.
@@ -16,9 +19,12 @@
  * colors on entry and is changed by the search. */
 typedef struct {
     int m, f;             /* edges, free edges */
+    int lo;               /* popcount floor: no proper completion has fewer ones */
     const int *pu, *pv;   /* the q-th edge to settle joins pu[q] and pv[q] */
     const int *fu, *fv;   /* free position p joins fu[p] and fv[p] */
     const int *end;       /* end[p]: first edge settling at position p or later */
+    const int *tu, *tv;   /* the t-th twin pair in order-check order */
+    const int *tend;      /* tend[p]: first twin pair checked at position p or later */
     long long *colors;    /* per vertex */
     long long nodes;      /* search nodes visited */
 } Search;
@@ -36,6 +42,22 @@ static int conflict(const Search *s, int lo, int hi)
         if (s->colors[s->pu[q]] == s->colors[s->pv[q]])
             return 1;
     return 0;
+}
+
+/* Whether a twin pair checked at p has color(tu) > color(tv). */
+static int misordered(const Search *s, int p)
+{
+    for (int t = s->tend[p]; t < s->tend[p + 1]; t++)
+        if (s->colors[s->tu[t]] > s->colors[s->tv[t]])
+            return 1;
+    return 0;
+}
+
+/* Whether the child that decides p fails in the walk: an equal-color pair
+ * in the group it settles or, with order, a twin pair out of order. */
+static int fails(const Search *s, int p, int order)
+{
+    return conflict(s, s->end[p], s->end[p + 1]) || (order && misordered(s, p));
 }
 
 /* Give free edge p weight 1. */
@@ -76,12 +98,12 @@ static int place(Search *s, int start, int remaining, int *chosen)
 
 /* Proper completions below a passed node whose positions below d are
  * decided, with at most `remaining` more weight-1 edges; with `early` it
- * stops at the first one. */
-static long long walk(Search *s, int d, int remaining, int early)
+ * stops at the first one, and with `order` it keeps twins in order. */
+static long long walk(Search *s, int d, int remaining, int early, int order)
 {
     int f = s->f, q = d;  /* the weight-0 run: the weight-0 children at d..q-1 pass */
     long long total = 0;
-    while (q < f && !conflict(s, s->end[q], s->end[q + 1]))
+    while (q < f && !fails(s, q, order))
         q++;
     if (q < f) {  /* the weight-0 child at q fails */
         s->nodes += q - d + 1;
@@ -98,8 +120,8 @@ static long long walk(Search *s, int d, int remaining, int early)
     s->nodes += q - d + 1;
     for (int p = q; p >= d; p--) {
         take(s, p);
-        if (!conflict(s, s->end[p], s->end[p + 1]))
-            total += p == f - 1 ? 1 : walk(s, p + 1, remaining - 1, early);
+        if (!fails(s, p, order))
+            total += p == f - 1 ? 1 : walk(s, p + 1, remaining - 1, early, order);
         untake(s, p);
         if (early && total) {
             s->nodes -= p - d;
@@ -110,12 +132,12 @@ static long long walk(Search *s, int d, int remaining, int early)
 }
 
 /* The binary walk from the root with at most cap weight-1 free edges. */
-static long long walk_root(Search *s, int cap, int early)
+static long long walk_root(Search *s, int cap, int early, int order)
 {
     s->nodes = 1;
     if (conflict(s, 0, s->end[0]))
         return 0;
-    return walk(s, 0, cap, early);
+    return walk(s, 0, cap, early, order);
 }
 
 /* First proper assignment with at most maxc weight-1 free edges, by ascending
@@ -124,9 +146,9 @@ static long long walk_root(Search *s, int cap, int early)
 int solve_ones(Search *s, int maxc, int *chosen)
 {
     int cap = maxc < s->f ? maxc : s->f;
-    if (!walk_root(s, cap, 1))
+    if (!walk_root(s, cap, 1, 1))
         return -1;
-    for (int c = 0; c <= cap; c++) {
+    for (int c = s->lo < cap ? s->lo : cap; c <= cap; c++) {
         s->nodes++;
         if (c == 0 ? !conflict(s, s->end[0], s->m) : place(s, 0, c, chosen))
             return c;
@@ -137,11 +159,11 @@ int solve_ones(Search *s, int maxc, int *chosen)
 /* Number of proper assignments over all 2^f completions. */
 long long count_all(Search *s)
 {
-    return walk_root(s, s->f, 0);
+    return walk_root(s, s->f, 0, 0);
 }
 
 /* Whether some completion is proper. */
 int exists_proper(Search *s)
 {
-    return walk_root(s, s->f, 1) > 0;
+    return walk_root(s, s->f, 1, 0) > 0;
 }

@@ -5,8 +5,9 @@
 take an ``oracle.SearchInstance`` and return ``(value, nodes visited)``.
 vcew.oracle calls only ``solve_ones``; ``count_all`` and ``exists_proper``
 stay only because the benchmark's tracer (perfbench/spans.py) wraps them.
-The Search record carries the instance's settle table, free positions and
-start colors; the kernel takes no per-vertex color ceiling.
+The Search record carries the instance's settle table, twin table, free
+positions, start colors and popcount floor; the kernel takes no per-vertex
+color ceiling.
 """
 
 from __future__ import annotations
@@ -21,9 +22,10 @@ _LONGS = ctypes.POINTER(ctypes.c_longlong)
 class _Search(ctypes.Structure):
     # Field for field the Search record of _search.c.
     _fields_ = [
-        ("m", ctypes.c_int), ("f", ctypes.c_int),
-        ("pu", _INTS), ("pv", _INTS), ("fu", _INTS), ("fv", _INTS),
-        ("end", _INTS), ("colors", _LONGS), ("nodes", ctypes.c_longlong),
+        ("m", ctypes.c_int), ("f", ctypes.c_int), ("lo", ctypes.c_int),
+        ("pu", _INTS), ("pv", _INTS), ("fu", _INTS), ("fv", _INTS), ("end", _INTS),
+        ("tu", _INTS), ("tv", _INTS), ("tend", _INTS),
+        ("colors", _LONGS), ("nodes", ctypes.c_longlong),
     ]
 
 
@@ -40,11 +42,12 @@ def _record(inst) -> _Search:
 
     The record holds references to the arrays, so they live as long as it does.
     """
-    pairs = inst.pairs
+    pairs, twins = inst.pairs, inst.twins
     return _Search(
-        len(pairs), len(inst.fu),
+        len(pairs), len(inst.fu), inst.lo,
         _ints([u for u, _ in pairs]), _ints([v for _, v in pairs]), _ints(inst.fu), _ints(inst.fv),
-        _ints(inst.end), _longs(inst.colors),
+        _ints(inst.end), _ints([a for a, _ in twins]), _ints([b for _, b in twins]), _ints(inst.tend),
+        _longs(inst.colors),
     )
 
 

@@ -34,11 +34,43 @@ Two traversal modes:
   witnesses deterministic.
 
 solve_ones runs in two phases.  It first decides: a binary walk capped at
-min(maxc, F) weight-1 edges, stopped at the first proper completion.  When
-there is none, it returns None at once; this replaces one combination pass
-per popcount level, each of which starts again from the root.  Otherwise it
-runs the combination passes, whose first hit is the witness.  Its node
+min(maxc, F) weight-1 edges, in twin order (below), stopped at the first
+proper completion.  When there is none, it returns None at once; this
+replaces one combination pass per popcount level, each of which starts
+again from the root.  Otherwise it runs the combination passes from the
+popcount floor (below) up, and their first hit is the witness.  Its node
 count is the walk's plus the passes'.
+
+Twin order
+----------
+Two vertices with a free edge are twins when every other vertex is joined
+to both the same way (not at all, free, or pre-weighted with one value)
+and an edge between them, if any, is free.  Swapping two twins maps the
+instance onto itself, so any permutation of a twin class maps each proper
+completion to one with the same popcount.  Permuting every class so that
+its colors ascend by id shows that a proper completion within the cap
+exists only if one with every class in that order does.
+``oracle._prepare`` lists the consecutive members (a, b), a < b, of each
+class in ``twins``, ordered by the position where both have settled, with
+``tend`` laid out like ``end``; ``tw[p]``, sliced like ``at[p]``, is the
+group whose order is final once p is decided.  The decide walk fails a
+child, exactly as it fails one with an equal-color pair, when some pair of
+its group has color(a) > color(b).  The passes keep every order: the
+lex-first witness need not be ordered, and an ordered pass would reach its
+first hit later.  count_all and exists_proper walk without the order
+(empty ``tw`` groups), so they still count every completion.
+
+Popcount floor
+--------------
+``oracle._prepare`` also sets ``lo``: no proper completion has fewer than
+lo weight-1 free edges.  It takes vertex-disjoint cliques of vertices with
+a free edge, greedily from the highest degree down.  A clique's colors are
+distinct and at least the colors its pre-weights give, so they exceed
+those start colors by at least the least such sum; each weight-1 free edge
+adds at most 2 to the excess summed over the cliques, so lo is half the
+summed least excess, rounded up.  The passes below lo all fail, so
+solve_ones starts at min(lo, cap) and returns the same first hit, with
+fewer nodes.
 
 Settle table
 ------------
@@ -78,10 +110,9 @@ calling down to a leaf.  The slice is a list, taken from one copy of
 from __future__ import annotations
 
 
-def _groups(inst):
-    """``at`` (see above): the edges that settle at each free position."""
-    pairs, end = inst.pairs, inst.end
-    return [pairs[end[p]:end[p + 1]] for p in range(len(inst.fu))]
+def _groups(items, end):
+    """``at`` or ``tw`` (see above): the items of each free position."""
+    return [items[end[p]:end[p + 1]] for p in range(len(end) - 1)]
 
 
 def solve_ones(inst, maxc):
@@ -90,9 +121,9 @@ def solve_ones(inst, maxc):
     Returns (chosen_positions | None, nodes_visited).  Positions index the
     free-edge list; enumeration is by ascending popcount, ties lexicographic.
     """
-    at = _groups(inst)
+    at = _groups(inst.pairs, inst.end)
     cap = min(maxc, len(inst.fu))
-    found, nodes = _walk(inst, at, cap, True)
+    found, nodes = _walk(inst, at, _groups(inst.twins, inst.tend), cap, True)
     if not found:
         return None, nodes
     chosen, more = _combinations(inst, at, cap)
@@ -149,7 +180,7 @@ def _combinations(inst, at, cap):
         nodes += last - start + 1
         return False
 
-    for c in range(cap + 1):
+    for c in range(min(inst.lo, cap), cap + 1):
         nodes += 1
         if c == 0:
             for a, b in pairs[end[0]:]:
@@ -164,18 +195,24 @@ def _combinations(inst, at, cap):
 
 def count_all(inst):
     """Number of proper assignments over all 2^F completions."""
-    return _walk(inst, _groups(inst), len(inst.fu), False)
+    return _walk(inst, _groups(inst.pairs, inst.end), _unordered(inst), len(inst.fu), False)
 
 
 def exists_proper(inst):
     """Whether some completion is proper."""
-    count, nodes = _walk(inst, _groups(inst), len(inst.fu), True)
+    count, nodes = _walk(inst, _groups(inst.pairs, inst.end), _unordered(inst), len(inst.fu), True)
     return count > 0, nodes
 
 
-def _walk(inst, at, cap, early):
+def _unordered(inst):
+    """Empty twin groups: count_all and exists_proper walk every order."""
+    return [()] * len(inst.fu)
+
+
+def _walk(inst, at, tw, cap, early):
     """(proper completions, nodes) of the binary walk with at most `cap`
-    weight-1 free edges; with `early` it stops at the first completion."""
+    weight-1 free edges, failing a node that breaks the twin order of its
+    group in `tw`; with `early` it stops at the first completion."""
     fu, fv = inst.fu, inst.fv
     f = len(fu)
     last = f - 1
@@ -194,8 +231,12 @@ def _walk(inst, at, cap, early):
                 if colors[a] == colors[b]:
                     break
             else:
-                q += 1
-                continue
+                for a, b in tw[q]:
+                    if colors[a] > colors[b]:
+                        break
+                else:
+                    q += 1
+                    continue
             break
         if q < f:  # the weight-0 child at q fails
             nodes += q - d + 1
@@ -224,7 +265,11 @@ def _walk(inst, at, cap, early):
                 if colors[a] == colors[b]:
                     break
             else:
-                total += 1 if p == last else walk(p + 1, remaining - 1)
+                for a, b in tw[p]:
+                    if colors[a] > colors[b]:
+                        break
+                else:
+                    total += 1 if p == last else walk(p + 1, remaining - 1)
             colors[u] = cu - 1
             colors[v] = cv - 1
             if early and total:

@@ -597,14 +597,14 @@ def test_gen_bad_option_exits_2(capsys, argv, option):
 @pytest.mark.parametrize(
     "algo,text,counters,digest",
     [
-        ("oracle", "p vcew 5 6\n1 2\n2 3\n3 4\n4 5\n1 5\n2 4 1\n", {"search_nodes": 10},
+        ("oracle", "p vcew 5 6\n1 2\n2 3\n3 4\n4 5\n1 5\n2 4 1\n", {"search_nodes": 9},
          "bd2df2c83f8fa597dfaa4311e87f8a5e392f4290736f39ab90f3185d7d1c79c2"),
         ("tw", "p vcew 6 8\n1 2 0\n2 3\n3 4\n4 5\n5 6\n1 6\n2 5 1\n3 6\n",
          {"width": 3, "dp_nodes": 18, "states_stored": 128, "max_states": 48, "max_built": 48},
          "0741192e617eede74bb2b70e6ffc026c9879a2dd0f76a0b1894c70912da671ce"),
         # gen planted --k 2 --classes 3,2,4 --seed 1 --cover-p 1
         ("vc", "p vcew 11 14\n1 2\n1 6\n1 7\n1 8\n1 9\n1 10\n1 11\n2 3\n2 4\n2 5\n2 8\n2 9\n2 10\n2 11\n",
-         {"k": 2, "rule_deletions": 0, "search_nodes": 64},
+         {"k": 2, "rule_deletions": 0, "search_nodes": 40},
          "c2022c5ec8cd8eee74bde9dea85414580dad0b8604913c8bfbf54b86428e39aa"),
         # a 40-leaf star whose odd leaf edges are pre-weighted 1
         ("prewt", "p vcew 41 40\n" + "".join(f"1 {i + 1}{' 1' if i % 2 else ''}\n" for i in range(1, 41)),
@@ -621,6 +621,17 @@ def test_solve_route_stats_and_stdout(tmp_path, capsys, algo, text, counters, di
     stats = json.loads(err.split("stats: ", 1)[1])
     assert stats.pop("elapsed_ms") >= 0
     assert stats == {"free_edges": len(g.edges) - len(pre), **counters}
+
+
+def test_solve_k8_no_on_the_vc_route(tmp_path, capsys):
+    # 28 free edges (above the oracle's 24) and width 7 (above the DP's 4)
+    # send K8 to the vc route, whose search the twin order decides in
+    # 1,259,539 walk nodes, down from 21,908,527 in every order
+    text = "p vcew 8 28\n" + "".join(f"{u} {v}\n" for u in range(1, 9) for v in range(u + 1, 9))
+    code, out, err = run_cli(capsys, "solve", write(tmp_path, "k8.gr", text))
+    record = io.parse_result(out)
+    assert code == 0 and (record.status, record.algorithm, record.verified) == ("no", "vc", True)
+    assert json.loads(err.split("stats: ", 1)[1])["search_nodes"] == 1_259_539
 
 
 def test_solve_output_byte_identical_across_processes(tmp_path):

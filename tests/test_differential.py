@@ -12,7 +12,10 @@ Graphs that small never reach a reduction rule, so stars of 18-40 leaves
 check the two reductions against the DP: the prewt rule, which also
 decides the base problem, strips edges once more than 17 leaves are
 unweighted, and the kernel that `vcew kernelize` writes drops leaves once
-more than 33 share the centre.
+more than 33 share the centre.  Random draws have few twins, so graphs
+built from classes of 2-5 twins (stars, K_{a,b} and planted classes, with
+the same 0/1 pre-weights on matching edges) check the search's twin order
+and popcount floor against the same references.
 """
 
 import itertools
@@ -26,6 +29,7 @@ from vcew.graph import Graph, edge_key, extends, induced_colors, is_proper
 from vcew.preweight import apply_reduction, solve_prewt
 from vcew.treewidth import compute_decomposition, dp_solve, exists_with_color_bound
 from vcew.vertex_cover import kernelize, lift, minimum_vertex_cover
+from tests import reference_solve_ones
 from tests.conftest import brute_force_solve
 from tests.milp_reference import milp_solve
 
@@ -147,3 +151,75 @@ def test_reductions_agree_on_stars():
 
     check()
     assert reached["rule deletions"] and reached["kernel removals"], reached
+
+
+@st.composite
+def twin_classes(draw):
+    """(graph, pre-weights) with at most 12 edges: a core of 1-3 vertices and
+    1-3 classes of 2-5 twins.  A class joins all its members to the same
+    core vertices with the same pre-weight per core vertex (free, 0 or 1),
+    and is independent or a clique whose edges share one pre-weight, so a
+    star is a core of one and K_{a,b} a core of a joined to one class."""
+    core = draw(st.integers(1, 3))
+    weights = st.sampled_from([None, None, 0, 1])  # mostly free, so most classes have free edges
+    edges, pre = [], {}
+
+    def join(u, v, weight):
+        edges.append((u, v))
+        if weight is not None:
+            pre[(u, v)] = weight
+
+    for u, v in itertools.combinations(range(core), 2):
+        if draw(st.booleans()):
+            join(u, v, draw(weights))
+    n = core
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(2, 5))
+        hood = draw(st.lists(st.integers(0, core - 1), min_size=1, unique=True))
+        pattern = [draw(weights) for _ in hood]
+        inside = draw(st.sampled_from(["independent", None, 0, 1]))
+        if len(edges) + size * len(hood) + (0 if inside == "independent" else size * (size - 1) // 2) > 12:
+            continue
+        members = range(n, n + size)
+        n += size
+        for v in members:
+            for x, weight in zip(hood, pattern):
+                join(x, v, weight)
+        if inside != "independent":
+            for a, b in itertools.combinations(members, 2):
+                join(a, b, inside)
+    return Graph.build(n, edges), pre
+
+
+STAR_12 = (Graph.build(13, [(0, v) for v in range(1, 13)]), {})
+K_3_4 = (Graph.build(7, [(u, v) for u in range(3) for v in range(3, 7)]), {})
+K_2_5_ONES = (Graph.build(7, [(u, v) for u in range(2) for v in range(2, 7)]), {(0, v): 1 for v in range(2, 7)})
+
+
+def test_twin_classes_agree_with_brute_force(compiled_kernel):
+    reached = Counter()
+
+    @settings(DRAWS)
+    @given(twin_classes())
+    @example(STAR_12)
+    @example(K_3_4)
+    @example(K_2_5_ONES)
+    def check(instance):
+        g, pre = instance
+        first, _ = brute_force_solve(g, pre)
+        assert oracle.solve_exhaustive(g, pre) == first
+        inst = oracle._prepare(g, pre)
+        free = len(inst.free)
+        best = None if first is None else sum(first[g.edges[i]] for i in inst.free)
+        reached["twins"] += bool(inst.twins)
+        if best is not None:
+            assert inst.lo <= best
+            reached["floor binds"] += 0 < inst.lo
+        # the decision and witness at budgets 0, c* - 1, c* and F, and both kernels' node counts
+        for maxc in {0, free} if best is None else {0, max(best - 1, 0), best, free}:
+            got = _search_py.solve_ones(inst, maxc)
+            assert got[0] == reference_solve_ones.solve_ones(inst, maxc)[0]
+            assert compiled_kernel.solve_ones(inst, maxc) == got
+
+    check()
+    assert reached["twins"] and reached["floor binds"], reached
