@@ -1,18 +1,16 @@
 /*
- * Compiled search kernel: the line-for-line twin of vcew/_search_py.py, whose
- * docstring describes the search tree, its order, its pruning and its node
- * count for both kernels.  walk_root and walk are _walk and its nested walk,
- * place is the nested place of _combinations, and conflict, misordered,
- * take and untake are the group tests and color bumps those loops make
- * inline; walk's order flag stands for the twin groups _walk is given
- * (empty for count_all and exists_proper).  Beyond the prepared instance
- * the record holds only the colors along the search path and the node
- * count; there is no per-vertex color ceiling, so a node is pruned on an
- * equal-color settled edge, or in the decide walk a twin pair out of
- * order, only.  There is no Python API:
- * vcew/_search_c.py fills a Search record through ctypes and calls the three
- * entry points at the end of this file.  README.md ("Install") says how to
- * build it.
+ * Compiled search kernel: the line-for-line twin of solve_ones in
+ * vcew/_search_py.py, whose docstring describes the search tree, its order,
+ * its pruning and its node count for both kernels.  walk_root and walk are
+ * the decide walk (_walk and its nested walk, always in twin order), place
+ * is the nested place of _combinations, and conflict, misordered, take and
+ * untake are the group tests and color bumps those loops make inline.
+ * Beyond the prepared instance the record holds only the colors along the
+ * search path and the node count; there is no per-vertex color ceiling, so
+ * a node is pruned on an equal-color settled edge, or in the walk a twin
+ * pair out of order, only.  There is no Python API: vcew/_search_c.py fills
+ * a Search record through ctypes and calls solve_ones at the end of this
+ * file.  README.md ("Install") says how to build it.
  */
 
 /* One prepared instance, filled by the caller.  colors holds the start
@@ -54,10 +52,10 @@ static int misordered(const Search *s, int p)
 }
 
 /* Whether the child that decides p fails in the walk: an equal-color pair
- * in the group it settles or, with order, a twin pair out of order. */
-static int fails(const Search *s, int p, int order)
+ * in the group it settles or a twin pair out of order. */
+static int fails(const Search *s, int p)
 {
-    return conflict(s, s->end[p], s->end[p + 1]) || (order && misordered(s, p));
+    return conflict(s, s->end[p], s->end[p + 1]) || misordered(s, p);
 }
 
 /* Give free edge p weight 1. */
@@ -96,48 +94,40 @@ static int place(Search *s, int start, int remaining, int *chosen)
     return 0;
 }
 
-/* Proper completions below a passed node whose positions below d are
- * decided, with at most `remaining` more weight-1 edges; with `early` it
- * stops at the first one, and with `order` it keeps twins in order. */
-static long long walk(Search *s, int d, int remaining, int early, int order)
+/* Whether a proper completion in twin order lies below a passed node whose
+ * positions below d are decided, with at most `remaining` more weight-1
+ * edges. */
+static int walk(Search *s, int d, int remaining)
 {
     int f = s->f, q = d;  /* the weight-0 run: the weight-0 children at d..q-1 pass */
-    long long total = 0;
-    while (q < f && !fails(s, q, order))
+    while (q < f && !fails(s, q))
         q++;
-    if (q < f) {  /* the weight-0 child at q fails */
-        s->nodes += q - d + 1;
-    } else {
+    if (q == f) {
         s->nodes += f - d;
-        if (early)
-            return 1;
-        total = 1;
-        q = f - 1;
+        return 1;
     }
+    s->nodes += q - d + 1;  /* the weight-0 child at q fails */
     if (!remaining)
-        return total;
-    /* the weight-1 children at q, q-1, ..., d; an early stop at p uncounts p-1..d */
+        return 0;
+    /* the weight-1 children at q, q-1, ..., d; a hit at p uncounts p-1..d */
     s->nodes += q - d + 1;
     for (int p = q; p >= d; p--) {
         take(s, p);
-        if (!fails(s, p, order))
-            total += p == f - 1 ? 1 : walk(s, p + 1, remaining - 1, early, order);
+        int found = !fails(s, p) && (p == f - 1 || walk(s, p + 1, remaining - 1));
         untake(s, p);
-        if (early && total) {
+        if (found) {
             s->nodes -= p - d;
-            return total;
+            return 1;
         }
     }
-    return total;
+    return 0;
 }
 
-/* The binary walk from the root with at most cap weight-1 free edges. */
-static long long walk_root(Search *s, int cap, int early, int order)
+/* The decide walk from the root with at most cap weight-1 free edges. */
+static int walk_root(Search *s, int cap)
 {
     s->nodes = 1;
-    if (conflict(s, 0, s->end[0]))
-        return 0;
-    return walk(s, 0, cap, early, order);
+    return !conflict(s, 0, s->end[0]) && walk(s, 0, cap);
 }
 
 /* First proper assignment with at most maxc weight-1 free edges, by ascending
@@ -146,7 +136,7 @@ static long long walk_root(Search *s, int cap, int early, int order)
 int solve_ones(Search *s, int maxc, int *chosen)
 {
     int cap = maxc < s->f ? maxc : s->f;
-    if (!walk_root(s, cap, 1, 1))
+    if (!walk_root(s, cap))
         return -1;
     for (int c = s->lo < cap ? s->lo : cap; c <= cap; c++) {
         s->nodes++;
@@ -154,16 +144,4 @@ int solve_ones(Search *s, int maxc, int *chosen)
             return c;
     }
     return -1;
-}
-
-/* Number of proper assignments over all 2^f completions. */
-long long count_all(Search *s)
-{
-    return walk_root(s, s->f, 0, 0);
-}
-
-/* Whether some completion is proper. */
-int exists_proper(Search *s)
-{
-    return walk_root(s, s->f, 1, 0) > 0;
 }

@@ -1,10 +1,11 @@
 """ctypes binding of the compiled search kernel, ``_search.c``.
 
 ``load(path)`` returns a kernel with the interface of ``vcew._search_py``:
-``solve_ones(inst, maxc)``, ``count_all(inst)`` and ``exists_proper(inst)``
-take an ``oracle.SearchInstance`` and return ``(value, nodes visited)``.
-vcew.oracle calls only ``solve_ones``; ``count_all`` and ``exists_proper``
-stay only because the benchmark's tracer (perfbench/spans.py) wraps them.
+each function takes an ``oracle.SearchInstance`` and returns ``(value,
+nodes visited)``.  Only ``solve_ones(inst, maxc)``, the one function
+vcew.oracle calls, runs in C.  ``count_all`` and ``exists_proper`` are
+``_search_py``'s own counting walks on both backends; they stay only
+because the benchmark's tracer (perfbench/spans.py) wraps them.
 The Search record carries the instance's settle table, twin table, free
 positions, start colors and popcount floor; the kernel takes no per-vertex
 color ceiling.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import ctypes
 from types import SimpleNamespace
+
+from vcew import _search_py
 
 _INTS = ctypes.POINTER(ctypes.c_int)
 _LONGS = ctypes.POINTER(ctypes.c_longlong)
@@ -67,10 +70,6 @@ def load(path) -> SimpleNamespace:
     record = ctypes.POINTER(_Search)
     lib.solve_ones.argtypes = [record, ctypes.c_int, _INTS]
     lib.solve_ones.restype = ctypes.c_int
-    lib.count_all.argtypes = [record]
-    lib.count_all.restype = ctypes.c_longlong
-    lib.exists_proper.argtypes = [record]
-    lib.exists_proper.restype = ctypes.c_int
 
     def solve_ones(inst, maxc):
         s = _record(inst)
@@ -78,14 +77,6 @@ def load(path) -> SimpleNamespace:
         c = lib.solve_ones(ctypes.byref(s), min(maxc, s.f), chosen)
         return (list(chosen[:c]) if c >= 0 else None), s.nodes
 
-    def count_all(inst):
-        s = _record(inst)
-        count = lib.count_all(ctypes.byref(s))
-        return count, s.nodes
-
-    def exists_proper(inst):
-        s = _record(inst)
-        found = lib.exists_proper(ctypes.byref(s))
-        return bool(found), s.nodes
-
-    return SimpleNamespace(solve_ones=solve_ones, count_all=count_all, exists_proper=exists_proper)
+    return SimpleNamespace(
+        solve_ones=solve_ones, count_all=_search_py.count_all, exists_proper=_search_py.exists_proper
+    )

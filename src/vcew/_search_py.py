@@ -1,11 +1,12 @@
 """Pure-Python search kernel for exhaustive {0,1} weighting enumeration.
 
 This is the reference kernel and the fallback of vcew.oracle.  Its compiled
-twin, _search.c (loaded through vcew._search_c), mirrors it function for
-function, so this docstring describes both, and both return the same
-witnesses, counts and node counts; vcew.oracle uses the compiled one
-whenever its shared library sits next to the package.  Every traversal
-takes an ``oracle.SearchInstance`` and returns ``(value, nodes visited)``.
+twin, _search.c (loaded through vcew._search_c), mirrors solve_ones only,
+so this docstring describes both, and both return the same witnesses and
+node counts; vcew.oracle uses the compiled one whenever its shared library
+sits next to the package.  count_all and exists_proper run in Python on
+both backends.  Every traversal takes an ``oracle.SearchInstance`` and
+returns ``(value, nodes visited)``.
 
 Search tree
 -----------

@@ -23,6 +23,11 @@ Large files are formatted as they are written: `graph_chunks` (like
 `vcew.reduction.role_chunks` and `dot_chunks`) yields the text in blocks
 of BLOCK lines, which `write_chunks` writes one at a time, so that no
 file's whole text is held at once.
+
+`emit_td`, `emit_listcoloring`, `emit_weights`, `parse_result` and
+`assignment_from_witness` have no caller in the package.  They are kept as
+the inverses of the formats the CLI reads (``.td``, ``.lc``, weights) and
+writes (results), each with a round-trip test in tests/test_io.py.
 """
 
 from __future__ import annotations

@@ -21,10 +21,11 @@ presence of that library: when it is there, it is loaded through ctypes
 Both return the same witnesses and node counts.  The search caps only
 the count of weight-1 edges, never a vertex's color: a color-bounded
 query is a run of the treewidth DP (vcew.treewidth.exists_with_color_bound).
-The oracle only decides; it counts nothing.  The kernels' ``count_all``
-and ``exists_proper`` have no caller in this package: they stay only
-because the benchmark's tracer (perfbench/spans.py) wraps them, and go
-when it no longer does.
+The oracle only decides; it counts nothing.  The C source holds only
+``solve_ones``.  The counting walks ``count_all`` and ``exists_proper`` run
+in Python on both backends and have no caller in this package: they stay
+only because the benchmark's tracer (perfbench/spans.py) wraps them, and
+go when it no longer does.
 """
 
 from __future__ import annotations

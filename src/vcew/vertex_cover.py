@@ -48,7 +48,8 @@ def class_cap(k_matching: int) -> int:
 
 
 def edge_budget(k: int) -> int:
-    """Weight-1 edge budget k(8k^2+8k) for the kernel search."""
+    """Weight-1 edge budget k(8k^2+8k) for the prewt pipeline's search
+    (vcew.preweight) of a graph with a vertex cover of size k."""
     return k * color_budget(k)
 
 
@@ -182,7 +183,8 @@ def refine_classes(g: Graph, e1: Iterable[Edge], cover: Iterable[int]) -> list[R
 @dataclass(frozen=True)
 class Kernel:
     """Reduced instance with the bookkeeping that `vcew kernelize` reports;
-    `kept` maps a kernel witness back to the input ids for `lift`."""
+    `kept` maps kernel ids to input ids for the `.map` sidecar
+    (export_kernel_mapping)."""
 
     graph: Graph  # H, on dense new ids
     kept: tuple[int, ...]  # H id -> original id

@@ -65,12 +65,18 @@ def atlas():
 
 
 @pytest.fixture(scope="session")
-def compiled_kernel(tmp_path_factory):
-    """The C search kernel, compiled from the package source into a temporary
-    directory and loaded, whether or not a built library sits in the package."""
+def compiled_library(tmp_path_factory):
+    """The C search kernel's shared library, compiled from the package source
+    into a temporary directory, whether or not one sits in the package."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     source = Path(oracle.__file__).with_name("_search.c")
     library = tmp_path_factory.mktemp("kernel") / "_search.so"
     subprocess.run(["cc", "-O2", "-std=c99", "-shared", "-fPIC", "-o", str(library), str(source)], check=True)
-    return _search_c.load(library)
+    return library
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(compiled_library):
+    """The C search kernel, loaded from compiled_library."""
+    return _search_c.load(compiled_library)
