@@ -2,15 +2,19 @@
  * Compiled search kernel: the line-for-line twin of solve_ones in
  * vcew/_search_py.py, whose docstring describes the search tree, its order,
  * its pruning and its node count for both kernels.  walk_root and walk are
- * the decide walk (_walk and its nested walk, always in twin order), place
- * is the nested place of _combinations, and conflict, misordered, take and
- * untake are the group tests and color bumps those loops make inline.
+ * the decide walk (_walk and its nested walk, always in twin order), which
+ * writes its first completion's weight-1 positions into chosen; place is
+ * the nested place of _combinations, whose popcount passes run only when
+ * the record's fewest flag is set and then overwrite chosen with the
+ * fewest-ones witness; conflict, misordered, take and untake are the group
+ * tests and color bumps those loops make inline.
  * Beyond the prepared instance the record holds only the colors along the
- * search path and the node count; there is no per-vertex color ceiling, so
- * a node is pruned on an equal-color settled edge, or in the walk a twin
- * pair out of order, only.  There is no Python API: vcew/_search_c.py fills
- * a Search record through ctypes and calls solve_ones at the end of this
- * file.  README.md ("Install") says how to build it.
+ * search path, the node count and the fewest flag; there is no per-vertex
+ * color ceiling, so a node is pruned on an equal-color settled edge, or in
+ * the walk a twin pair out of order, only.  There is no Python API:
+ * vcew/_search_c.py fills a Search record through ctypes and calls
+ * solve_ones at the end of this file.  README.md ("Install") says how to
+ * build it.
  */
 
 /* One prepared instance, filled by the caller.  colors holds the start
@@ -25,6 +29,7 @@ typedef struct {
     const int *tend;      /* tend[p]: first twin pair checked at position p or later */
     long long *colors;    /* per vertex */
     long long nodes;      /* search nodes visited */
+    int fewest;           /* 1: the popcount passes pick the witness; 0: the walk's path is it */
 } Search;
 
 /* sizeof(Search), which vcew/_search_c.py checks against its mirror. */
@@ -94,50 +99,54 @@ static int place(Search *s, int start, int remaining, int *chosen)
     return 0;
 }
 
-/* Whether a proper completion in twin order lies below a passed node whose
+/* The first proper completion in twin order below a passed node whose
  * positions below d are decided, with at most `remaining` more weight-1
- * edges. */
-static int walk(Search *s, int d, int remaining)
+ * edges: writes its weight-1 positions from chosen on, shallowest first,
+ * and returns how many, or -1 when there is none. */
+static int walk(Search *s, int d, int remaining, int *chosen)
 {
     int f = s->f, q = d;  /* the weight-0 run: the weight-0 children at d..q-1 pass */
     while (q < f && !fails(s, q))
         q++;
     if (q == f) {
         s->nodes += f - d;
-        return 1;
+        return 0;
     }
     s->nodes += q - d + 1;  /* the weight-0 child at q fails */
     if (!remaining)
-        return 0;
+        return -1;
     /* the weight-1 children at q, q-1, ..., d; a hit at p uncounts p-1..d */
     s->nodes += q - d + 1;
     for (int p = q; p >= d; p--) {
         take(s, p);
-        int found = !fails(s, p) && (p == f - 1 || walk(s, p + 1, remaining - 1));
+        int below = fails(s, p) ? -1 : p == f - 1 ? 0 : walk(s, p + 1, remaining - 1, chosen + 1);
         untake(s, p);
-        if (found) {
+        if (below >= 0) {
             s->nodes -= p - d;
-            return 1;
+            *chosen = p;
+            return below + 1;
         }
     }
-    return 0;
+    return -1;
 }
 
 /* The decide walk from the root with at most cap weight-1 free edges. */
-static int walk_root(Search *s, int cap)
+static int walk_root(Search *s, int cap, int *chosen)
 {
     s->nodes = 1;
-    return !conflict(s, 0, s->end[0]) && walk(s, 0, cap);
+    return conflict(s, 0, s->end[0]) ? -1 : walk(s, 0, cap, chosen);
 }
 
-/* First proper assignment with at most maxc weight-1 free edges, by ascending
- * count, ties lexicographic.  Writes the chosen free positions to chosen
- * (room for f) and returns how many, or -1 when there is none. */
+/* A proper assignment with at most maxc weight-1 free edges: with fewest the
+ * first by ascending count, ties lexicographic, else the walk's first
+ * completion.  Writes the chosen free positions to chosen (room for f) and
+ * returns how many, or -1 when there is none. */
 int solve_ones(Search *s, int maxc, int *chosen)
 {
     int cap = maxc < s->f ? maxc : s->f;
-    if (!walk_root(s, cap))
-        return -1;
+    int found = walk_root(s, cap, chosen);
+    if (found < 0 || !s->fewest)
+        return found;
     for (int c = s->lo < cap ? s->lo : cap; c <= cap; c++) {
         s->nodes++;
         if (c == 0 ? !conflict(s, s->end[0], s->m) : place(s, 0, c, chosen))

@@ -2,13 +2,14 @@
 
 ``load(path)`` returns a kernel with the interface of ``vcew._search_py``:
 each function takes an ``oracle.SearchInstance`` and returns ``(value,
-nodes visited)``.  Only ``solve_ones(inst, maxc)``, the one function
+nodes visited)``.  Only ``solve_ones(inst, maxc, fewest)``, the one function
 vcew.oracle calls, runs in C.  ``count_all`` and ``exists_proper`` are
 ``_search_py``'s own counting walks on both backends; they stay only
 because the benchmark's tracer (perfbench/spans.py) wraps them.
 The Search record carries the instance's settle table, twin table, free
-positions, start colors and popcount floor; the kernel takes no per-vertex
-color ceiling.
+positions, start colors and popcount floor, and the ``fewest`` flag that
+says whether the popcount passes pick the witness; the kernel takes no
+per-vertex color ceiling.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class _Search(ctypes.Structure):
         ("m", ctypes.c_int), ("f", ctypes.c_int), ("lo", ctypes.c_int),
         ("pu", _INTS), ("pv", _INTS), ("fu", _INTS), ("fv", _INTS), ("end", _INTS),
         ("tu", _INTS), ("tv", _INTS), ("tend", _INTS),
-        ("colors", _LONGS), ("nodes", ctypes.c_longlong),
+        ("colors", _LONGS), ("nodes", ctypes.c_longlong), ("fewest", ctypes.c_int),
     ]
 
 
@@ -40,7 +41,7 @@ def _longs(values):
     return (ctypes.c_longlong * len(values))(*values)
 
 
-def _record(inst) -> _Search:
+def _record(inst, fewest) -> _Search:
     """A Search record over fresh C copies of the instance arrays.
 
     The record holds references to the arrays, so they live as long as it does.
@@ -50,7 +51,7 @@ def _record(inst) -> _Search:
         len(pairs), len(inst.fu), inst.lo,
         _ints([u for u, _ in pairs]), _ints([v for _, v in pairs]), _ints(inst.fu), _ints(inst.fv),
         _ints(inst.end), _ints([a for a, _ in twins]), _ints([b for _, b in twins]), _ints(inst.tend),
-        _longs(inst.colors),
+        _longs(inst.colors), 0, fewest,
     )
 
 
@@ -71,8 +72,8 @@ def load(path) -> SimpleNamespace:
     lib.solve_ones.argtypes = [record, ctypes.c_int, _INTS]
     lib.solve_ones.restype = ctypes.c_int
 
-    def solve_ones(inst, maxc):
-        s = _record(inst)
+    def solve_ones(inst, maxc, fewest=True):
+        s = _record(inst, fewest)
         chosen = (ctypes.c_int * (s.f + 1))()
         c = lib.solve_ones(ctypes.byref(s), min(maxc, s.f), chosen)
         return (list(chosen[:c]) if c >= 0 else None), s.nodes

@@ -29,18 +29,25 @@ Two traversal modes:
   the first proper completion.  Neither has a caller in the package: they
   stay only because the benchmark's tracer (perfbench/spans.py) wraps
   them, and go when it no longer does.
-* combination mode (solve_ones): candidates with exactly c weight-1 free
-  edges, in lexicographic order of the chosen position tuples, for
-  c = 0, 1, ..., maxc.  The first proper candidate is returned, which makes
-  witnesses deterministic.
+* combination mode (solve_ones with ``fewest``): candidates with exactly c
+  weight-1 free edges, in lexicographic order of the chosen position
+  tuples, for c = 0, 1, ..., maxc.  The first proper candidate is
+  returned, which makes witnesses deterministic.
 
-solve_ones runs in two phases.  It first decides: a binary walk capped at
-min(maxc, F) weight-1 edges, in twin order (below), stopped at the first
-proper completion.  When there is none, it returns None at once; this
-replaces one combination pass per popcount level, each of which starts
-again from the root.  Otherwise it runs the combination passes from the
-popcount floor (below) up, and their first hit is the witness.  Its node
-count is the walk's plus the passes'.
+solve_ones runs in up to two phases.  It first decides: a binary walk
+capped at min(maxc, F) weight-1 edges, in twin order (below), stopped at
+the first proper completion.  When there is none, it returns None at once;
+this replaces one combination pass per popcount level, each of which starts
+again from the root.  Without ``fewest`` the walk's first completion is the
+witness: the lexicographically least proper 0/1 vector over the free
+positions (0 before 1, earlier positions first) that keeps every twin class
+in order and has at most the cap of ones.  The walk records its weight-1
+positions on the way back from that completion, and the node count is the
+walk's alone.  With ``fewest`` it then runs the combination passes from the
+popcount floor (below) up, and their first hit, the fewest-ones lex-first
+witness, is returned; the node count is the walk's plus the passes'.
+vcew.oracle asks for ``fewest`` by default; the vc and prewt routes
+(vcew.preweight) do not.
 
 Twin order
 ----------
@@ -63,9 +70,10 @@ first hit later.  count_all and exists_proper walk without the order
 
 Popcount floor
 --------------
-``oracle._prepare`` also sets ``lo``: no proper completion has fewer than
-lo weight-1 free edges.  It takes vertex-disjoint cliques of vertices with
-a free edge, greedily from the highest degree down.  A clique's colors are
+``oracle._prepare`` also sets ``lo`` (0 when it prepares for a search
+without the passes): no proper completion has fewer than lo weight-1 free
+edges.  It takes vertex-disjoint cliques of vertices with a free edge,
+greedily from the highest degree down.  A clique's colors are
 distinct and at least the colors its pre-weights give, so they exceed
 those start colors by at least the least such sum; each weight-1 free edge
 adds at most 2 to the excess summed over the cliques, so lo is half the
@@ -116,17 +124,22 @@ def _groups(items, end):
     return [items[end[p]:end[p + 1]] for p in range(len(end) - 1)]
 
 
-def solve_ones(inst, maxc):
-    """First proper assignment with at most maxc weight-1 free edges.
+def solve_ones(inst, maxc, fewest=True):
+    """A proper assignment with at most maxc weight-1 free edges.
 
     Returns (chosen_positions | None, nodes_visited).  Positions index the
-    free-edge list; enumeration is by ascending popcount, ties lexicographic.
+    free-edge list.  With `fewest` the witness is the first by ascending
+    popcount, ties lexicographic; without it, the decide walk's first
+    completion (see above), and no popcount pass runs.
     """
     at = _groups(inst.pairs, inst.end)
     cap = min(maxc, len(inst.fu))
-    found, nodes = _walk(inst, at, _groups(inst.twins, inst.tend), cap, True)
+    path: list[int] = []
+    found, nodes = _walk(inst, at, _groups(inst.twins, inst.tend), cap, True, path)
     if not found:
         return None, nodes
+    if not fewest:
+        return path[::-1], nodes
     chosen, more = _combinations(inst, at, cap)
     return chosen, nodes + more
 
@@ -196,12 +209,12 @@ def _combinations(inst, at, cap):
 
 def count_all(inst):
     """Number of proper assignments over all 2^F completions."""
-    return _walk(inst, _groups(inst.pairs, inst.end), _unordered(inst), len(inst.fu), False)
+    return _walk(inst, _groups(inst.pairs, inst.end), _unordered(inst), len(inst.fu), False, [])
 
 
 def exists_proper(inst):
     """Whether some completion is proper."""
-    count, nodes = _walk(inst, _groups(inst.pairs, inst.end), _unordered(inst), len(inst.fu), True)
+    count, nodes = _walk(inst, _groups(inst.pairs, inst.end), _unordered(inst), len(inst.fu), True, [])
     return count > 0, nodes
 
 
@@ -210,10 +223,11 @@ def _unordered(inst):
     return [()] * len(inst.fu)
 
 
-def _walk(inst, at, tw, cap, early):
+def _walk(inst, at, tw, cap, early, path):
     """(proper completions, nodes) of the binary walk with at most `cap`
     weight-1 free edges, failing a node that breaks the twin order of its
-    group in `tw`; with `early` it stops at the first completion."""
+    group in `tw`; with `early` it stops at the first completion and lists
+    that completion's weight-1 positions in `path`, deepest first."""
     fu, fv = inst.fu, inst.fv
     f = len(fu)
     last = f - 1
@@ -275,6 +289,7 @@ def _walk(inst, at, tw, cap, early):
             colors[v] = cv - 1
             if early and total:
                 nodes -= p - d
+                path.append(p)
                 return total
         return total
 

@@ -12,12 +12,20 @@ order: swapping two twins (the same neighbours apart from each other, the
 same pre-weights on matching edges) maps proper completions to proper
 completions of the same popcount.  The passes start at a popcount floor
 that vertex-disjoint cliques prove, so only passes that must fail are
-skipped (vcew._search_py, "Twin order" and "Popcount floor").  The inner
-loop has one C source, ``_search.c``, built by ``python setup.py
-build_ext --inplace`` (or by a plain ``cc -O2 -std=c99 -shared -fPIC``)
-into a shared library next to this module.  The backend follows the
-presence of that library: when it is there, it is loaded through ctypes
-(vcew._search_c); otherwise the pure-Python twin vcew._search_py runs.
+skipped (vcew._search_py, "Twin order" and "Popcount floor").  With
+``fewest=False`` the walk's first completion is the witness: the
+lexicographically least proper 0/1 vector over the free positions (0
+before 1, earlier positions first) that keeps every twin class's colors
+ascending by id and has at most the budget of ones.  No popcount pass runs
+and no floor is computed, so a yes costs one walk too.  The oracle route
+keeps the fewest-ones witness; the vc and prewt routes (vcew.preweight),
+which only need some witness within their budget, take the first
+completion.  The inner loop has one C source, ``_search.c``, built by
+``python setup.py build_ext --inplace`` (or by a plain ``cc -O2 -std=c99
+-shared -fPIC``) into a shared library next to this module.  The backend
+follows the presence of that library: when it is there, it is loaded
+through ctypes (vcew._search_c); otherwise the pure-Python twin
+vcew._search_py runs.
 Both return the same witnesses and node counts.  The search caps only
 the count of weight-1 edges, never a vertex's color: a color-bounded
 query is a run of the treewidth DP (vcew.treewidth.exists_with_color_bound).
@@ -81,7 +89,8 @@ class SearchInstance:
     ``end[F] == len(pairs)``.  ``twins`` and ``tend`` are the twin table
     in the same layout: consecutive twins (a, b), a < b, ordered by the
     position where both have settled, with ``tend[p]`` the first pair
-    ordered at p or later; ``lo`` is the popcount floor.
+    ordered at p or later; ``lo`` is the popcount floor, or 0 for an
+    instance prepared for a search without the popcount passes.
     """
 
     n: int
@@ -106,7 +115,10 @@ def _by_position(items, keys, f):
     return tuple(map(items.__getitem__, order)), tuple(accumulate(sizes))
 
 
-def _prepare(g: Graph, pre: PartialWeightAssignment) -> SearchInstance:
+def _prepare(g: Graph, pre: PartialWeightAssignment, floor: bool = True) -> SearchInstance:
+    """The search instance of g under pre; without `floor`, for a search
+    that runs no popcount pass, ``lo`` is 0 and the clique floor is not
+    computed."""
     validate_partial(g, pre)
     n = g.vertex_count
     edges = g.edges
@@ -141,7 +153,8 @@ def _prepare(g: Graph, pre: PartialWeightAssignment) -> SearchInstance:
     twins, tend = _by_position(*_twin_pairs(near, touched, last), f)
     return SearchInstance(
         n, tuple(fu), tuple(fv), pairs, end,
-        tuple(colors), tuple(free), twins, tend, _floor(g.adjacency, colors, near, touched, last),
+        tuple(colors), tuple(free), twins, tend,
+        _floor(g.adjacency, colors, near, touched, last) if floor else 0,
     )
 
 
@@ -217,19 +230,21 @@ def solve_exhaustive(
     pre: PartialWeightAssignment | None = None,
     budget: int | None = None,
     *,
+    fewest: bool = True,
     stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
     """A proper assignment extending pre using at most `budget` weight-1 free
-    edges, or None.  The first hit in enumeration order is returned;
-    `stats` gets `search_nodes`."""
+    edges, or None.  With `fewest` the first hit in enumeration order is
+    returned; without it, the decide walk's first completion, with no
+    popcount pass.  `stats` gets `search_nodes`."""
     pre = pre or {}
     if budget is not None and budget < 0:
         raise ValueError("budget must be nonnegative")
-    inst = _prepare(g, pre)
+    inst = _prepare(g, pre, floor=fewest)
     free = inst.free
     _check_capacity(len(free), budget)
     maxc = len(free) if budget is None else budget
-    chosen, nodes = _kernel.solve_ones(inst, maxc)
+    chosen, nodes = _kernel.solve_ones(inst, maxc, fewest)
     if stats is not None:
         stats["search_nodes"] = nodes
     if chosen is None:

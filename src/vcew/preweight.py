@@ -12,6 +12,18 @@ stripping one member's edges moves only that member, into a class with no
 unweighted edges, and leaves every other class as it was.  The residual
 instance is searched with the weight-1 budget k(8k^2+8k).
 
+Any proper weighting of H* within that budget lifts, so the search keeps
+the decide walk's first completion and runs no popcount pass (vcew.oracle,
+``fewest=False``).  Each class that lost members, whose members share the
+open neighbourhood s1 and the pre-weighted neighbours s2, keeps
+cap = k(8k^2+8k) + 1 of them.  The members are independent and every edge
+has an end in the cover, so a weight-1 free edge touches at most one of
+them, and at most cap - 1 members get one: some member keeps colour |s2|.
+That member is adjacent to every vertex of s1, so no vertex of s1 has
+colour |s2|, which is the colour every stripped member takes once its
+deleted edges are weighted 0.  Those edges add nothing to their cover ends,
+so the lifted weighting is proper.
+
 Mixed pre-weights (any 0 present) are out of scope here and belong to the
 treewidth solver.
 """
@@ -106,8 +118,9 @@ def solve_prewt(
     stats: dict[str, int] | None = None,
 ) -> WeightAssignment | None:
     """Reduce, run the budgeted search over the unweighted edges of H*, and
-    lift any witness back by weighting the deleted edges 0; `stats` gets
-    `k` and `search_nodes`.  With e1 empty this decides the base problem."""
+    lift its first completion back by weighting the deleted edges 0;
+    `stats` gets `k` and `search_nodes`.  With e1 empty this decides the
+    base problem."""
     e1set = frozenset(edge_key(u, v) for u, v in e1)
     bad = [e for e in e1set if e not in g.edge_index]
     if bad:
@@ -116,7 +129,7 @@ def solve_prewt(
     pre = {e: 1 for e in e1set}
     if stats is not None:
         stats["k"] = k
-    w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), stats=stats)
+    w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), fewest=False, stats=stats)
     if w_star is None:
         return None
     return lift(g, w_star)

@@ -11,6 +11,7 @@ from vcew import _search_c, _search_py, oracle, treewidth
 from vcew.errors import CapacityError
 from vcew.graph import Graph, extends, is_proper
 from tests import reference_solve_ones
+from tests.reference_first_completion import first_completion
 from tests.conftest import brute_force_solve, random_small_graph
 
 C3 = Graph.build(3, [(0, 1), (1, 2), (0, 2)])
@@ -29,6 +30,15 @@ def test_c4_witness_pattern():
     # two adjacent cycle edges carry the ones
     ones = sorted(e for e, value in w.items() if value)
     assert len(ones) == 2 and len(set(ones[0]) & set(ones[1])) == 1
+    # without the popcount passes the witness is the walk's first
+    # completion: the lex-least proper vector over (0,1), (0,3), (1,2),
+    # (2,3) is 0011, where the fewest-ones witness is 1100
+    w = oracle.solve_exhaustive(C4, fewest=False)
+    assert sorted(e for e, value in w.items() if value) == [(1, 2), (2, 3)]
+    inst = oracle._prepare(C4, {}, floor=False)
+    assert inst.lo == 0 and oracle._prepare(C4, {}).lo == 1
+    assert _search_py.solve_ones(inst, 4, False) == ([2, 3], 7)
+    assert _search_py.solve_ones(oracle._prepare(C4, {}), 4) == ([0, 1], 15)
 
 
 def test_k2_preweighted_unsolvable():
@@ -390,6 +400,8 @@ def test_deep_walk_stays_shallow_and_linear(tail):
     f = len(inst.free)
     assert got == (([f - 1], 2 * f + 4) if tail else ([], f + 2))
     assert peak < 250 * len(inst.pairs)
+    # the walk's first completion is the same witness, without the pass
+    assert _search_py.solve_ones(inst, 1, False) == (([f - 1], f + 2) if tail else ([], f + 1))
     assert _search_py.count_all(inst) == (1, 2 * f + 1)
     assert _search_py.exists_proper(inst) == (True, f + 1 + tail)
 
@@ -504,13 +516,38 @@ def test_same_witnesses_as_the_popcount_passes(atlas):
         _assert_same_choice(inst, budgets)
 
 
+@pytest.fixture(scope="module")
+def first_completions(atlas):
+    """(instance, {cap: the reference's positions}) for every atlas graph
+    unweighted and with seeded pre-weights, at caps 0, free // 2 and free."""
+    out = []
+    for g, pre in [(g, {}) for g in atlas] + _seeded_draws(atlas):
+        inst = oracle._prepare(g, pre)
+        free = len(inst.free)
+        out.append((inst, {cap: first_completion(g, pre, cap) for cap in {0, free // 2, free}}))
+    return out
+
+
+def _assert_first_completions(kernel, first_completions):
+    for inst, want in first_completions:
+        for cap, chosen in want.items():
+            assert kernel.solve_ones(inst, cap, False)[0] == chosen
+
+
+def test_first_completion_matches_the_reference(first_completions):
+    _assert_first_completions(_search_py, first_completions)
+
+
 def _assert_kernels_agree(compiled, inst, budgets):
-    # Every kernel call returns (value, nodes visited): node counts must agree too.
+    # Every kernel call returns (value, nodes visited): node counts must
+    # agree too, with the popcount passes and without them.
     for maxc in budgets:
-        assert compiled.solve_ones(inst, maxc) == _search_py.solve_ones(inst, maxc)
+        for fewest in (True, False):
+            assert compiled.solve_ones(inst, maxc, fewest) == _search_py.solve_ones(inst, maxc, fewest)
 
 
-def test_backends_agree(compiled_kernel, atlas):
+def test_backends_agree(compiled_kernel, atlas, first_completions):
+    _assert_first_completions(compiled_kernel, first_completions)
     rng = random.Random(53)
     for _ in range(120):
         g = random_small_graph(rng, max_n=7)

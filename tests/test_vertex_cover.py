@@ -8,7 +8,7 @@ import pytest
 from vcew import oracle, preweight
 from vcew.errors import CapacityError, ContractViolationError
 from vcew.generators import planted_twin_graph, random_graph
-from vcew.graph import Graph, edge_key, induced_colors, is_proper
+from vcew.graph import Graph, edge_key, extends, induced_colors, is_proper
 from vcew.vertex_cover import (
     Kernel,
     _assert_kernel_bounds,
@@ -125,12 +125,18 @@ def test_large_star_with_centre_last():
     assert spare == reference_exact_vertex_cover(g, 5) == frozenset({0, 1, 2, 3, n - 1})
 
 
-def prewt_draws():
-    """All-ones pre-weighted G(n, 3.5/n) draws, n = 16..24, as the prewt
-    route sees them; ten have cover number above 12."""
+def prewt_instances():
+    """All-ones pre-weighted G(n, 3.5/n) draws, n = 16..24, with their
+    pre-weights; ten have cover number above 12."""
     for s in range(120):
         n = 16 + s % 9
-        yield random_graph(n, round(3.5 / n, 4), s, pre_fraction=0.4, pre_ones_only=True)[0]
+        yield random_graph(n, round(3.5 / n, 4), s, pre_fraction=0.4, pre_ones_only=True)
+
+
+def prewt_draws():
+    """The graphs of prewt_instances, as the prewt route sees them."""
+    for g, _ in prewt_instances():
+        yield g
 
 
 def planted_kernels():
@@ -287,6 +293,34 @@ def test_pipeline_matches_oracle_small():
         assert (a is None) == (b is None)
         if a is not None:
             assert is_proper(g, a)
+
+
+def test_budgeted_witness_lifts():
+    # the prewt search returns the decide walk's first completion, not the
+    # fewest-ones witness: it stays within the weight-1 budget of H*, and a
+    # reduction that stripped members still lifts to a proper weighting of
+    # the input graph that keeps the pre-weights
+    found = lifted = refused = 0
+    for g, pre in [*prewt_instances(), *((g, {}) for g in planted_kernels())]:
+        try:
+            k = minimum_vertex_cover(g)[1]
+            red = preweight.apply_reduction(g, pre, k)
+            w_star = oracle.solve_exhaustive(red.graph, pre, budget=edge_budget(k), fewest=False)
+        except CapacityError:
+            refused += 1
+            continue
+        w = preweight.solve_prewt(g, pre, k)
+        if w_star is None:
+            assert w is None
+            continue
+        assert sum(value for e, value in w_star.items() if e not in pre) <= edge_budget(k)
+        assert w == lift(g, w_star)
+        found += 1
+        if red.deletions:
+            assert is_proper(g, w) and extends(w, pre)
+            lifted += 1
+    # ten draws have cover number above k_max, and two searches pass the ceiling
+    assert (found, lifted, refused) == (188, 40, 12)
 
 
 def test_cover_within():
