@@ -92,9 +92,11 @@ def cmd_solve(args) -> int:
         elif algo == "tw":
             witness = treewidth.dp_solve(g, td or treewidth.compute_decomposition(g), pre, stats=stats)
         else:  # vc and prewt: the base problem is the all-ones variant with e1 empty
-            # solve_prewt reduces again, so the reduction and its cover search
-            # run twice; the benchmark self-test pins both calls, and computing
-            # them once is left to the next change of the benchmark
+            # solve_prewt reduces again, so the reduction runs twice; the
+            # benchmark self-test pins both calls, and computing it once is
+            # left to the next change of the benchmark.  The cover search of
+            # each reduction is answered from the graph, which keeps the
+            # deepening's result for k (vertex_cover.exact_vertex_cover)
             _, k = vertex_cover.minimum_vertex_cover(g)
             red = preweight.apply_reduction(g, e1, k)
             sys.stderr.write(preweight.deletion_log_text(red))

@@ -6,6 +6,8 @@ functions, so everything is safe to share across threads.  A graph stores
 only its vertex count and sorted edges; `edge_index` and `adjacency` are
 computed once, on first use, from those immutable edges, so two threads
 that both compute one get equal values and keeping either is harmless.
+`vcew.vertex_cover.exact_vertex_cover` keeps its results on the graph in
+the same way.
 """
 
 from __future__ import annotations

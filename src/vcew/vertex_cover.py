@@ -16,9 +16,16 @@ contains u or v, so a subtree holds a cover within its budget exactly when
 branching on it succeeds.  A greedy maximal matching on the uncovered edges
 is a lower bound (each matching edge needs its own cover vertex), so a
 subtree whose matching exceeds its budget holds no cover within budget and
-is cut without being walked.  Only failing subtrees are cut, so the search
-returns the same cover as the plain branching, in far fewer nodes
-(Niedermeier, "Invitation to Fixed-Parameter Algorithms", 2006).
+is cut without being walked.  A matching that fills the budget exactly also
+cuts when one of its edges has uncovered edges to unmatched vertices at both
+ends: two distinct such vertices close an augmenting path, one closes a
+triangle, and either way the cover needs one vertex more.  Only failing
+subtrees are cut, so the search returns the same cover as the plain
+branching, in far fewer nodes (Niedermeier, "Invitation to Fixed-Parameter
+Algorithms", 2006; Akiba and Iwata, "Branch-and-reduce exponential/FPT
+algorithms in practice: A case study of vertex cover", TCS 2016).  The
+search takes O(n + k) memory, and each graph keeps the result of every
+budget searched on it, so a repeat query does not search again.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from vcew.graph import (
     Edge,
     Graph,
     WeightAssignment,
-    edge_key,
     is_proper,
 )
 
@@ -69,24 +75,47 @@ def exact_vertex_cover(g: Graph, k: int) -> frozenset[int] | None:
 
     Depth first, on the first uncovered edge (u, v) in canonical order,
     taking u before v; the cover returned is the first this order reaches.
-    A node is cut when a greedy maximal matching on its uncovered edges has
-    more edges than its budget: every cover of those edges takes one end of
-    each matching edge, so such a subtree holds no cover within budget and
-    branching on it would only return failure.  The cut therefore never
-    changes which cover is found first, and the search returns the cover
-    the plain recursive branching returns.
+    A node is cut when a greedy maximal matching on its uncovered edges
+    proves that they need more vertices than its budget: when the matching
+    has more edges than the budget, or when it has exactly as many and one
+    of its edges (a, b) has uncovered edges a-x and b-y to free vertices x
+    and y, neither taken nor matched.  If x != y, x-a=b-y is an augmenting
+    path and a matching one edge larger exists; if x == y, {x, a, b} is a
+    triangle disjoint from the other matching edges and takes two cover
+    vertices.  Only failing subtrees are cut, so the cuts never change
+    which cover is found first, and the search returns the cover the plain
+    recursive branching returns.
 
     Both children cover every edge up to their parent's branching edge, so
-    a node scans the canonical edge list at most once, from just past that
+    a node scans the canonical edge list at most twice, from just past that
     edge: O(m) time per node.  The state is one flag per vertex, the taken
-    vertices and at most k + 1 pending nodes, O(n + k) memory whatever the
-    vertex ids.  The pending nodes are a last-in first-out list, so a
-    large k costs no recursion depth.
+    vertices, the matching and at most k + 1 pending nodes, O(n + k) memory
+    whatever the vertex ids.  The pending nodes are a last-in first-out
+    list, so a large k costs no recursion depth.
+
+    The result is a function of (g, k) alone and g is immutable, so each
+    budget's result is kept on the graph object, as `Graph.adjacency` is,
+    and a repeat call returns it without searching: one entry per budget
+    searched, and nothing outlives the graph.  The prewt route asks for the
+    same budget up to three times per command; once the route passes its
+    cover along (ROADMAP item 1b), these kept results go.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    # set on the instance, bypassing the frozen dataclass, as cached_property does
+    results = vars(g).setdefault("_exact_covers", {})
+    if k not in results:
+        results[k] = _search(g, k)
+    return results[k]
+
+
+_TAKEN, _MATCHED, _FREE_END = 1, 2, 3  # a vertex's mark in the search; 0 is free
+
+
+def _search(g: Graph, k: int) -> frozenset[int] | None:
+    """The search of exact_vertex_cover, run once per (graph, budget)."""
     edges = g.edges
-    blocked = bytearray(g.vertex_count)  # taken, or matched in this node's scan
+    blocked = bytearray(g.vertex_count)  # _TAKEN, or _MATCHED in this node's scan
     path: list[int] = []  # taken vertices, outermost branch first
     # (vertices kept from path, vertex to take, first edge that may be
     # uncovered, budget left)
@@ -97,7 +126,7 @@ def exact_vertex_cover(g: Graph, k: int) -> frozenset[int] | None:
             blocked[v] = 0
         del path[depth:]
         if pick >= 0:
-            blocked[pick] = 1
+            blocked[pick] = _TAKEN
             path.append(pick)
         scan = enumerate(islice(edges, start, None), start)
         for first, (u, v) in scan:
@@ -109,23 +138,42 @@ def exact_vertex_cover(g: Graph, k: int) -> frozenset[int] | None:
             continue
         # grow a greedy matching from (u, v) over the later uncovered edges
         matched = [u, v]
-        blocked[u] = blocked[v] = 1
+        blocked[u] = blocked[v] = _MATCHED
         room = budget - 1  # matching edges past (u, v) within budget
         for _, (a, b) in scan:
             if not blocked[a] and not blocked[b]:
                 if not room:
                     break
                 room -= 1
-                blocked[a] = blocked[b] = 1
+                blocked[a] = blocked[b] = _MATCHED
                 matched += (a, b)
         else:
-            # u's child is pushed last, so it is searched first; either
-            # child covers the edges up to and including (u, v)
-            pending.append((len(path), v, first + 1, budget - 1))
-            pending.append((len(path), u, first + 1, budget - 1))
+            if room or not _needs_one_more(edges, first + 1, blocked, matched):
+                # u's child is pushed last, so it is searched first; either
+                # child covers the edges up to and including (u, v)
+                pending.append((len(path), v, first + 1, budget - 1))
+                pending.append((len(path), u, first + 1, budget - 1))
         for x in matched:
             blocked[x] = 0
     return None
+
+
+def _needs_one_more(edges: tuple[Edge, ...], start: int, blocked: bytearray, matched: list[int]) -> bool:
+    """Whether some matching edge (a, b) has uncovered edges to free
+    vertices at both ends, so that covering the uncovered edges takes more
+    than one vertex per matching edge.
+
+    The matching is maximal and no edge before `start` has a free end, so
+    each uncovered edge from `start` on with a free end has its other end
+    matched; that end is marked _FREE_END.
+    """
+    for a, b in islice(edges, start, None):
+        if not blocked[b]:
+            if blocked[a] == _MATCHED:
+                blocked[a] = _FREE_END
+        elif not blocked[a] and blocked[b] == _MATCHED:
+            blocked[b] = _FREE_END
+    return any(blocked[a] == blocked[b] == _FREE_END for a, b in zip(matched[::2], matched[1::2]))
 
 
 def cover_within(g: Graph, k: int) -> frozenset[int]:
@@ -162,22 +210,28 @@ class RefinedClass:
 def refine_classes(g: Graph, e1: Iterable[Edge], cover: Iterable[int]) -> list[RefinedClass]:
     """Twin classes of the vertices outside the cover, sorted by (s1, s2),
     members ascending.  With no pre-weighted edges s2 is always empty and the
-    classes are the plain neighborhood twin classes."""
-    e1set = {edge_key(u, v) for u, v in e1}
+    classes are the plain neighborhood twin classes.
+
+    e1 holds edges of g.  Vertices are grouped by their sorted neighbour
+    tuple and their sorted tuple of pre-weighted neighbours; sorting on
+    those tuples is sorting on (sorted(s1), sorted(s2)), and each class
+    builds its two sets once."""
+    weighted: dict[int, set[int]] = {}  # pre-weighted neighbours
+    for u, v in e1:
+        weighted.setdefault(u, set()).add(v)
+        weighted.setdefault(v, set()).add(u)
     in_cover = set(cover)
-    grouped: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
+    adjacency = g.adjacency
+    grouped: dict[tuple[tuple[int, ...], tuple[int, ...]], list[int]] = {}
     for v in range(g.vertex_count):
         if v in in_cover:
             continue
-        s1 = frozenset(g.neighbors(v))
-        s2 = frozenset(x for x in s1 if edge_key(v, x) in e1set)
-        grouped.setdefault((s1, s2), []).append(v)
-    out = [
-        RefinedClass(s1, s2, tuple(sorted(members)))
-        for (s1, s2), members in grouped.items()
+        s2 = weighted.get(v)
+        grouped.setdefault((adjacency[v], tuple(sorted(s2)) if s2 else ()), []).append(v)
+    return [
+        RefinedClass(frozenset(s1), frozenset(s2), tuple(members))
+        for (s1, s2), members in sorted(grouped.items())
     ]
-    out.sort(key=lambda c: (sorted(c.s1), sorted(c.s2)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 import hashlib
+import json
 import random
 import tracemalloc
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
-from vcew import oracle, preweight
+from vcew import cli, io, oracle, preweight, vertex_cover
 from vcew.errors import CapacityError, ContractViolationError
 from vcew.generators import planted_twin_graph, random_graph
 from vcew.graph import Graph, edge_key, extends, induced_colors, is_proper
@@ -91,19 +93,30 @@ def test_exact_cover_matches_reference_search():
     # every k from 0 to the first success, so that failing searches, which
     # the matching bound cuts short, are compared too
     queries = 0
-    for seed in range(1200):
-        rng = random.Random(seed)
-        n = rng.randint(0, 20)
-        g, _ = random_graph(n, rng.choice((0.1, 0.15, 0.2, 0.25, 0.3)), seed)
-        for k in range(n + 1):
+
+    def compare(seed, g):
+        nonlocal queries
+        for k in range(g.vertex_count + 1):
             want = reference_exact_vertex_cover(g, k)
             assert exact_vertex_cover(g, k) == want, (seed, k)
             queries += 1
             if want is not None:
                 break
+
+    for seed in range(1200):
+        rng = random.Random(seed)
+        n = rng.randint(0, 20)
+        g, _ = random_graph(n, rng.choice((0.1, 0.15, 0.2, 0.25, 0.3)), seed)
+        compare(seed, g)
         # and a budget with room to spare above the cover number
         assert exact_vertex_cover(g, n) == reference_exact_vertex_cover(g, n), seed
-    assert queries > 5000
+    # denser draws, where a matching that fills the budget often has an
+    # edge on a triangle or an augmenting path, which cuts the node
+    for seed in range(1200, 1600):
+        rng = random.Random(seed)
+        g, _ = random_graph(rng.randint(0, 12), rng.choice((0.4, 0.45, 0.5, 0.55, 0.6)), seed)
+        compare(seed, g)
+    assert queries > 7000
 
 
 def test_large_star_with_centre_last():
@@ -123,6 +136,23 @@ def test_large_star_with_centre_last():
     assert peak < 4 * n, peak
     # depth first takes leaves 0..3 before the centre
     assert spare == reference_exact_vertex_cover(g, 5) == frozenset({0, 1, 2, 3, n - 1})
+
+
+def test_exact_cover_results_are_kept_per_graph(monkeypatch):
+    searches = []
+    search = vertex_cover._search
+    monkeypatch.setattr(vertex_cover, "_search", lambda g, k: searches.append((id(g), k)) or search(g, k))
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+    g, twin = Graph.build(4, edges), Graph.build(4, edges)
+    assert g == twin and g is not twin
+    cover = exact_vertex_cover(g, 2)
+    assert cover == frozenset({0, 2})
+    # an equal graph built separately runs its own search
+    assert exact_vertex_cover(twin, 2) == cover
+    # a repeat (graph, budget) is answered without searching
+    assert exact_vertex_cover(g, 2) == cover
+    assert exact_vertex_cover(g, 1) is None and exact_vertex_cover(g, 1) is None
+    assert searches == [(id(g), 2), (id(twin), 2), (id(g), 1)]
 
 
 def prewt_instances():
@@ -362,3 +392,29 @@ def test_kernel_bound_violations_raise_contract_error():
     ):
         with pytest.raises(ContractViolationError, match=message):
             _assert_kernel_bounds(broken)
+
+
+@pytest.mark.parametrize("instance", ["star-40", "prewt-draw-3"])
+def test_prewt_route_searches_each_budget_once(tmp_path, capsys, monkeypatch, instance):
+    # the route asks for the cover of size k three times: at the end of the
+    # deepening and in each of its two reductions; only the deepening's
+    # k + 1 budgets are searched
+    if instance == "star-40":  # the benchmark self-test's all-ones star
+        g = Graph.build(41, [(0, i) for i in range(1, 41)])
+        pre = {(0, i): 1 for i in range(1, 41, 2)}
+        k = 1
+    else:
+        g, pre = next(islice(prewt_instances(), 3, None))
+        k = 10
+    path = tmp_path / "g.gr"
+    path.write_text(io.emit_graph(g, pre))
+    calls, searches = [], []
+    exact, search = vertex_cover.exact_vertex_cover, vertex_cover._search
+    monkeypatch.setattr(vertex_cover, "exact_vertex_cover", lambda g, k: calls.append(k) or exact(g, k))
+    monkeypatch.setattr(vertex_cover, "_search", lambda g, k: searches.append(k) or search(g, k))
+    assert cli.main(["solve", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert io.parse_result(out).algorithm == "prewt"
+    assert json.loads(err.split("stats: ", 1)[1])["k"] == k
+    assert calls == [*range(k + 1), k, k]
+    assert searches == list(range(k + 1))
