@@ -173,8 +173,7 @@ def cmd_reduce_lc(args) -> int:
     normalized = normalize_instance(inst)
     red = reduction.build_reduction(normalized.instance, args.n_scale)
     prefix = args.output or str(Path(args.instance).with_suffix("")) + ".reduced"
-    io.write_chunks(prefix + ".gr", io.graph_chunks(red.graph))
-    io.write_chunks(prefix + ".roles", reduction.role_chunks(red))
+    io.write_chunk_pairs((prefix + ".gr", prefix + ".roles"), reduction.file_chunks(red))
     if args.dot:
         io.write_chunks(prefix + ".dot", reduction.dot_chunks(red))
     print(f"reduced {red.graph.vertex_count} vertices {len(red.graph.edges)} edges")

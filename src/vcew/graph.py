@@ -45,7 +45,10 @@ class Graph:
     def build(vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if vertex_count < 0:
             raise ValidationError("vertex count must be nonnegative")
-        edges = list(edges)  # kept in input order to name the first bad edge
+        # kept in input order to name the first bad edge; a list is only
+        # read here, so it is not copied
+        if not isinstance(edges, list):
+            edges = list(edges)
         # an edge given as a canonical tuple is kept, not copied
         canon = [e if u < v and type(e) is tuple else edge_key(u, v) for e in edges for u, v in (e,)]
         canon.sort()

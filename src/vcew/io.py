@@ -20,9 +20,12 @@ these rejections is a ParseError that names the line and the ids as
 written, 1-indexed.
 
 Large files are formatted as they are written: `graph_chunks` (like
-`vcew.reduction.role_chunks` and `dot_chunks`) yields the text in blocks
-of BLOCK lines, which `write_chunks` writes one at a time, so that no
-file's whole text is held at once.
+`vcew.reduction.dot_chunks`) yields the text in blocks of BLOCK lines,
+which `write_chunks` writes one at a time, so that no file's whole text is
+held at once.  `vcew.reduction.file_chunks` yields a reduction's .gr and
+.roles blocks side by side, which `write_chunk_pairs` writes to both files
+in one pass.  Every 1-indexed ``u v`` edge text is formatted by
+`edge_pairs`, one block at a time, with no table of per-vertex id strings.
 
 `emit_td`, `emit_listcoloring`, `emit_weights`, `parse_result` and
 `assignment_from_witness` have no caller in the package.  They are kept as
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from vcew.errors import ParseError
 from vcew.graph import (
@@ -145,22 +148,27 @@ def parse_graph(text: str) -> tuple[Graph, PartialWeightAssignment]:
     return Graph.build(n, edges), pre
 
 
+def gr_header(g: Graph) -> str:
+    """The .gr header line of g."""
+    return f"p vcew {g.vertex_count} {len(g.edges)}\n"
+
+
+def edge_pairs(edges: Sequence[Edge]) -> list[str]:
+    """The 1-indexed 'u v' text of each edge, as its .gr line starts."""
+    return [f"{u + 1} {v + 1}" for u, v in edges]
+
+
 def graph_chunks(g: Graph, pre: PartialWeightAssignment | None = None) -> Iterator[str]:
     """The .gr text of g: the header line, then the edge lines in blocks of
     BLOCK, each line newline-terminated."""
-    pre = pre or {}
     edges = g.edges
-    yield f"p vcew {g.vertex_count} {len(edges)}\n"
-    ids = [str(v) for v in range(1, g.vertex_count + 1)]
+    yield gr_header(g)
     for start in range(0, len(edges), BLOCK):
         block = edges[start:start + BLOCK]
+        pairs = edge_pairs(block)
         if pre:
-            yield "".join([
-                f"{ids[u]} {ids[v]} {pre[u, v]}\n" if (u, v) in pre else f"{ids[u]} {ids[v]}\n"
-                for u, v in block
-            ])
-        else:
-            yield "".join([f"{ids[u]} {ids[v]}\n" for u, v in block])
+            pairs = [f"{p} {pre[e]}" if e in pre else p for p, e in zip(pairs, block)]
+        yield "\n".join(pairs) + "\n"
 
 
 def emit_graph(g: Graph, pre: PartialWeightAssignment | None = None) -> str:
@@ -173,6 +181,15 @@ def write_chunks(path: str, chunks: Iterable[str]) -> None:
     held at a time."""
     with open(path, "w") as fh:
         fh.writelines(chunks)
+
+
+def write_chunk_pairs(paths: tuple[str, str], chunks: Iterable[tuple[str, str]]) -> None:
+    """Write two files side by side from (first file's block, second file's
+    block) pairs, so that only one block of each is held at a time."""
+    with open(paths[0], "w") as first, open(paths[1], "w") as second:
+        for a, b in chunks:
+            first.write(a)
+            second.write(b)
 
 
 def parse_td(text: str) -> TreeDecomposition:

@@ -29,6 +29,12 @@ middle vertex) and f + 2j + 1 (the leaf).  A triangle's u and v are
 followed by u's block and then v's, and each chain vertex by its own block.
 The records' `paths_u`, `paths_v` and `paths` properties rely on this
 layout instead of storing one record per path.
+
+`file_chunks` formats the reduced graph's .gr file and its role sidecar in
+one pass: each block of edges has its 1-indexed 'u v' text formatted once
+(`vcew.io.edge_pairs`) and used for both files' lines.  Role texts and
+edge ranks are looked up by vertex tag or per distinct role, so the only
+per-vertex table the writers hold is the list of edge ranks.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice, repeat
+from operator import itemgetter
 from typing import Iterator
 
 from vcew import oracle
@@ -49,7 +56,7 @@ from vcew.graph import (
     induced_colors,
     is_proper,
 )
-from vcew.io import BLOCK
+from vcew.io import BLOCK, edge_pairs, gr_header
 from vcew.listcolor import ListColoringInstance, is_proper_list_coloring
 from vcew.vertex_cover import minimum_vertex_cover
 
@@ -141,7 +148,7 @@ def add_suspended_paths(b: GraphBuilder, host: int, count: int) -> int:
     fresh ids: path j has middle vertex first + 2j and leaf first + 2j + 1.
     Returns first."""
     first = b.add_vertices(2 * count)
-    mids = range(first, first + 2 * count, 2)
+    mids = list(range(first, first + 2 * count, 2))  # one int object per vertex for both zips
     b.add_edges(zip(repeat(host), mids))
     b.add_edges(zip(mids, range(first + 1, first + 2 * count, 2)))
     return first
@@ -339,18 +346,20 @@ _EDGE_TAG_AT = (
     (PENDANT, PENDANT_EDGE),
     (CHAIN_VERTEX, CHAIN_EDGE),
 )
-_EDGE_RANK = {vertex_tag: rank for rank, (vertex_tag, _) in enumerate(_EDGE_TAG_AT)}
+# Every vertex tag's index in _EDGE_TAG_AT, or len(_EDGE_TAG_AT) when no entry names it.
+_EDGE_RANK = dict.fromkeys((ORIGINAL, UNIVERSAL_Z, TRIANGLE_U, TRIANGLE_V), len(_EDGE_TAG_AT)) | {
+    vertex_tag: rank for rank, (vertex_tag, _) in enumerate(_EDGE_TAG_AT)
+}
 
 
 def _rank_table(red: AnnotatedReduction) -> tuple[list[int], list[list[str]]]:
-    """Edge tags by table lookup: rank[v] is the index in _EDGE_TAG_AT of
-    v's tag, or len(_EDGE_TAG_AT) when no entry names it, and
+    """Edge tags by table lookup: rank[v] is _EDGE_RANK of v's tag, and
     by_ranks[rank[u]][rank[v]] is the tag of the edge {u, v}: that of its
     smaller end rank, as in edge_role.  It is "" when both ends are
     unranked (instance, z-triangle and triangle third edges); those edges
     go through edge_role."""
     unranked = len(_EDGE_TAG_AT)
-    rank = [_EDGE_RANK.get(role[0], unranked) for role in red.vertex_roles]
+    rank = list(map(_EDGE_RANK.__getitem__, map(itemgetter(0), red.vertex_roles)))
     tags = [edge_tag for _, edge_tag in _EDGE_TAG_AT] + [""]
     by_ranks = [[tags[min(a, b)] for b in range(unranked + 1)] for a in range(unranked + 1)]
     return rank, by_ranks
@@ -454,40 +463,53 @@ def verify_fvs_bound(red: AnnotatedReduction) -> bool:
     return True
 
 
-# Which positional args of a vertex role name another vertex (and therefore
-# shift to 1-indexed on the wire); remaining args are colors or indices.
-_VERTEX_ARGS = {ORIGINAL: 1, SUSPENDED_MID: 1, SUSPENDED_LEAF: 1, PENDANT: 1, CHAIN_VERTEX: 1}
+# Vertex tags whose first arg names another vertex (and therefore shifts to
+# 1-indexed on the wire); every other arg is a color or an index.
+_VERTEX_ARG = frozenset((ORIGINAL, SUSPENDED_MID, SUSPENDED_LEAF, PENDANT, CHAIN_VERTEX))
 
 
 def _vertex_role_text(role: tuple) -> str:
     tag, *args = role
-    shift = _VERTEX_ARGS.get(tag, 0)
-    return " ".join([tag, *(str(a + 1) if i < shift else str(a) for i, a in enumerate(args))])
+    if tag in _VERTEX_ARG:
+        args[0] += 1
+    return " ".join([tag, *map(str, args)])
 
 
 def _edge_role_text(red: AnnotatedReduction, u: int, v: int) -> str:
     return " ".join(map(str, edge_role(red, u, v)))
 
 
-def role_chunks(red: AnnotatedReduction) -> Iterator[str]:
-    """The role sidecar in blocks of io.BLOCK lines: 'v <id> <role> [args]'
-    and 'e <u> <v> <role> [args]' lines, 1-indexed, so external tools can
-    re-derive the forcing.  An empty reduction yields no block."""
+def file_chunks(red: AnnotatedReduction) -> Iterator[tuple[str, str]]:
+    """The reduced graph's .gr text and its role sidecar, side by side, as
+    (.gr block, .roles block) pairs of at most io.BLOCK lines each: the .gr
+    header, then the sidecar's 'v <id> <role> [args]' lines, then each
+    block of edges as its .gr lines and its 'e <u> <v> <role> [args]'
+    lines.  An edge's 'u v' text is formatted once for both files, so no
+    per-vertex text is held beyond a block."""
     roles = red.vertex_roles
-    ids = [str(v) for v in range(1, len(roles) + 1)]
+    yield gr_header(red.graph), ""
     role_text = {role: _vertex_role_text(role) for role in set(roles)}
     for start in range(0, len(roles), BLOCK):
-        yield "".join([
-            f"v {i} {role_text[role]}\n"
-            for i, role in zip(ids[start:start + BLOCK], roles[start:start + BLOCK])
+        yield "", "".join([
+            f"v {i} {role_text[role]}\n" for i, role in enumerate(roles[start:start + BLOCK], start + 1)
         ])
+    del role_text  # freed before the rank list is built
     rank, by_ranks = _rank_table(red)
     edges = red.graph.edges
     for start in range(0, len(edges), BLOCK):
-        yield "".join([
-            f"e {ids[u]} {ids[v]} {by_ranks[rank[u]][rank[v]] or _edge_role_text(red, u, v)}\n"
-            for u, v in edges[start:start + BLOCK]
+        block = edges[start:start + BLOCK]
+        pairs = edge_pairs(block)
+        yield "\n".join(pairs) + "\n", "".join([
+            f"e {pair} {by_ranks[rank[u]][rank[v]] or _edge_role_text(red, u, v)}\n"
+            for pair, (u, v) in zip(pairs, block)
         ])
+
+
+def role_chunks(red: AnnotatedReduction) -> Iterator[str]:
+    """The role sidecar in blocks of io.BLOCK lines (the .roles side of
+    file_chunks), 1-indexed, so external tools can re-derive the forcing.
+    An empty reduction yields no block."""
+    return (text for _, text in file_chunks(red) if text)
 
 
 def emit_roles(red: AnnotatedReduction) -> str:

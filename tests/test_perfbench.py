@@ -50,3 +50,28 @@ def test_every_pool_member_prints_its_frozen_stdout(monkeypatch, tmp_path, capsy
         if not hashlib.sha256(out.encode()).hexdigest().startswith(member["stdout_sha"]):
             differs.append((i, member["spec"]))
     assert not differs, f"{len(differs)} of {len(texts)} members differ from their frozen stdout, first {differs[:5]}"
+
+
+def test_every_reduce_lc_member_writes_its_frozen_files(monkeypatch, tmp_path, capsys):
+    """Every member of the reduce_lc pool, regenerated through
+    perfbench/workloads.py and reduced in-process as the benchmark runs it
+    (`vcew reduce-lc FILE -o PREFIX`), writes the .gr and .roles files whose
+    sha256 perfbench/frozen.json records.  Hashing the bytes read back keeps
+    this check on interpreters without hashlib.file_digest."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import workloads
+
+    frozen = json.loads((ROOT / "perfbench" / "frozen.json").read_text())["reduce_lc"]
+    instances = workloads.Instances()
+    texts = [instances.text(member["spec"]) for member in frozen["members"]]
+    workloads.verify_digest("reduce_lc", texts, frozen["digest"])
+    path, prefix = tmp_path / "member.lc", tmp_path / "out"
+    differs = []
+    for i, (member, text) in enumerate(zip(frozen["members"], texts)):
+        path.write_text(text)
+        assert cli.main(["reduce-lc", str(path), "-o", str(prefix)]) == 0
+        capsys.readouterr()
+        shas = [hashlib.sha256(prefix.with_suffix(suffix).read_bytes()).hexdigest() for suffix in (".gr", ".roles")]
+        if shas != [member["gr_sha"], member["roles_sha"]]:
+            differs.append((i, member["spec"]))
+    assert not differs, f"{len(differs)} of {len(texts)} members differ from their frozen files, first {differs[:5]}"

@@ -348,6 +348,27 @@ def test_roles_sidecar_and_dot():
     assert dot.startswith("graph reduction {") and dot.rstrip().endswith("}")
 
 
+def test_vertex_role_texts():
+    # the README's list: a host, owner or original vertex is 1-indexed on
+    # the wire, a color, chain position or triangle index is not
+    texts = {
+        (reduction.ORIGINAL, 0): "original 1",
+        (reduction.SUSPENDED_MID, 4): "suspended-mid 5",
+        (reduction.SUSPENDED_LEAF, 4): "suspended-leaf 5",
+        (reduction.PENDANT, 2): "pendant 3",
+        (reduction.CHAIN_VERTEX, 1, 3, 7): "chain 2 3 7",
+        (reduction.UNIVERSAL_Z,): "universal-z",
+        (reduction.TRIANGLE_U, 6): "triangle-u 6",
+        (reduction.TRIANGLE_V, 6): "triangle-v 6",
+    }
+    for role, text in texts.items():
+        assert reduction._vertex_role_text(role) == text
+    # every kind of vertex a reduction makes is in the list
+    inst = make_inst(2, [(0, 1)], [[2], [3]])
+    red = build_reduction(inst, small_chain_scale(inst))
+    assert {role[0] for role in red.vertex_roles} == {role[0] for role in texts}
+
+
 def role_instances():
     """(instance, scale override) pairs: seeded instances with n = 1..4 at
     small_chain_scale, and the triangle instance at the default scale."""
@@ -428,6 +449,28 @@ def test_roles_written_in_blocks_hold_little_memory(tmp_path):
         tracemalloc.stop()
     assert peak < 128 * n, f"{peak / n:.0f} B per vertex"
     assert path.read_text() == emit_roles(red)
+
+
+def test_gr_and_roles_written_in_one_pass_hold_little_memory(tmp_path):
+    # the first 4-vertex instance of the benchmark's reduce_lc pool at the
+    # default chain scale, 103,405 reduced vertices; written as reduce-lc
+    # writes them, both files peak at about 19 B per vertex above the
+    # reduction, against 79 B when each writer built its own id table
+    inst = io.parse_listcoloring("p lc 4 4\n1 4\n2 3\n2 4\n3 4\n" + "".join(f"l {v} 2 3 4 5\n" for v in range(1, 5)))
+    red = build_reduction(normalize_instance(inst).instance)
+    n = red.graph.vertex_count
+    assert n == 103_405
+    paths = (str(tmp_path / "reduced.gr"), str(tmp_path / "reduced.roles"))
+    tracemalloc.start()
+    try:
+        io.write_chunk_pairs(paths, reduction.file_chunks(red))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * n, f"{peak / n:.0f} B per vertex"
+    with open(paths[0]) as gr, open(paths[1]) as roles:
+        assert gr.read() == io.emit_graph(red.graph)
+        assert roles.read() == emit_roles(red)
 
 
 def test_fvs_needs_the_instance_cover_too():
