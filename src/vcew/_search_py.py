@@ -46,8 +46,8 @@ positions on the way back from that completion, and the node count is the
 walk's alone.  With ``fewest`` it then runs the combination passes from the
 popcount floor (below) up, and their first hit, the fewest-ones lex-first
 witness, is returned; the node count is the walk's plus the passes'.
-vcew.oracle asks for ``fewest`` by default; the vc and prewt routes
-(vcew.preweight) do not.
+vcew.oracle asks for ``fewest`` by default; the prewt route
+(vcew.preweight) does not.
 
 Twin order
 ----------

@@ -67,20 +67,18 @@ def _pick_algo(args, g: Graph, pre: PartialWeightAssignment) -> tuple[str, treew
         return "prewt", td
     if len(g.edges) - len(pre) <= ORACLE_MAX_FREE:
         return "oracle", td
-    if g.max_degree() > TW_MAX_DEGREE:  # vc never reads td, so none is computed
-        return "vc", td
+    if g.max_degree() > TW_MAX_DEGREE:  # prewt never reads td, so none is computed
+        return "prewt", td
     if td is None:
         td = treewidth.compute_decomposition(g)
-    return ("tw" if td.width() <= TW_MAX_WIDTH else "vc"), td
+    return ("tw" if td.width() <= TW_MAX_WIDTH else "prewt"), td
 
 
 def cmd_solve(args) -> int:
     g, pre = io.parse_graph(Path(args.graph).read_text())
     algo, td = _pick_algo(args, g, pre)
-    # a forced route rejects the wrong variant whatever the graph
-    if algo == "vc" and pre:
-        raise UnsupportedVariantError("the vertex-cover pipeline handles the base problem only")
-    e1 = preweight.ones_only(pre) if algo in ("vc", "prewt") else None
+    # checked before the isolated-edge shortcut: a forced prewt rejects 0 pre-weights whatever the graph
+    e1 = preweight.ones_only(pre) if algo == "prewt" else None
     started = time.perf_counter()
     stats: dict[str, int] = {"free_edges": len(g.edges) - len(pre)}
     try:
@@ -91,7 +89,7 @@ def cmd_solve(args) -> int:
             witness = oracle.solve_exhaustive(g, pre, stats=stats)
         elif algo == "tw":
             witness = treewidth.dp_solve(g, td or treewidth.compute_decomposition(g), pre, stats=stats)
-        else:  # vc and prewt: the base problem is the all-ones variant with e1 empty
+        else:  # prewt: the base problem is the all-ones variant with e1 empty
             # solve_prewt reduces again, so the reduction runs twice; the
             # benchmark self-test pins both calls, and computing it once is
             # left to the next change of the benchmark.  The cover search of
@@ -235,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="decide an instance and print a certificate")
     solve.add_argument("graph")
-    solve.add_argument("--algo", choices=["auto", "oracle", "tw", "vc", "prewt"], default="auto")
+    solve.add_argument("--algo", choices=["auto", "oracle", "tw", "prewt"], default="auto")
     solve.add_argument("--td", help="tree decomposition file for the tw route")
     solve.set_defaults(func=cmd_solve)
 

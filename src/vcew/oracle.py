@@ -18,9 +18,9 @@ lexicographically least proper 0/1 vector over the free positions (0
 before 1, earlier positions first) that keeps every twin class's colors
 ascending by id and has at most the budget of ones.  No popcount pass runs
 and no floor is computed, so a yes costs one walk too.  The oracle route
-keeps the fewest-ones witness; the vc and prewt routes (vcew.preweight),
-which only need some witness within their budget, take the first
-completion.  The inner loop has one C source, ``_search.c``, built by
+keeps the fewest-ones witness; the prewt route (vcew.preweight), which
+only needs some witness within its budget, takes the first completion.
+The inner loop has one C source, ``_search.c``, built by
 ``python setup.py build_ext --inplace`` (or by a plain ``cc -O2 -std=c99
 -shared -fPIC``) into a shared library next to this module.  The backend
 follows the presence of that library: when it is there, it is loaded

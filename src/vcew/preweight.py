@@ -1,6 +1,7 @@
 """FPT solve by vertex cover for the base problem and the all-ones
 pre-weighting variant.  The base problem is the all-ones variant with no
-pre-weighted edge (E1 empty), so `vcew solve` runs both through here.
+pre-weighted edge (E1 empty), so `vcew solve` runs both through here, on
+its one FPT route, `prewt`.
 
 With every pre-assigned weight equal to 1, each vertex starts from a base
 color (its count of pre-weighted incident edges) and yes-instances admit

@@ -7,8 +7,8 @@ stay at or below 8k^2 + 8k.  That bound caps the number of weight-1 edges
 the budgeted search has to consider (k(8k^2+8k)) and the twin-class size the
 base kernel keeps (2k(8k^2+8k)+1 members per class, counted with the
 matching endpoint set of size at most 2k).  `vcew solve` decides both
-problem variants through `vcew.preweight`; the base problem is the all-ones
-variant with no pre-weighted edge.
+problem variants through `vcew.preweight`, on its `prewt` route; the base
+problem is the all-ones variant with no pre-weighted edge.
 
 The exact cover comes from a bounded search tree: branch on the first
 uncovered edge (u, v) in canonical edge order, u before v.  Every cover

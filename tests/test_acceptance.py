@@ -160,7 +160,7 @@ def vc_corpus(atlas):
 def test_criterion_02_oracle_vc_equivalence(vc_corpus):
     started = time.time()
     for g in vc_corpus:
-        w_vc = solve_prewt(g, (), minimum_vertex_cover(g)[1])  # the vc route: no pre-weights
+        w_vc = solve_prewt(g, (), minimum_vertex_cover(g)[1])  # the prewt route on the base problem
         w_or = oracle.solve_exhaustive(g)
         assert (w_vc is None) == (w_or is None)
         if w_vc is not None:

@@ -73,14 +73,14 @@ def test_solve_capacity_exits_3(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", path, "--algo", "oracle")
     assert code == 3
     assert io.parse_result(out).status == "unknown"
-    # gen planted --k 2 --classes 30,30,30 --seed 3: the vc route finds k = 2,
+    # gen planted --k 2 --classes 30,30,30 --seed 3: the prewt route finds k = 2,
     # no rule fires, and only then does it refuse its budgeted search; the
     # refusal reports those counters
     path = str(tmp_path / "planted.gr")
     assert run_cli(capsys, "gen", "planted", "--k", "2", "--classes", "30,30,30", "--seed", "3", "-o", path)[0] == 0
-    code, out, err = run_cli(capsys, "solve", path, "--algo", "vc")
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "prewt")
     assert code == 3
-    assert out == '{"status":"unknown","algorithm":"vc","verified":false,"stats":{}}\n'
+    assert out == '{"status":"unknown","algorithm":"prewt","verified":false,"stats":{}}\n'
     assert err.startswith("vcew: search would visit about 2^179.7 candidates, above the 2^30 ceiling\n")
     stats = json.loads(err.split("stats: ", 1)[1])
     assert stats.pop("elapsed_ms") >= 0
@@ -92,17 +92,17 @@ def test_solve_capacity_exits_3(tmp_path, capsys):
     [(36, None), (40, None), (200, None), (None, ("--k", "1", "--classes", "30,30,30", "--seed", "3"))],
     ids=["star-36", "star-40", "star-200", "planted-k1-30-30-30"],
 )
-def test_vc_route_decides_where_the_rule_fires(tmp_path, capsys, leaves, planted):
-    # the vc route runs the pre-weighting rule with no pre-weighted edge: the
-    # rule strips the surplus leaves (past 17 at k = 1) and the search decides
+def test_prewt_route_decides_on_unweighted_graphs(tmp_path, capsys, leaves, planted):
+    # the prewt route runs the pre-weighting rule with no pre-weighted edge:
+    # the rule strips the surplus leaves (past 17 at k = 1) and the search decides
     path = str(tmp_path / "g.gr")
     if planted:
         assert run_cli(capsys, "gen", "planted", *planted, "-o", path)[0] == 0
     else:
         Path(path).write_text(f"p vcew {leaves + 1} {leaves}\n" + "".join(f"1 {v}\n" for v in range(2, leaves + 2)))
-    code, out, err = run_cli(capsys, "solve", path, "--algo", "vc")
+    code, out, err = run_cli(capsys, "solve", path, "--algo", "prewt")
     record = io.parse_result(out)
-    assert code == 0 and (record.status, record.algorithm, record.verified) == ("yes", "vc", True)
+    assert code == 0 and (record.status, record.algorithm, record.verified) == ("yes", "prewt", True)
     stats = json.loads(err.split("stats: ", 1)[1])
     assert stats["k"] == 1 and stats["rule_deletions"] > 0
     assert err.count("deleted ") == stats["rule_deletions"]
@@ -229,7 +229,7 @@ def test_auto_routing(tmp_path, capsys):
     cycle = write(tmp_path, "c30.gr", "p vcew 30 30\n" + "".join(f"{i} {i % 30 + 1}\n" for i in range(1, 31)))
     assert io.parse_result(run_cli(capsys, "solve", cycle)[1]).algorithm == "tw"
     star = write(tmp_path, "star.gr", "p vcew 31 30\n" + "".join(f"1 {v}\n" for v in range(2, 32)))
-    assert io.parse_result(run_cli(capsys, "solve", star)[1]).algorithm == "vc"
+    assert io.parse_result(run_cli(capsys, "solve", star)[1]).algorithm == "prewt"
 
 
 GRID_5X5 = [(5 * r + c + 1, 5 * r + c + 2) for r in range(5) for c in range(4)] + [(i, i + 5) for i in range(1, 21)]
@@ -238,14 +238,14 @@ GRID_5X5 = [(5 * r + c + 1, 5 * r + c + 2) for r in range(5) for c in range(4)] 
 @pytest.mark.parametrize(
     "text,decompositions,algo",
     [
-        ("p vcew 31 30\n" + "".join(f"1 {v}\n" for v in range(2, 32)), 0, "vc"),  # degree 30
-        ("p vcew 25 40\n" + "".join(f"{u} {v}\n" for u, v in GRID_5X5), 1, "vc"),  # degree 4, width 5
+        ("p vcew 31 30\n" + "".join(f"1 {v}\n" for v in range(2, 32)), 0, "prewt"),  # degree 30
+        ("p vcew 25 40\n" + "".join(f"{u} {v}\n" for u, v in GRID_5X5), 1, "prewt"),  # degree 4, width 5
         ("p vcew 30 30\n" + "".join(f"{i} {i % 30 + 1}\n" for i in range(1, 31)), 1, "tw"),  # degree 2, width 2
     ],
     ids=["star-30", "grid-5x5", "cycle-30"],
 )
 def test_auto_tests_degree_before_decomposing(tmp_path, capsys, monkeypatch, text, decompositions, algo):
-    # the vc route never reads a decomposition, so one is computed only for a degree the tw route takes
+    # the prewt route never reads a decomposition, so one is computed only for a degree the tw route takes
     calls = []
 
     def counted(g, _compute=treewidth.compute_decomposition):
@@ -258,30 +258,24 @@ def test_auto_tests_degree_before_decomposing(tmp_path, capsys, monkeypatch, tex
     assert len(calls) == decompositions
 
 
-def test_vc_rejects_preweighted(tmp_path, capsys):
-    path = write(tmp_path, "p1.gr", "p vcew 4 4\n1 2 1\n2 3\n3 4\n1 4\n")
-    code, _, err = run_cli(capsys, "solve", path, "--algo", "vc")
-    assert code == 2
-
-
-VC_VARIANT = "vcew: the vertex-cover pipeline handles the base problem only\n"
-PREWT_VARIANT = "vcew: pre-weights of 0 are outside the all-ones pipeline; use the treewidth solver\n"
+def test_vc_route_is_gone(tmp_path, capsys):
+    # the base problem runs on the prewt route, so --algo has no vc choice
+    path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["solve", path, "--algo", "vc"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "invalid choice: 'vc'" in captured.err
 
 
 @pytest.mark.parametrize(
-    "algo,text,message",
-    [
-        ("vc", "p vcew 2 1\n1 2 0\n", VC_VARIANT),
-        ("vc", "p vcew 2 1\n1 2 1\n", VC_VARIANT),
-        ("prewt", "p vcew 2 1\n1 2 0\n", PREWT_VARIANT),
-        ("prewt", "p vcew 3 2\n1 2 0\n2 3\n", PREWT_VARIANT),
-    ],
-    ids=["vc-isolated-zero", "vc-isolated-one", "prewt-isolated-zero", "prewt-zero"],
+    "text", ["p vcew 2 1\n1 2 0\n", "p vcew 3 2\n1 2 0\n2 3\n"], ids=["prewt-isolated-zero", "prewt-zero"]
 )
-def test_forced_route_rejects_its_wrong_variant(tmp_path, capsys, algo, text, message):
+def test_forced_route_rejects_its_wrong_variant(tmp_path, capsys, text):
     # checked before the isolated-edge shortcut, which would answer no
     path = write(tmp_path, "g.gr", text)
-    assert run_cli(capsys, "solve", path, "--algo", algo) == (2, "", message)
+    message = "vcew: pre-weights of 0 are outside the all-ones pipeline; use the treewidth solver\n"
+    assert run_cli(capsys, "solve", path, "--algo", "prewt") == (2, "", message)
 
 
 def test_verify_proper_and_improper(tmp_path, capsys):
@@ -355,6 +349,7 @@ def test_readme_usage_matches_parser():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     usage = {}
+    choices = {}
     for entry in re.split(r"\n(?=vcew )", block.strip()):
         words = entry.split()[1:]
         path = ()
@@ -362,9 +357,16 @@ def test_readme_usage_matches_parser():
             path += (words[len(path)],)
         assert path not in usage, path
         usage[path] = set(re.findall(r"(?<![\w-])--?[A-Za-z][\w-]*", entry))
+        for option, values in re.findall(r"(--?[\w-]+) (\w+(?:\|\w+)+)", entry):
+            choices[path, option] = values.split("|")
     assert usage == expected
     assert expected[("solve",)] == {"--algo", "--td"}
     assert expected[("kernelize",)] == {"-o"}
+    # and every option's choices, as the README writes them: a|b|c
+    assert choices == {
+        (path, a.option_strings[0]): list(a.choices) for path, p in parsers.items() for a in p._actions if a.choices
+    }
+    assert choices[(("solve",), "--algo")] == ["auto", "oracle", "tw", "prewt"]
 
 
 @pytest.mark.parametrize(
@@ -403,7 +405,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command):
 
 
 def test_solve_k_option_is_gone(tmp_path, capsys):
-    # the vc and prewt routes compute the cover number themselves, and the
+    # the prewt route computes the cover number itself, and the
     # search ceiling is the oracle's own constant
     path = write(tmp_path, "c4.gr", "p vcew 4 4\n1 2\n2 3\n3 4\n1 4\n")
     for option, value in (("--k", "1"), ("--cutoff", "32")):
@@ -602,19 +604,19 @@ def test_gen_bad_option_exits_2(capsys, argv, option):
         ("tw", "p vcew 6 8\n1 2 0\n2 3\n3 4\n4 5\n5 6\n1 6\n2 5 1\n3 6\n",
          {"width": 3, "dp_nodes": 18, "states_stored": 128, "max_states": 48, "max_built": 48},
          "0741192e617eede74bb2b70e6ffc026c9879a2dd0f76a0b1894c70912da671ce"),
-        # gen planted --k 2 --classes 3,2,4 --seed 1 --cover-p 1; the vc and
-        # prewt routes return the decide walk's first completion, so no
-        # popcount pass runs (40 and 19 nodes with the passes, and on vc
-        # the fewest-ones witness had digest c2022c5e...)
-        ("vc", "p vcew 11 14\n1 2\n1 6\n1 7\n1 8\n1 9\n1 10\n1 11\n2 3\n2 4\n2 5\n2 8\n2 9\n2 10\n2 11\n",
+        # gen planted --k 2 --classes 3,2,4 --seed 1 --cover-p 1, unweighted;
+        # the prewt route returns the decide walk's first completion, so no
+        # popcount pass runs (40 and 19 nodes with the passes, and the
+        # fewest-ones witness of this graph had digest c2022c5e...)
+        ("prewt", "p vcew 11 14\n1 2\n1 6\n1 7\n1 8\n1 9\n1 10\n1 11\n2 3\n2 4\n2 5\n2 8\n2 9\n2 10\n2 11\n",
          {"k": 2, "rule_deletions": 0, "search_nodes": 37},
-         "9155dc24fe6e925ada7ffdcb37358af524b0b409438ee38aed73ebfbf3956243"),
+         "79293329332d522927b4a60ffb03253b7aa6043fcd8fed9dcfbb199af4cb0f23"),
         # a 40-leaf star whose odd leaf edges are pre-weighted 1
         ("prewt", "p vcew 41 40\n" + "".join(f"1 {i + 1}{' 1' if i % 2 else ''}\n" for i in range(1, 41)),
          {"k": 1, "rule_deletions": 3, "search_nodes": 18},
          "fe637e900fd64b1da826d5a8e301b8d2dfb4b88009423f062a34e85ef428b2d0"),
     ],
-    ids=["oracle", "tw", "vc", "prewt"],
+    ids=["oracle", "tw", "unweighted", "prewt"],
 )
 def test_solve_route_stats_and_stdout(tmp_path, capsys, algo, text, counters, digest):
     # every route reports its own counters on stderr; the stdout bytes are pinned
@@ -628,12 +630,12 @@ def test_solve_route_stats_and_stdout(tmp_path, capsys, algo, text, counters, di
 
 def test_solve_k8_no_on_the_vc_route(tmp_path, capsys):
     # 28 free edges (above the oracle's 24) and width 7 (above the DP's 4)
-    # send K8 to the vc route, whose search the twin order decides in
+    # send K8 to the prewt route, whose search the twin order decides in
     # 1,259,539 walk nodes, down from 21,908,527 in every order
     text = "p vcew 8 28\n" + "".join(f"{u} {v}\n" for u in range(1, 9) for v in range(u + 1, 9))
     code, out, err = run_cli(capsys, "solve", write(tmp_path, "k8.gr", text))
     record = io.parse_result(out)
-    assert code == 0 and (record.status, record.algorithm, record.verified) == ("no", "vc", True)
+    assert code == 0 and (record.status, record.algorithm, record.verified) == ("no", "prewt", True)
     assert json.loads(err.split("stats: ", 1)[1])["search_nodes"] == 1_259_539
 
 

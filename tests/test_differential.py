@@ -75,7 +75,7 @@ def test_routes_agree_with_brute_force(compiled_kernel, instance):
     answers = {"dp": dp_solve(g, compute_decomposition(g), pre)}
     if len(g.edges) <= 10:
         answers["milp"] = milp_solve(g.vertex_count, g.edges, pre)
-    if all(pre.values()):  # all-ones, or none: the vc and prewt routes
+    if all(pre.values()):  # all-ones, or none: the prewt route
         answers["prewt"] = solve_prewt(g, pre, minimum_vertex_cover(g)[1])
     for route, w in answers.items():
         assert (w is None) == (first is None), route
@@ -128,7 +128,7 @@ def test_reductions_agree_on_stars():
 
     @settings(DRAWS, max_examples=40)
     @given(stars())
-    @example(STAR_40)  # the vc route's rule path: no pre-weights, 40 > 17 leaves
+    @example(STAR_40)  # the rule path with no pre-weights: 40 > 17 leaves
     def check(instance):
         g, pre = instance
         _, k = minimum_vertex_cover(g)

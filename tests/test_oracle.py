@@ -424,7 +424,7 @@ def test_k7_decided_by_the_walk():
 
 
 def test_k8_decided_by_the_walk(compiled_kernel):
-    # K8 reaches the oracle through the vc route (28 free edges, width 7),
+    # K8 reaches the oracle through the prewt route (28 free edges, width 7),
     # whose weight-1 budget edge_budget(7) covers all 28 edges
     inst = oracle._prepare(K8, {})
     assert _search_py.solve_ones(inst, 3136) == (None, K8_NODES)
